@@ -21,14 +21,6 @@ from quiddity import kernels  # noqa: E402
 from quiddity.kernels import available_backends  # noqa: E402
 
 
-def reset_enumeration_cache():
-    from quiddity import cycles
-
-    cycles._levels.clear()
-    cycles._levels[2] = frozenset({(0, 0)})
-    cycles._level_cycles.clear()
-
-
 def bench_canonical(mod, words, repeat):
     best = float("inf")
     for _ in range(repeat):
@@ -40,13 +32,14 @@ def bench_canonical(mod, words, repeat):
 
 
 def bench_enumerate(length, repeat):
-    from quiddity.cycles import _canon_level
+    """Cold enumeration: the per-length class cache is emptied first."""
+    from quiddity import cycles
 
     best = float("inf")
     for _ in range(repeat):
-        reset_enumeration_cache()
+        cycles._levels.clear()
         t0 = time.perf_counter()
-        _canon_level(length)
+        cycles.enumerate_cycles(length)
         best = min(best, time.perf_counter() - t0)
     return best
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional
 
 from .charseq import (
@@ -25,10 +25,11 @@ from .charseq import (
     SHAPE_CHAIN,
     SHAPE_CYCLE,
     Triple,
+    _root_of_unity_triples,
     minimal_period,
     walk,
 )
-from .cycles import DihedralCycle, Pattern, as_pattern, is_quiddity
+from .cycles import Pattern, as_pattern, is_quiddity
 from .localdesc import NINE_PATTERNS
 from .scalars import Scalar
 
@@ -87,7 +88,7 @@ class AffineDecomposition:
 
 @lru_cache(maxsize=None)
 def _block_ok(block: Pattern) -> bool:
-    return is_quiddity(DihedralCycle(block))
+    return is_quiddity(block)
 
 
 @lru_cache(maxsize=None)
@@ -242,20 +243,8 @@ def canonical_period_key(period: Iterable[int]) -> Pattern:
     return min(minimal_period(p), minimal_period(p[::-1]))
 
 
-def _triple_key(t: Triple):
-    return t.sort_key()
-
-
 def _orbit_key(triples: Iterable[Triple]) -> frozenset:
-    return frozenset(_triple_key(t) for t in triples)
-
-
-def _orbit_level(triples: Iterable[Triple]) -> int:
-    lvl = 1
-    for t in triples:
-        for s in (t.q1, t.q, t.q2):
-            lvl = lvl * s.torsion.denominator // gcd(lvl, s.torsion.denominator)
-    return lvl
+    return frozenset(t.sort_key() for t in triples)
 
 
 @dataclass
@@ -320,7 +309,7 @@ def _instance_orbits(n_max: int, max_steps: int):
         rep = walk(start, max_steps=max_steps)
         if rep.shape != SHAPE_CYCLE:
             raise RuntimeError(f"classification instance did not close: {label}")
-        if _orbit_level(rep.orbit) > n_max:
+        if lcm(*(t.level() for t in rep.orbit)) > n_max:
             return
         key = _orbit_key(rep.orbit)
         skey = _orbit_key(t.swap() for t in rep.orbit)
@@ -330,7 +319,7 @@ def _instance_orbits(n_max: int, max_steps: int):
         required.append((label, key, skey))
 
     for row in KNOWN_ROWS:
-        if row.n is None or row.n > n_max:
+        if row.n > n_max:
             continue
         for u in range(1, row.n):
             if gcd(u, row.n) != 1:
@@ -375,49 +364,42 @@ def classify_mu(n_max: int, max_steps: int = 100000) -> ClassificationReport:
     verdicts: dict = {}
     found: dict[frozenset, dict] = {}
     checked = broken = non_affine = 0
-    for n in range(2, n_max + 1):
-        for e1 in range(n):
-            for e in range(n):
-                for e2 in range(n):
-                    t = Triple.from_exponents(n, e1, e, e2)
-                    key = _triple_key(t)
-                    if key in verdicts:
-                        continue
-                    checked += 1
-                    report = walk(t, max_steps=max_steps)
-                    if report.shape == SHAPE_BROKEN:
-                        broken += 1
-                        for ot in report.orbit:
-                            verdicts[_triple_key(ot)] = "broken"
-                        continue
-                    if report.shape != SHAPE_CYCLE:
-                        raise RuntimeError(
-                            f"root-of-unity walk did not resolve: {t}"
-                        )
-                    dec = decompose_affine(report.period)
-                    if dec is None:
-                        non_affine += 1
-                        for ot in report.orbit:
-                            verdicts[_triple_key(ot)] = "non-affine"
-                        continue
-                    if not cor15_check(report.period):
-                        raise RuntimeError(
-                            "affine period fails the fifteen-pattern "
-                            f"condition: {report.period} from {t}"
-                        )
-                    okey = _orbit_key(report.orbit)
-                    for ot in report.orbit:
-                        verdicts[_triple_key(ot)] = "affine"
-                    if okey not in found:
-                        found[okey] = {
-                            "orbit": sorted(report.orbit, key=_triple_key),
-                            "period": report.period,
-                        }
+    for t in _root_of_unity_triples(n_max):
+        if t.sort_key() in verdicts:
+            continue
+        checked += 1
+        report = walk(t, max_steps=max_steps)
+        if report.shape == SHAPE_BROKEN:
+            broken += 1
+            for ot in report.orbit:
+                verdicts[ot.sort_key()] = "broken"
+            continue
+        if report.shape != SHAPE_CYCLE:
+            raise RuntimeError(f"root-of-unity walk did not resolve: {t}")
+        dec = decompose_affine(report.period)
+        if dec is None:
+            non_affine += 1
+            for ot in report.orbit:
+                verdicts[ot.sort_key()] = "non-affine"
+            continue
+        if not cor15_check(report.period):
+            raise RuntimeError(
+                "affine period fails the fifteen-pattern "
+                f"condition: {report.period} from {t}"
+            )
+        okey = _orbit_key(report.orbit)
+        for ot in report.orbit:
+            verdicts[ot.sort_key()] = "affine"
+        if okey not in found:
+            found[okey] = {
+                "orbit": sorted(report.orbit, key=Triple.sort_key),
+                "period": report.period,
+            }
     expected, required = _instance_orbits(n_max, max_steps)
     orbits: list[ClassifiedOrbit] = []
     unmatched: list[ClassifiedOrbit] = []
     for okey, data in found.items():
-        level = _orbit_level(data["orbit"])
+        level = lcm(*(t.level() for t in data["orbit"]))
         match = expected.get(okey)
         period_ok = True
         if match is not None:

@@ -12,10 +12,11 @@ purely periodic unless some m-value is undefined (a broken triple).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from math import gcd, lcm
+from typing import Iterable, Iterator, Optional
 
 from .cycles import Pattern
-from .scalars import MValue, Scalar, m_value
+from .scalars import Scalar, m_value
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,8 +42,6 @@ class Triple:
 
     def level(self) -> int:
         """Least n with all torsion parts in (1/n)Z."""
-        from math import lcm
-
         return lcm(
             self.q1.torsion.denominator,
             self.q.torsion.denominator,
@@ -69,6 +68,21 @@ class Triple:
 
     def __str__(self) -> str:
         return self.render()
+
+
+def _root_of_unity_triples(n_max: int) -> Iterator[Triple]:
+    """Every triple of n-th roots of unity with n <= n_max, once each.
+
+    A triple is yielded at its exact level n >= 1, i.e. with exponents
+    (e1, e, e2) in (Z/n)^3 and gcd(n, e1, e, e2) == 1, by increasing n and
+    then lexicographically; level n holds Jordan's totient J_3(n) triples.
+    """
+    for n in range(1, n_max + 1):
+        for e1 in range(n):
+            for e in range(n):
+                for e2 in range(n):
+                    if gcd(n, e1, e, e2) == 1:
+                        yield Triple.from_exponents(n, e1, e, e2)
 
 
 def sigma1(t: Triple) -> Optional[tuple[Triple, int]]:
@@ -106,14 +120,6 @@ def sigma2(t: Triple) -> Optional[tuple[Triple, int]]:
         ),
         m,
     )
-
-
-def sigma1_m(t: Triple) -> Optional[MValue]:
-    return m_value(t.q1, t.q)
-
-
-def sigma2_m(t: Triple) -> Optional[MValue]:
-    return m_value(t.q2, t.q)
 
 
 SHAPE_CYCLE = "cycle"
@@ -351,28 +357,14 @@ def solve_triples(
     if len(target) < 3:
         raise ValueError("window must have length >= 3")
     matches: list[SolveMatch] = []
-    triples: list[Triple] = []
-    seen_keys: set = set()
-    for n in range(2, modulus_bound + 1):
-        for e1 in range(n):
-            for e in range(n):
-                for e2 in range(n):
-                    t = Triple.from_exponents(n, e1, e, e2)
-                    key = t.sort_key()
-                    if key in seen_keys:
-                        continue
-                    seen_keys.add(key)
-                    report = walk(t, max_steps=max_steps)
-                    if report.shape != SHAPE_CYCLE:
-                        continue
-                    for off, end_offsets in _window_matches(report, target):
-                        matches.append(SolveMatch(t, off, end_offsets))
+    for t in _root_of_unity_triples(modulus_bound):
+        report = walk(t, max_steps=max_steps)
+        if report.shape != SHAPE_CYCLE:
+            continue
+        for off, end_offsets in _window_matches(report, target):
+            matches.append(SolveMatch(t, off, end_offsets))
     matches.sort(key=lambda m: (m.triple.sort_key(), m.offset))
-    seen_t = set()
-    for m in matches:
-        if m.triple not in seen_t:
-            seen_t.add(m.triple)
-            triples.append(m.triple)
+    triples = list(dict.fromkeys(m.triple for m in matches))
     ambiguous = len({m.end_offsets for m in matches}) > 1
     return SolveReport(
         window=target,

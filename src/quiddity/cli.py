@@ -74,12 +74,12 @@ def _triple_from_args(args) -> tuple[Triple, int | None]:
 
 
 def cmd_enumerate(args) -> int:
-    classes = sorted(enumerate_cycles(args.length, limit=args.limit))
+    words = sorted(c.canon for c in enumerate_cycles(args.length, limit=args.limit))
     _emit(
         args,
-        {"length": args.length, "count": len(classes), "cycles": [c.to_json() for c in classes]},
-        [f"{len(classes)} quiddity classes of length {args.length}:"]
-        + [str(c) for c in classes],
+        {"length": args.length, "count": len(words), "cycles": [list(w) for w in words]},
+        [f"{len(words)} quiddity classes of length {args.length}:"]
+        + ["<" + ",".join(map(str, w)) + ">" for w in words],
     )
     return 0
 

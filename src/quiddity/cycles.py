@@ -30,7 +30,10 @@ DEFAULT_MAX_LENGTH = 24
 
 def as_pattern(entries: Iterable[int]) -> Pattern:
     """Validate and freeze a finite sequence of non-negative integers."""
-    seq = tuple(entries)
+    try:
+        seq = tuple(entries)
+    except TypeError:
+        raise ValueError(f"expected a sequence of integers, got {entries!r}") from None
     if len(seq) < 1:
         raise ValueError("pattern must have length >= 1")
     for e in seq:
@@ -54,6 +57,13 @@ class DihedralCycle:
         if len(seq) < 2:
             raise ValueError("a cycle needs length >= 2")
         self._canon = kernels.canonical_form(seq)
+
+    @classmethod
+    def _from_canon(cls, canon: Pattern) -> "DihedralCycle":
+        """Wrap a tuple that is already in canonical form, unchecked."""
+        cyc = cls.__new__(cls)
+        cyc._canon = canon
+        return cyc
 
     @property
     def canon(self) -> Pattern:
@@ -83,20 +93,35 @@ class DihedralCycle:
     def representatives(self) -> list[Pattern]:
         """All distinct linear representatives (rotations of the canonical
         word and of its reversal; at most 2n)."""
-        n = len(self._canon)
-        out = []
-        seen = set()
-        for base in (self._canon, self._canon[::-1]):
-            d = base + base
-            for i in range(n):
-                r = d[i : i + n]
-                if r not in seen:
-                    seen.add(r)
-                    out.append(r)
-        return out
+        return _representatives(self._canon)
 
     def to_json(self) -> list[int]:
         return list(self._canon)
+
+
+def _representatives(word: Pattern) -> list[Pattern]:
+    """Distinct rotations of ``word``, then of its reversal, in that order."""
+    n = len(word)
+    out = []
+    seen = set()
+    for base in (word, word[::-1]):
+        d = base + base
+        for i in range(n):
+            r = d[i : i + n]
+            if r not in seen:
+                seen.add(r)
+                out.append(r)
+    return out
+
+
+def _cycle_word(c: DihedralCycle | Iterable[int]) -> Pattern:
+    """The canonical word of a class, or the validated entries as given."""
+    if isinstance(c, DihedralCycle):
+        return c.canon
+    seq = as_pattern(c)
+    if len(seq) < 2:
+        raise ValueError("a cycle needs length >= 2")
+    return seq
 
 
 def canonicalize(raw: Iterable[int]) -> DihedralCycle:
@@ -150,17 +175,18 @@ def xi(a: int) -> EtaMatrix:
     return eta(a) @ eta(1)
 
 
-def _is_quiddity_canon(canon: Pattern) -> bool:
-    """Ear reduction on a canonical tuple.
+def _ear_reduces(word: Pattern) -> bool:
+    """Ear reduction on the entries as given.
 
     Remove any entry equal to 1 and decrement its two cyclic neighbours;
     a cycle is a quiddity cycle iff this terminates at (0,0).  The choice
     of ear does not matter for members (removing an ear of a triangulated
     polygon leaves a triangulated polygon), and any successful reduction
     path certifies membership because each step reversed is an ear
-    insertion, so a deterministic first-ear scan decides membership.
+    insertion, so a deterministic first-ear scan decides membership, and
+    rotating or reversing the word does not change the verdict.
     """
-    s = list(canon)
+    s = list(word)
     while True:
         n = len(s)
         if n == 2:
@@ -177,11 +203,15 @@ def _is_quiddity_canon(canon: Pattern) -> bool:
 
 
 def is_quiddity(c: DihedralCycle | Iterable[int]) -> bool:
-    """True iff ``c`` is (the class of) a quiddity cycle."""
-    cyc = canonicalize(c)
-    ok = _is_quiddity_canon(cyc.canon)
+    """True iff ``c`` is (the class of) a quiddity cycle.
+
+    Runs ear reduction on the validated entries without canonicalizing
+    them first: the verdict is the same for every representative.
+    """
+    word = _cycle_word(c)
+    ok = _ear_reduces(word)
     if _SELF_CHECK and ok:
-        assert eta_product(cyc.canon) == MINUS_IDENTITY, cyc
+        assert eta_product(word) == MINUS_IDENTITY, word
     return ok
 
 
@@ -203,46 +233,36 @@ def ear_insert(c: DihedralCycle | Iterable[int], position: int) -> DihedralCycle
     return DihedralCycle(cand)
 
 
-_levels: dict[int, frozenset[Pattern]] = {2: frozenset({(0, 0)})}
-_level_cycles: dict[int, frozenset[DihedralCycle]] = {}
-
-
-def _canon_level(n: int) -> frozenset[Pattern]:
-    """Canonical tuples of all quiddity classes of length ``n`` (memoized)."""
-    for k in range(3, n + 1):
-        if k in _levels:
-            continue
-        cur: set[Pattern] = set()
-        for rep in _levels[k - 1]:
-            cur.update(kernels.insert_fanout(rep))
-        _levels[k] = frozenset(cur)
-    return _levels[n]
+#: Quiddity classes per length, filled in order from length 2 upwards.
+_levels: dict[int, frozenset[DihedralCycle]] = {}
 
 
 def enumerate_cycles(n: int, *, limit: int | None = None) -> frozenset[DihedralCycle]:
     """All dihedral classes of quiddity cycles of length ``n``.
 
     Built length by length from (0,0) by ear insertion at every cyclic
-    position, canonicalized and deduplicated.  Results are memoized per
-    length, so repeated and incremental calls are cheap.
+    position.  ``kernels.insert_fanout`` canonicalizes each insertion once;
+    duplicates are dropped as plain tuples, and each class is wrapped
+    without a second canonicalization.  Results are memoized per length,
+    so repeated and incremental calls are cheap.
     """
     bound = DEFAULT_MAX_LENGTH if limit is None else limit
     if n < 2:
         raise ValueError("cycle length starts at 2")
     if n > bound:
         raise ValueError(f"length {n} exceeds the enumeration bound {bound}")
-    if n not in _level_cycles:
-        _level_cycles[n] = frozenset(
-            DihedralCycle(t) for t in _canon_level(n)
-        )
-    return _level_cycles[n]
+    for k in range(len(_levels) + 2, n + 1):
+        words = {(0, 0)} if k == 2 else set()
+        for cyc in _levels.get(k - 1, ()):
+            words.update(kernels.insert_fanout(cyc.canon))
+        _levels[k] = frozenset(map(DihedralCycle._from_canon, words))
+    return _levels[n]
 
 
 def contains_cyclic(c: DihedralCycle | Iterable[int], d: Iterable[int]) -> bool:
     """True iff some representative of ``c`` (any rotation, either
     direction) has ``d`` as a consecutive subsequence."""
-    cyc = canonicalize(c)
-    return kernels.cyclic_contains(cyc.canon, as_pattern(d))
+    return kernels.cyclic_contains(_cycle_word(c), as_pattern(d))
 
 
 def contains_linear(seq: Iterable[int], d: Iterable[int]) -> bool:

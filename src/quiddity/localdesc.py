@@ -25,10 +25,9 @@ from . import kernels
 from .cycles import (
     DihedralCycle,
     Pattern,
+    _representatives,
     as_pattern,
     canonicalize,
-    contains_cyclic,
-    contains_linear,
     enumerate_cycles,
     is_quiddity,
 )
@@ -85,10 +84,10 @@ class CoverPair:
         )
 
     def sorted_e(self) -> list[DihedralCycle]:
-        return sorted(self.E)
+        return sorted(self.E, key=lambda e: _by_length(e.canon))
 
     def sorted_f(self) -> list[Pattern]:
-        return sorted(self.F, key=lambda f: (len(f), f))
+        return sorted(self.F, key=_by_length)
 
     def check_properties(self) -> None:
         """Raise unless (0,0),(1,1,1) are in E and every f in F has a 1."""
@@ -106,7 +105,14 @@ class CoverPair:
 
     @classmethod
     def from_json(cls, data: dict) -> "CoverPair":
+        if not (isinstance(data, dict) and all(isinstance(data.get(k), list) for k in "EF")):
+            raise ValueError('a pair must be a JSON object whose "E" and "F" are lists')
         return cls.of(data["E"], data["F"])
+
+
+def _by_length(word: Pattern) -> tuple[int, Pattern]:
+    """Sort key: shorter words first, then lexicographic."""
+    return (len(word), word)
 
 
 #: (E, F) seeds addressable from the CLI as builtin:<name>.
@@ -248,18 +254,12 @@ def rho_preimages(target: Iterable[int]) -> frozenset[Pattern]:
     return frozenset(s for s in seen if rho(s) == t)
 
 
-_DELTA_EXCLUDED = frozenset({ZERO_ZERO, TRIANGLE})
+_DELTA_EXCLUDED = frozenset({ZERO_ZERO.canon, TRIANGLE.canon})
 
 
-def delta(c: DihedralCycle | Iterable[int]) -> DihedralCycle:
-    """Cyclic normal form: split every cyclically adjacent pair with both
-    entries > 1 by an inserted 1 until none remains.  Works on the
-    canonical representative, leftmost split first, then the wraparound
-    pair.  Not defined on <0,0> and <1,1,1>."""
-    cyc = canonicalize(c)
-    if cyc in _DELTA_EXCLUDED:
-        raise ValueError(f"delta is not defined on {cyc}")
-    s = list(cyc.canon)
+def _delta_word(word: Pattern) -> Pattern:
+    """``delta`` from a canonical word to the canonical word of its image."""
+    s = list(word)
     while True:
         for i in range(len(s) - 1):
             if s[i] > 1 and s[i + 1] > 1:
@@ -269,7 +269,18 @@ def delta(c: DihedralCycle | Iterable[int]) -> DihedralCycle:
             if s[0] > 1 and s[-1] > 1:
                 s = [s[0] + 1] + s[1:-1] + [s[-1] + 1, 1]
                 continue
-            return DihedralCycle(s)
+            return kernels.canonical_form(tuple(s))
+
+
+def delta(c: DihedralCycle | Iterable[int]) -> DihedralCycle:
+    """Cyclic normal form: split every cyclically adjacent pair with both
+    entries > 1 by an inserted 1 until none remains.  Works on the
+    canonical representative, leftmost split first, then the wraparound
+    pair.  Not defined on <0,0> and <1,1,1>."""
+    cyc = canonicalize(c)
+    if cyc.canon in _DELTA_EXCLUDED:
+        raise ValueError(f"delta is not defined on {cyc}")
+    return DihedralCycle._from_canon(_delta_word(cyc.canon))
 
 
 def delta_preimages(target: DihedralCycle | Iterable[int]) -> frozenset[DihedralCycle]:
@@ -291,39 +302,34 @@ def delta_preimages(target: DihedralCycle | Iterable[int]) -> frozenset[Dihedral
             continue
         for i in range(n):
             if s[i] == 1 and s[i - 1] >= 3 and s[(i + 1) % n] >= 3:
-                rest = [s[(i + 1 + j) % n] for j in range(n - 1)]
-                rest[0] -= 1
-                rest[-1] -= 1
-                if len(rest) >= 2:
-                    p = kernels.canonical_form(tuple(rest))
-                    if p not in seen:
-                        seen.add(p)
-                        queue.append(p)
-    out = set()
-    for s in seen:
-        cyc = DihedralCycle(s)
-        if cyc not in _DELTA_EXCLUDED and delta(cyc) == tgt:
-            out.add(cyc)
-    return frozenset(out)
+                rest = s[i + 1 :] + s[:i]
+                p = kernels.canonical_form((rest[0] - 1,) + rest[1:-1] + (rest[-1] - 1,))
+                if p not in seen:
+                    seen.add(p)
+                    queue.append(p)
+    return frozenset(
+        DihedralCycle._from_canon(s)
+        for s in seen
+        if s not in _DELTA_EXCLUDED and _delta_word(s) == tgt.canon
+    )
 
 
 def theorem_step(pair: CoverPair) -> CoverPair:
     """One refinement step on a cover pair.
 
     E' adds every ``delta`` preimage of the ear doubling of each member
-    of E that is itself a quiddity cycle; F' is the union of the ``rho``
-    preimage sets of iota(psi(f)).  The minimum pattern length strictly
-    increases.
+    of E; F' is the union of the ``rho`` preimage sets of iota(psi(f)).
+    The minimum pattern length strictly increases.
+
+    The preimages need no membership test: the ear doubling of a quiddity
+    cycle is one, and each reverse ``delta`` step collapses (x,1,y) with
+    x,y >= 3 into (x-1,y-1), which removes an ear and so keeps a quiddity
+    cycle a quiddity cycle.
     """
     pair.check_properties()
-    for e in pair.E:
-        if not is_quiddity(e):
-            raise ValueError(f"E must consist of quiddity cycles: {e}")
     new_e = set(pair.E)
     for e in pair.E:
-        for p in delta_preimages(psi_bar(e)):
-            if is_quiddity(p):
-                new_e.add(p)
+        new_e |= delta_preimages(psi_bar(e))  # raises unless e is a quiddity cycle
     new_f: set[Pattern] = set()
     for f in pair.F:
         new_f |= rho_preimages(iota(psi(f)))
@@ -356,7 +362,7 @@ class CoverReport:
     def to_json(self) -> dict:
         return {
             "checked": self.checked,
-            "violations": [list(v.canon) for v in sorted(self.violations)],
+            "violations": [list(w) for w in sorted((v.canon for v in self.violations), key=_by_length)],
             "bound": self.bound,
         }
 
@@ -370,11 +376,10 @@ def verify_cover(pair: CoverPair, max_length: int) -> CoverReport:
     checked = 0
     violations: list[DihedralCycle] = []
     for n in range(2, max_length + 1):
-        for cyc in sorted(enumerate_cycles(n)):
+        for word in sorted(c.canon for c in enumerate_cycles(n)):
             checked += 1
-            if cyc.canon in e_canons:
+            if word in e_canons:
                 continue
-            word = cyc.canon
             covered = False
             for f in by_len:
                 if len(f) >= n:
@@ -383,7 +388,7 @@ def verify_cover(pair: CoverPair, max_length: int) -> CoverReport:
                     covered = True
                     break
             if not covered:
-                violations.append(cyc)
+                violations.append(DihedralCycle._from_canon(word))
     return CoverReport(checked=checked, violations=violations, bound=max_length)
 
 
@@ -424,8 +429,8 @@ def verify_thm_subseqs(max_length: int) -> SubseqReport:
     checked = 0
     violations: list[Pattern] = []
     for n in range(2, max_length + 1):
-        for cyc in sorted(enumerate_cycles(n)):
-            for rep in cyc.representatives():
+        for word in sorted(c.canon for c in enumerate_cycles(n)):
+            for rep in _representatives(word):
                 checked += 1
                 if rep in exceptional:
                     exceptional_hits[rep] += 1

@@ -1,0 +1,19 @@
+"""Smoke test of the backend comparison script."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "benchmark_kernels.py"
+
+
+def test_benchmark_kernels_runs():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--length", "8", "--repeat", "1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "enumerate to 8" in proc.stdout
+    assert "cover check to 8" in proc.stdout

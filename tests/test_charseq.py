@@ -1,11 +1,13 @@
 """Reflection walk, characteristic sequences, reconstruction."""
 
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
 from quiddity import Scalar, Triple, minimal_period, sigma1, sigma2, solve_triples, walk
-from quiddity.charseq import SHAPE_BROKEN, SHAPE_CHAIN, SHAPE_CYCLE
+from quiddity.charseq import SHAPE_BROKEN, SHAPE_CHAIN, SHAPE_CYCLE, _root_of_unity_triples
 
 
 def mu(n, e1, e, e2):
@@ -199,3 +201,39 @@ def test_solve_triples_matches_verify():
         assert any(
             tiled[o : o + 3] == (2, 2, 5) for o in range(w.state_period)
         )
+
+
+# ---------------------------------------------------------------------------
+# the sweep over root-of-unity triples
+
+
+def jordan3(n):
+    """Jordan's totient J_3(n) = n^3 * prod over primes p | n of (1 - p^-3)."""
+    out, m, p = n**3, n, 2
+    while m > 1:
+        if m % p == 0:
+            out = out // p**3 * (p**3 - 1)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return out
+
+
+def test_root_of_unity_triples_once_at_exact_level():
+    triples = list(_root_of_unity_triples(14))
+    counts = Counter(t.level() for t in triples)
+    assert counts == {n: jordan3(n) for n in range(1, 15)}
+    assert len({t.sort_key() for t in triples}) == len(triples) == 10132
+
+
+def test_root_of_unity_triples_follow_the_exponent_loops():
+    # same triples in the same order as looping over (Z/n)^3 for
+    # n = 2, 3, ... and skipping those already met at a smaller n
+    seen, looped = set(), []
+    for n in range(2, 9):
+        for e1, e, e2 in product(range(n), repeat=3):
+            t = mu(n, e1, e, e2)
+            if t.sort_key() not in seen:
+                seen.add(t.sort_key())
+                looped.append(t)
+    assert list(_root_of_unity_triples(8)) == looped

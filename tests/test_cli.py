@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from quiddity.cli import main
 
 
@@ -155,3 +157,24 @@ def test_json_outputs_single_document(capsys):
         out = capsys.readouterr().out
         json.loads(out)
         assert code in (0, 1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"E": [[0, 0], [1, 1, 1]]}',
+        '{"E": 5, "F": [[1]]}',
+        '{"E": [[0, 0], [1, 1, 1]], "F": [5]}',
+        "[1, 2]",
+        '{"E": [5], "F": [[1]]}',
+        "{",
+    ],
+    ids=["no_F", "E_not_list", "F_entry_not_list", "top_level_list", "E_entry_not_list", "not_json"],
+)
+def test_verify_cover_malformed_pair_file(tmp_path, capsys, text):
+    # a malformed pair file is a usage error, reported on one line
+    path = tmp_path / "pair.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify-cover", "--pair", str(path), "--max", "6")
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "Traceback" not in err

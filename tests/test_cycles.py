@@ -134,6 +134,8 @@ def test_is_quiddity_iff_enumerated_exhaustive():
         seen = set()
         for raw in product(range(5), repeat=n):
             cyc = canonicalize(raw)
+            # every representative, not only the canonical one, is decided
+            assert is_quiddity(raw) == (cyc.canon in members)
             if cyc.canon in seen:
                 continue
             seen.add(cyc.canon)

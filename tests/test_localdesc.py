@@ -417,3 +417,41 @@ def test_thm_subseqs_specific_representatives():
 
     interior = rep[1:-1]
     assert contains_linear(interior, (1, 2, 2))
+
+
+def test_delta_preimages_of_doubled_members_are_quiddity_cycles():
+    # theorem_step adds these preimages to E without a membership test:
+    # each reverse delta step removes an ear
+    pair = theorem_step(theorem_step(base_pair()))
+    preimages = 0
+    for e in pair.E:
+        for p in delta_preimages(psi_bar(e)):
+            preimages += 1
+            assert is_quiddity(p)
+    assert preimages > len(pair.E)
+
+
+def test_verify_cover_violations_by_length_then_word():
+    report = verify_cover(CoverPair.of([(0, 0), (1, 1, 1)], [(1, 3, 1, 3)]), 11)
+    assert len(report.violations) > 100
+    assert report.violations == sorted(report.violations)
+    assert report.to_json()["violations"] == [list(v.canon) for v in report.violations]
+
+
+def test_verify_thm_subseqs_violations_in_enumeration_order(monkeypatch):
+    # with only two of the nine patterns the check fails; its violations
+    # come by length, then canonical word, then representative order
+    import quiddity.localdesc as localdesc
+
+    monkeypatch.setattr(localdesc, "NINE_PATTERNS", localdesc.NINE_PATTERNS[:2])
+    report = verify_thm_subseqs(9)
+    found = set(report.violations)
+    assert len(found) == len(report.violations) > 100
+    expected = [
+        rep
+        for n in range(2, 10)
+        for cyc in sorted(enumerate_cycles(n))
+        for rep in cyc.representatives()
+        if rep in found
+    ]
+    assert report.violations == expected
