@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Benchmark the pure-Python kernels against the compiled extension.
 
-Times three workloads per backend: the dihedral canonical form on random
+Times four workloads per backend: the dihedral canonical form on random
 words (micro), enumeration of all quiddity classes up to a length
-(macro), and a 27-pattern cover verification over that enumeration
-(macro).  Run from the repository root:
+(macro), a 27-pattern cover verification over that enumeration (macro),
+and the affine classification sweep ``classify_mu`` over root-of-unity
+triples with n up to the same length (pipeline).  Run from the
+repository root:
 
     python3 benchmarks/benchmark_kernels.py [--length 13] [--repeat 3]
 """
@@ -56,9 +58,26 @@ def bench_cover(length, repeat):
     return best
 
 
+def bench_classify(n_max, repeat):
+    """Cold classification: the period decomposition caches are emptied first."""
+    from quiddity import affine
+
+    best = float("inf")
+    for _ in range(repeat):
+        affine.decompose_affine.cache_clear()
+        affine._block_ok.cache_clear()
+        t0 = time.perf_counter()
+        report = affine.classify_mu(n_max)
+        best = min(best, time.perf_counter() - t0)
+        assert report.ok
+    return best
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--length", type=int, default=13, help="enumeration length")
+    parser.add_argument(
+        "--length", type=int, default=13, help="enumeration length and classify_mu bound"
+    )
     parser.add_argument("--repeat", type=int, default=3, help="best of N runs")
     args = parser.parse_args(argv)
 
@@ -80,6 +99,7 @@ def main(argv=None):
             "canonical_form x20k": bench_canonical(kernels, words, args.repeat),
             f"enumerate to {args.length}": bench_enumerate(args.length, args.repeat),
             f"cover check to {args.length}": bench_cover(args.length, args.repeat),
+            f"classify_mu({args.length})": bench_classify(args.length, args.repeat),
         }
     kernels.set_backend(backends[-1])
 

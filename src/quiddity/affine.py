@@ -26,6 +26,8 @@ from .charseq import (
     SHAPE_CYCLE,
     Triple,
     _root_of_unity_triples,
+    _triple,
+    _walk,
     minimal_period,
     walk,
 )
@@ -103,6 +105,8 @@ def decompose_affine(
     any valid window of length N to carry exactly 3N - sum(window)
     junctions; the backtracking enforces that count exactly.
     """
+    if max_multiple < 1:
+        raise ValueError("max_multiple must be >= 1")
     p = as_pattern(period)
     for mult in range(1, max_multiple + 1):
         word = p * mult
@@ -349,7 +353,6 @@ def _instance_orbits(n_max: int, max_steps: int):
     return expected, required
 
 
-@lru_cache(maxsize=4)
 def classify_mu(n_max: int, max_steps: int = 100000) -> ClassificationReport:
     """Sweep all root-of-unity triples with exponents in (Z/n)^3 for
     n <= n_max, keep the affine orbits, and match each one against the
@@ -361,45 +364,40 @@ def classify_mu(n_max: int, max_steps: int = 100000) -> ClassificationReport:
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    verdicts: dict = {}
+    # an orbit stays at the exact level of its start, so (n, e1, e, e2)
+    # names each triple once
+    decided: set[tuple[int, int, int, int]] = set()
     found: dict[frozenset, dict] = {}
     checked = broken = non_affine = 0
-    for t in _root_of_unity_triples(n_max):
-        if t.sort_key() in verdicts:
+    for key in _root_of_unity_triples(n_max):
+        if key in decided:
             continue
         checked += 1
-        report = walk(t, max_steps=max_steps)
+        n = key[0]
+        report = _walk(n, key[1:] + (0, 0, 0), max_steps)
+        decided.update((n, s[0], s[1], s[2]) for s in report.orbit)
         if report.shape == SHAPE_BROKEN:
             broken += 1
-            for ot in report.orbit:
-                verdicts[ot.sort_key()] = "broken"
             continue
         if report.shape != SHAPE_CYCLE:
-            raise RuntimeError(f"root-of-unity walk did not resolve: {t}")
-        dec = decompose_affine(report.period)
-        if dec is None:
+            raise RuntimeError(
+                f"root-of-unity walk did not resolve: {Triple.from_exponents(*key)}"
+            )
+        if decompose_affine(report.period) is None:
             non_affine += 1
-            for ot in report.orbit:
-                verdicts[ot.sort_key()] = "non-affine"
             continue
         if not cor15_check(report.period):
             raise RuntimeError(
-                "affine period fails the fifteen-pattern "
-                f"condition: {report.period} from {t}"
+                "affine period fails the fifteen-pattern condition: "
+                f"{report.period} from {Triple.from_exponents(*key)}"
             )
-        okey = _orbit_key(report.orbit)
-        for ot in report.orbit:
-            verdicts[ot.sort_key()] = "affine"
-        if okey not in found:
-            found[okey] = {
-                "orbit": sorted(report.orbit, key=Triple.sort_key),
-                "period": report.period,
-            }
+        orbit = sorted((_triple(n, s) for s in report.orbit), key=Triple.sort_key)
+        found[_orbit_key(orbit)] = {"orbit": orbit, "period": report.period, "level": n}
     expected, required = _instance_orbits(n_max, max_steps)
     orbits: list[ClassifiedOrbit] = []
     unmatched: list[ClassifiedOrbit] = []
     for okey, data in found.items():
-        level = lcm(*(t.level() for t in data["orbit"]))
+        level = data["level"]
         match = expected.get(okey)
         period_ok = True
         if match is not None:

@@ -7,16 +7,21 @@ outer entry.  Alternating them in both directions yields a bi-infinite
 integer sequence (the recorded m-values).  For root-of-unity triples the
 state space is finite and the walk is reversible, so the sequence is
 purely periodic unless some m-value is undefined (a broken triple).
+
+``sigma1``/``sigma2`` act on ``Scalar`` triples one step at a time.  The
+walk and the sweeps over root-of-unity triples run on integer exponents
+instead (``_walk``): ``Triple``s are built only for what they return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional
 
 from .cycles import Pattern
-from .scalars import Scalar, m_value
+from .scalars import Scalar, _m_rule, m_value
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,8 +75,9 @@ class Triple:
         return self.render()
 
 
-def _root_of_unity_triples(n_max: int) -> Iterator[Triple]:
-    """Every triple of n-th roots of unity with n <= n_max, once each.
+def _root_of_unity_triples(n_max: int) -> Iterator[tuple[int, int, int, int]]:
+    """Exponents (n, e1, e, e2) of every triple of n-th roots of unity with
+    n <= n_max, once each.
 
     A triple is yielded at its exact level n >= 1, i.e. with exponents
     (e1, e, e2) in (Z/n)^3 and gcd(n, e1, e, e2) == 1, by increasing n and
@@ -82,7 +88,7 @@ def _root_of_unity_triples(n_max: int) -> Iterator[Triple]:
             for e in range(n):
                 for e2 in range(n):
                     if gcd(n, e1, e, e2) == 1:
-                        yield Triple.from_exponents(n, e1, e, e2)
+                        yield n, e1, e, e2
 
 
 def sigma1(t: Triple) -> Optional[tuple[Triple, int]]:
@@ -186,72 +192,103 @@ def minimal_period(window: Iterable[int]) -> Pattern:
     raise AssertionError("unreachable: every window is n-periodic")
 
 
-def walk(start: Triple, max_steps: int = 10000) -> CharSeqReport:
-    """Run the alternating reflection walk from ``start``.
+# A walk state at level n is (x1, x, x2, y1, y, y2): the triple
+# (z^x1 q^y1, z^x q^y, z^x2 q^y2) with z = e^(2*pi*i/n) and x1, x, x2 in
+# [0, n).  Each reflection is an integer matrix of determinant -1 on the
+# exponents, so a walk never leaves the exact level of its start.
+_State = tuple[int, int, int, int, int, int]
 
-    Forward steps apply the left reflection first, then alternate; the
-    recorded value of step i is the sequence entry c_i.  The walk runs
-    through fixed points (recording them as ends).  It stops at the first
-    repeated (triple, parity) state, which for a reversible walk is the
-    initial state, making the window one exact period.  An undefined
-    m-value stops the walk with shape "broken", in which case backward
-    values (c_-1, c_-2, ...) are collected as well.
-    """
+
+def _exponents(t: Triple, n: int) -> _State:
+    """The walk state of ``t`` at a level ``n`` that ``t.level()`` divides."""
+    s = (t.q1, t.q, t.q2)
+    x = tuple(c.torsion.numerator * (n // c.torsion.denominator) for c in s)
+    return x + tuple(c.qexp for c in s)
+
+
+def _triple(n: int, s: _State) -> Triple:
+    return Triple(
+        Scalar(Fraction(s[0], n), s[3]),
+        Scalar(Fraction(s[1], n), s[4]),
+        Scalar(Fraction(s[2], n), s[5]),
+    )
+
+
+def _reflect(n: int, s: _State, left: bool) -> Optional[tuple[_State, int]]:
+    """``sigma1`` (``left``) or ``sigma2`` on a walk state at level n."""
+    x1, x, x2, y1, y, y2 = s
+    if left:
+        mv = _m_rule(n, x1, y1, x, y)
+        if mv is None:
+            return None
+        m = mv[0]
+        return (
+            x1, (-2 * m * x1 - x) % n, (m * m * x1 + m * x + x2) % n,
+            y1, -2 * m * y1 - y, m * m * y1 + m * y + y2,
+        ), m
+    mv = _m_rule(n, x2, y2, x, y)
+    if mv is None:
+        return None
+    m = mv[0]
+    return (
+        (x1 + m * x + m * m * x2) % n, (-2 * m * x2 - x) % n, x2,
+        y1 + m * y + m * m * y2, -2 * m * y2 - y, y2,
+    ), m
+
+
+def _walk(n: int, start: _State, max_steps: int) -> CharSeqReport:
+    """The walk of ``walk`` on integer states at level n; the report's
+    ``orbit`` lists walk states, not ``Triple``s."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    seen: dict[tuple[Triple, int], int] = {}
-    orbit: list[Triple] = []
-    orbit_set: set[Triple] = set()
+    seen: dict[tuple[_State, bool], int] = {}
+    orbit: dict[_State, None] = {}  # insertion-ordered set
     window: list[int] = []
     ends: list[int] = []
-    state = (start, 1)
+    s, left = start, True
     broken = False
     resolved = False
     step = 0
     while step <= max_steps:
-        if state in seen:
-            if seen[state] != 0:
+        key = (s, left)
+        if key in seen:
+            if seen[key] != 0:
                 raise RuntimeError(
                     "walk re-entered a non-initial state; reversibility violated"
                 )
             resolved = True
             break
-        seen[state] = step
-        triple, parity = state
-        if triple not in orbit_set:
-            orbit_set.add(triple)
-            orbit.append(triple)
-        res = (sigma1 if parity == 1 else sigma2)(triple)
+        seen[key] = step
+        orbit[s] = None
+        res = _reflect(n, s, left)
         if res is None:
             broken = True
             break
         nxt, c = res
         window.append(c)
-        if nxt == triple:
+        if nxt == s:
             ends.append(step)
-        state = (nxt, 2 if parity == 1 else 1)
+        s, left = nxt, not left
         step += 1
 
     if broken:
         back: list[int] = []
-        btriple, bparity = start, 2
+        s, left = start, False
         for bstep in range(max_steps):
-            res = (sigma1 if bparity == 1 else sigma2)(btriple)
+            res = _reflect(n, s, left)
             if res is None:
                 break
             prev, c = res
             back.append(c)
-            if prev == btriple:
+            if prev == s:
                 ends.append(-bstep - 1)
-            if prev not in orbit_set:
-                orbit_set.add(prev)
-                orbit.append(prev)
-            btriple, bparity = prev, 1 if bparity == 2 else 2
+            orbit[prev] = None
+            s, left = prev, not left
         return CharSeqReport(
             shape=SHAPE_BROKEN,
             period=(),
             ends=sorted(ends),
-            orbit=orbit,
+            orbit=list(orbit),
             window=back[::-1] + window,
             window_origin=-len(back),
             steps=step,
@@ -262,26 +299,42 @@ def walk(start: Triple, max_steps: int = 10000) -> CharSeqReport:
             shape=SHAPE_UNRESOLVED,
             period=(),
             ends=ends,
-            orbit=orbit,
+            orbit=list(orbit),
             window=window,
             window_origin=0,
             steps=step,
         )
 
-    generic = any(
-        s.qexp != 0 for t in orbit for s in (t.q1, t.q, t.q2)
-    )
-    shape = SHAPE_CHAIN if (generic and ends) else SHAPE_CYCLE
+    generic = any(st[3] or st[4] or st[5] for st in orbit)
     return CharSeqReport(
-        shape=shape,
+        shape=SHAPE_CHAIN if (generic and ends) else SHAPE_CYCLE,
         period=minimal_period(window),
         ends=ends,
-        orbit=orbit,
+        orbit=list(orbit),
         window=window,
         window_origin=0,
         state_period=len(window),
         steps=step,
     )
+
+
+def walk(start: Triple, max_steps: int = 10000) -> CharSeqReport:
+    """Run the alternating reflection walk from ``start``.
+
+    Forward steps apply the left reflection first, then alternate; the
+    recorded value of step i is the sequence entry c_i.  The walk runs
+    through fixed points (recording them as ends).  It stops at the first
+    repeated (triple, parity) state, which for a reversible walk is the
+    initial state, making the window one exact period.  An undefined
+    m-value stops the walk with shape "broken", in which case backward
+    values (c_-1, c_-2, ...) are collected as well.
+
+    The walk runs on integer exponents at the level of ``start``.
+    """
+    n = start.level()
+    report = _walk(n, _exponents(start, n), max_steps)
+    report.orbit = [_triple(n, s) for s in report.orbit]
+    return report
 
 
 @dataclass(frozen=True, slots=True)
@@ -356,13 +409,17 @@ def solve_triples(
     target = tuple(window)
     if len(target) < 3:
         raise ValueError("window must have length >= 3")
+    if modulus_bound < 1:
+        raise ValueError("modulus_bound must be >= 1")
     matches: list[SolveMatch] = []
-    for t in _root_of_unity_triples(modulus_bound):
-        report = walk(t, max_steps=max_steps)
+    for n, e1, e, e2 in _root_of_unity_triples(modulus_bound):
+        report = _walk(n, (e1, e, e2, 0, 0, 0), max_steps)
         if report.shape != SHAPE_CYCLE:
             continue
-        for off, end_offsets in _window_matches(report, target):
-            matches.append(SolveMatch(t, off, end_offsets))
+        hits = _window_matches(report, target)
+        if hits:
+            t = Triple.from_exponents(n, e1, e, e2)
+            matches.extend(SolveMatch(t, off, end_offsets) for off, end_offsets in hits)
     matches.sort(key=lambda m: (m.triple.sort_key(), m.offset))
     triples = list(dict.fromkeys(m.triple for m in matches))
     ambiguous = len({m.end_offsets for m in matches}) > 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Literal, Optional
 
 
@@ -161,35 +161,42 @@ def _solve_congruence(a: int, b: int, m: int) -> Optional[int]:
     return (b // g) * pow(a // g, -1, mg) % mg
 
 
-def m_value(qi: Scalar, q: Scalar) -> Optional[MValue]:
-    """Minimum over the two defining conditions; None when neither is
-    solvable (the broken indicator).
+def _m_rule(n: int, ai: int, bi: int, a: int, b: int) -> Optional[tuple[int, Branch]]:
+    """The m rule over exponents: (m, branch) for qi = z^ai * q^bi against
+    q = z^a * q^b, where z = e^(2*pi*i/n); None when neither condition is
+    solvable.
 
     The geometric sum 1 + qi + ... + qi^m vanishes iff qi is a root of
     unity of some order d > 1 and d divides m + 1, so that branch
-    contributes d - 1.  The power branch solves qi^m * q = 1 exactly over
-    the exponent group.
+    contributes d - 1.  The power branch solves qi^m * q = 1 exactly:
+    the q-exponents must cancel and the torsion exponents agree mod n.
+    Ties report the geometric branch.
     """
-    candidates: list[tuple[int, Branch]] = []
-    d = qi.order()
-    if d is not None and d > 1:
-        candidates.append((d - 1, "geometric"))
-    if qi.qexp != 0:
-        # q-exponents must cancel: m * qi.qexp + q.qexp = 0
-        if q.qexp % qi.qexp == 0:
-            m = -q.qexp // qi.qexp
-            if m >= 0 and (qi.torsion * m + q.torsion) % 1 == 0:
-                candidates.append((m, "power"))
-    elif q.qexp == 0:
-        # pure torsion: m * qi.torsion + q.torsion == 0 (mod 1)
-        b1, b2 = qi.torsion.denominator, q.torsion.denominator
-        mod = b1 * b2
-        m = _solve_congruence(
-            qi.torsion.numerator * b2, -q.torsion.numerator * b1, mod
-        )
-        if m is not None:
-            candidates.append((m, "power"))
-    if not candidates:
-        return None
-    m, branch = min(candidates)
-    return MValue(m, branch)
+    if bi:
+        # q-exponents must cancel: m * bi + b = 0; qi has infinite order
+        if b % bi:
+            return None
+        m = -b // bi
+        return (m, "power") if m >= 0 and (ai * m + a) % n == 0 else None
+    d = n // gcd(ai, n)
+    m = _solve_congruence(ai, -a, n) if b == 0 else None
+    if m is not None and (d == 1 or m < d - 1):
+        return m, "power"
+    return (d - 1, "geometric") if d > 1 else None
+
+
+def m_value(qi: Scalar, q: Scalar) -> Optional[MValue]:
+    """Minimum over the two defining conditions; None when neither is
+    solvable (the broken indicator).  Both scalars are written over their
+    common torsion level and handed to the integer rule ``_m_rule``.
+    """
+    ti, t = qi.torsion, q.torsion
+    n = lcm(ti.denominator, t.denominator)
+    res = _m_rule(
+        n,
+        ti.numerator * (n // ti.denominator),
+        qi.qexp,
+        t.numerator * (n // t.denominator),
+        q.qexp,
+    )
+    return None if res is None else MValue(*res)

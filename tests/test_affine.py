@@ -1,5 +1,7 @@
 """Affine gluing, the fifteen-pattern condition and the classification."""
 
+import json
+
 import pytest
 
 from quiddity import (
@@ -155,6 +157,16 @@ def test_classify_orbit_closure():
             for sigma in (sigma1, sigma2):
                 res = sigma(t)
                 assert res is not None and res[0] in members
+
+
+def test_classify_report_edits_do_not_leak():
+    # every call returns its own report; editing one changes no later call
+    report = classify_mu(6)
+    expected = json.dumps(report.to_json())
+    report.orbits.clear()
+    report.missing.append("edited")
+    assert json.dumps(classify_mu(6).to_json()) == expected
+    assert verify_cor15_on_classified(6).periods
 
 
 def test_classify_rejects_tiny_bound():

@@ -3,11 +3,23 @@
 import random
 from collections import Counter
 from itertools import product
+from math import gcd
 
 import pytest
 
 from quiddity import Scalar, Triple, minimal_period, sigma1, sigma2, solve_triples, walk
-from quiddity.charseq import SHAPE_BROKEN, SHAPE_CHAIN, SHAPE_CYCLE, _root_of_unity_triples
+from quiddity.affine import GENERIC_ROWS
+from quiddity.charseq import (
+    SHAPE_BROKEN,
+    SHAPE_CHAIN,
+    SHAPE_CYCLE,
+    SHAPE_UNRESOLVED,
+    _root_of_unity_triples,
+)
+
+REPORT_FIELDS = (
+    "shape", "period", "ends", "orbit", "window", "window_origin", "state_period", "steps",
+)
 
 
 def mu(n, e1, e, e2):
@@ -220,7 +232,7 @@ def jordan3(n):
 
 
 def test_root_of_unity_triples_once_at_exact_level():
-    triples = list(_root_of_unity_triples(14))
+    triples = [mu(*exps) for exps in _root_of_unity_triples(14)]
     counts = Counter(t.level() for t in triples)
     assert counts == {n: jordan3(n) for n in range(1, 15)}
     assert len({t.sort_key() for t in triples}) == len(triples) == 10132
@@ -236,4 +248,76 @@ def test_root_of_unity_triples_follow_the_exponent_loops():
             if t.sort_key() not in seen:
                 seen.add(t.sort_key())
                 looped.append(t)
-    assert list(_root_of_unity_triples(8)) == looped
+    assert [mu(*exps) for exps in _root_of_unity_triples(8)] == looped
+
+
+# ---------------------------------------------------------------------------
+# parity of the integer walk with the walk composed of sigma1 and sigma2
+
+
+def reference_walk(start, max_steps):
+    """The reflection walk built from the public one-step reflections on
+    Scalars: alternate sigma1 and sigma2 until the start state (triple,
+    parity) recurs; a broken walk also runs backward from the start."""
+    seen, orbit, window, ends = {}, {}, [], []
+    state, step, shape = (start, 1), 0, SHAPE_UNRESOLVED
+    while step <= max_steps:
+        if state in seen:
+            assert seen[state] == 0
+            shape = SHAPE_CYCLE  # or a chain, decided below
+            break
+        seen[state] = step
+        t, parity = state
+        orbit[t] = None
+        res = (sigma1 if parity == 1 else sigma2)(t)
+        if res is None:
+            shape = SHAPE_BROKEN
+            break
+        nxt, c = res
+        window.append(c)
+        if nxt == t:
+            ends.append(step)
+        state, step = (nxt, 3 - parity), step + 1
+    fields = dict(period=(), ends=ends, window=window, window_origin=0, state_period=None)
+    if shape == SHAPE_BROKEN:
+        back, t, parity = [], start, 2
+        for bstep in range(max_steps):
+            res = (sigma1 if parity == 1 else sigma2)(t)
+            if res is None:
+                break
+            prev, c = res
+            back.append(c)
+            if prev == t:
+                ends.append(-bstep - 1)
+            orbit[prev] = None
+            t, parity = prev, 3 - parity
+        fields.update(ends=sorted(ends), window=back[::-1] + window, window_origin=-len(back))
+    elif shape == SHAPE_CYCLE:
+        generic = any(not s.is_root_of_unity for t in orbit for s in (t.q1, t.q, t.q2))
+        shape = SHAPE_CHAIN if generic and ends else SHAPE_CYCLE
+        fields.update(period=minimal_period(window), state_period=len(window))
+    return dict(fields, shape=shape, orbit=list(orbit), steps=step)
+
+
+def parity_starts():
+    """Every triple with n <= 12, and the three one-parameter rows, both
+    symbolic and specialized to every primitive k-th root, k <= 48."""
+    yield from (mu(*exps) for exps in _root_of_unity_triples(12))
+    for _row, _param, maker, _period, _excluded in GENERIC_ROWS:
+        yield maker(Scalar.q_power(1))
+        for k in range(1, 49):
+            for u in range(1, max(k, 2)):
+                if gcd(u, k) == 1:
+                    yield maker(Scalar.root_of_unity(k, u))
+
+
+@pytest.mark.parametrize("max_steps", [10000, 3])
+def test_walk_matches_reference_walk(max_steps):
+    shapes = Counter()
+    for start in parity_starts():
+        report = walk(start, max_steps=max_steps)
+        got = {f: getattr(report, f) for f in REPORT_FIELDS}
+        assert got == reference_walk(start, max_steps), start
+        shapes[report.shape] += 1
+    assert {SHAPE_BROKEN, SHAPE_CHAIN, SHAPE_CYCLE} <= set(shapes)
+    assert (SHAPE_UNRESOLVED in shapes) == (max_steps == 3)

@@ -105,6 +105,12 @@ def test_solve_none_found(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_solve_rejects_bound_below_one(capsys, bound):
+    code, out, err = run(capsys, "solve", "--window", "2,2,5", "--bound", bound)
+    assert code == 2 and out == "" and "modulus_bound" in err
+
+
 def test_classify(capsys):
     code, out, _ = run(capsys, "classify", "--nmax", "6")
     assert code == 0
@@ -135,6 +141,11 @@ def test_decompose_non_affine_period(capsys):
     code, out, _ = run(capsys, "decompose", "--period", "2,2,5")
     assert code == 1
     assert "not affine" in out
+
+
+def test_decompose_rejects_max_multiple_below_one(capsys):
+    code, out, err = run(capsys, "decompose", "--period", "2,2,5", "--max-multiple", "0")
+    assert code == 2 and out == "" and "max_multiple" in err
 
 
 def test_verify_cor15(capsys):

@@ -129,12 +129,13 @@ def test_geometric_branch_against_complex_sums():
 
 
 def brute_m_value(qi: Scalar, q: Scalar, bound: int):
+    """The first m <= bound where a condition holds, geometric on a tie."""
     for m in range(bound + 1):
         d = qi.order()
-        geometric = d is not None and d > 1 and (m + 1) % d == 0
-        power = ((qi ** m) * q).is_one()
-        if geometric or power:
-            return m
+        if d is not None and d > 1 and (m + 1) % d == 0:
+            return MValue(m, "geometric")
+        if ((qi ** m) * q).is_one():
+            return MValue(m, "power")
     return None
 
 
@@ -145,9 +146,7 @@ def test_m_value_minimality_exhaustive_small():
             for ki in range(ni):
                 for k in range(n):
                     qi, q = zeta(ni, ki), zeta(n, k)
-                    mv = m_value(qi, q)
-                    brute = brute_m_value(qi, q, 2 * lcm)
-                    assert (mv.m if mv else None) == brute, (ni, ki, n, k)
+                    assert m_value(qi, q) == brute_m_value(qi, q, 2 * lcm), (ni, ki, n, k)
 
 
 def test_m_value_minimality_random_large():
@@ -157,9 +156,7 @@ def test_m_value_minimality_random_large():
         qi = zeta(ni, rng.randrange(ni))
         q = zeta(n, rng.randrange(n))
         lcm = ni * n // gcd(ni, n)
-        mv = m_value(qi, q)
-        brute = brute_m_value(qi, q, 2 * lcm)
-        assert (mv.m if mv else None) == brute
+        assert m_value(qi, q) == brute_m_value(qi, q, 2 * lcm)
 
 
 def test_m_value_generic_cases():
