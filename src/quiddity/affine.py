@@ -17,14 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, lcm
-from typing import Iterable, Optional
+from math import gcd
+from typing import Iterable, Iterator, Optional
 
+from . import kernels
 from .charseq import (
     SHAPE_BROKEN,
     SHAPE_CHAIN,
     SHAPE_CYCLE,
     Triple,
+    _exponents,
     _root_of_unity_triples,
     _triple,
     _walk,
@@ -169,15 +171,10 @@ def cor15_check(period: Iterable[int]) -> bool:
     """True iff the bi-infinite sequence with this period contains one of
     the fifteen patterns, in either orientation."""
     p = as_pattern(period)
-    n = len(p)
-    reps = -(-(n + 3) // n)  # window length up to 4
-    for word in (p, p[::-1]):
-        tiled = word * reps
-        for pat in FIFTEEN_PATTERNS:
-            for off in range(n):
-                if tiled[off : off + len(pat)] == pat:
-                    return True
-    return False
+    # a cyclic word of length >= 4 holds every window of the sequence
+    # that is up to 4 long, the longest of the fifteen patterns
+    word = p * -(-4 // len(p))
+    return any(kernels.cyclic_contains(word, pat) for pat in FIFTEEN_PATTERNS)
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +239,7 @@ GENERIC_ROWS = (
 def canonical_period_key(period: Iterable[int]) -> Pattern:
     """Rotation+reversal canonical form, for comparing cyclic periods."""
     p = tuple(period)
-    if not p:
-        return p
-    return min(minimal_period(p), minimal_period(p[::-1]))
-
-
-def _orbit_key(triples: Iterable[Triple]) -> frozenset:
-    return frozenset(t.sort_key() for t in triples)
+    return kernels.canonical_form(minimal_period(p)) if p else p
 
 
 @dataclass
@@ -290,7 +281,7 @@ class ClassificationReport:
         return {
             "n_max": self.n_max,
             "orbits": [o.to_json() for o in self.orbits],
-            "missing": self.missing,
+            "missing": list(self.missing),
             "unmatched": [o.to_json() for o in self.unmatched],
             "triples_checked": self.triples_checked,
             "broken": self.broken,
@@ -298,59 +289,41 @@ class ClassificationReport:
         }
 
 
-def _instance_orbits(n_max: int, max_steps: int):
+def _instance_orbits(n_max: int) -> Iterator[tuple[str, tuple[int, str, Pattern], tuple]]:
     """Instantiate every table row at every admissible root of unity.
 
-    Returns (expected, required): ``expected`` maps an orbit key (or its
-    label swap) to (row, parameter, period); ``required`` lists
-    (label, key, swapped_key) for instances that must show up in a sweep
-    bounded by ``n_max``.
+    Yields (label, (row, parameter, period), keys) for each instance of
+    exact level n <= ``n_max``; ``keys`` are the exponents (n, e1, e, e2)
+    of the instance and of its label swap, as the sweep names triples.
     """
-    expected: dict[frozenset, tuple[int, str, Pattern]] = {}
-    required: list[tuple[str, frozenset, frozenset]] = []
-
-    def register(start: Triple, rowno: int, parameter: str, period: Pattern, label: str):
-        rep = walk(start, max_steps=max_steps)
-        if rep.shape != SHAPE_CYCLE:
-            raise RuntimeError(f"classification instance did not close: {label}")
-        if lcm(*(t.level() for t in rep.orbit)) > n_max:
-            return
-        key = _orbit_key(rep.orbit)
-        skey = _orbit_key(t.swap() for t in rep.orbit)
-        for k in (key, skey):
-            if k not in expected:
-                expected[k] = (rowno, parameter, period)
-        required.append((label, key, skey))
-
-    for row in KNOWN_ROWS:
-        if row.n > n_max:
-            continue
-        for u in range(1, row.n):
-            if gcd(u, row.n) != 1:
-                continue
-            e1, e, e2 = row.diagrams[0]
-            register(
-                Triple.from_exponents(row.n, e1 * u, e * u, e2 * u),
-                row.row,
-                row.parameter,
-                row.period,
-                f"row {row.row} at zeta^{u}, mu_{row.n}",
-            )
-    for rowno, _param, maker, period, excluded in GENERIC_ROWS:
-        for k in range(3, n_max + 1):
-            if k in excluded:
-                continue
-            for u in range(1, k):
-                if gcd(u, k) != 1:
-                    continue
-                register(
-                    maker(Scalar.root_of_unity(k, u)),
-                    rowno,
-                    f"q primitive {k}-th root (generic row {rowno})",
-                    period,
-                    f"row {rowno} specialized at mu_{k}, q=zeta^{u}",
-                )
-    return expected, required
+    starts = [
+        (
+            Triple.from_exponents(row.n, *(x * u for x in row.diagrams[0])),
+            (row.row, row.parameter, row.period),
+            f"row {row.row} at zeta^{u}, mu_{row.n}",
+        )
+        for row in KNOWN_ROWS
+        if row.n <= n_max
+        for u in range(1, row.n)
+        if gcd(u, row.n) == 1
+    ]
+    starts += [
+        (
+            maker(Scalar.root_of_unity(k, u)),
+            (rowno, f"q primitive {k}-th root (generic row {rowno})", period),
+            f"row {rowno} specialized at mu_{k}, q=zeta^{u}",
+        )
+        for rowno, _param, maker, period, excluded in GENERIC_ROWS
+        for k in range(3, n_max + 1)
+        if k not in excluded
+        for u in range(1, k)
+        if gcd(u, k) == 1
+    ]
+    for start, match, label in starts:
+        n = start.level()
+        if n <= n_max:
+            e1, e, e2 = _exponents(start, n)[:3]
+            yield label, match, ((n, e1, e, e2), (n, e2, e, e1))
 
 
 def classify_mu(n_max: int, max_steps: int = 100000) -> ClassificationReport:
@@ -358,16 +331,18 @@ def classify_mu(n_max: int, max_steps: int = 100000) -> ClassificationReport:
     n <= n_max, keep the affine orbits, and match each one against the
     classification table.
 
-    Raises if an affine period ever fails the fifteen-pattern condition
-    (that would contradict the necessity direction and means a bug or a
-    counterexample).
+    A table instance whose orbit is broken or not affine is reported
+    missing.  Raises if an affine period ever fails the fifteen-pattern
+    condition (that would contradict the necessity direction and means a
+    bug or a counterexample).
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     # an orbit stays at the exact level of its start, so (n, e1, e, e2)
-    # names each triple once
-    decided: set[tuple[int, int, int, int]] = set()
-    found: dict[frozenset, dict] = {}
+    # names each triple once; it maps to the index of its affine orbit in
+    # ``found``, or to None
+    decided: dict[tuple[int, int, int, int], Optional[int]] = {}
+    found: list[tuple[list[Triple], Pattern, int]] = []
     checked = broken = non_affine = 0
     for key in _root_of_unity_triples(n_max):
         if key in decided:
@@ -375,53 +350,51 @@ def classify_mu(n_max: int, max_steps: int = 100000) -> ClassificationReport:
         checked += 1
         n = key[0]
         report = _walk(n, key[1:] + (0, 0, 0), max_steps)
-        decided.update((n, s[0], s[1], s[2]) for s in report.orbit)
+        index = None
         if report.shape == SHAPE_BROKEN:
             broken += 1
-            continue
-        if report.shape != SHAPE_CYCLE:
+        elif report.shape != SHAPE_CYCLE:
             raise RuntimeError(
                 f"root-of-unity walk did not resolve: {Triple.from_exponents(*key)}"
             )
-        if decompose_affine(report.period) is None:
+        elif decompose_affine(report.period) is None:
             non_affine += 1
-            continue
-        if not cor15_check(report.period):
+        elif not cor15_check(report.period):
             raise RuntimeError(
                 "affine period fails the fifteen-pattern condition: "
                 f"{report.period} from {Triple.from_exponents(*key)}"
             )
-        orbit = sorted((_triple(n, s) for s in report.orbit), key=Triple.sort_key)
-        found[_orbit_key(orbit)] = {"orbit": orbit, "period": report.period, "level": n}
-    expected, required = _instance_orbits(n_max, max_steps)
+        else:
+            index = len(found)
+            orbit = sorted((_triple(n, s) for s in report.orbit), key=Triple.sort_key)
+            found.append((orbit, report.period, n))
+        decided.update(((n, s[0], s[1], s[2]), index) for s in report.orbit)
+    # the first instance that lands in an orbit names its row
+    expected: dict[int, tuple[int, str, Pattern]] = {}
+    missing: list[str] = []
+    for label, match, keys in _instance_orbits(n_max):
+        indices = [decided[k] for k in keys if decided[k] is not None]
+        for i in indices:
+            expected.setdefault(i, match)
+        if not indices:
+            missing.append(label)
     orbits: list[ClassifiedOrbit] = []
     unmatched: list[ClassifiedOrbit] = []
-    for okey, data in found.items():
-        level = data["level"]
-        match = expected.get(okey)
-        period_ok = True
-        if match is not None:
-            rowno, parameter, row_period = match
-            period_ok = canonical_period_key(data["period"]) == canonical_period_key(
-                row_period
-            )
+    for i, (orbit, period, level) in enumerate(found):
+        match = expected.get(i)
+        if match is not None and canonical_period_key(period) != canonical_period_key(match[2]):
+            match = None
         co = ClassifiedOrbit(
-            row_matched=match[0] if (match and period_ok) else None,
-            diagrams=data["orbit"],
-            parameter=match[1] if (match and period_ok) else f"mu_{level}",
-            period=data["period"],
-            orbit_size=len(data["orbit"]),
+            row_matched=match[0] if match else None,
+            diagrams=orbit,
+            parameter=match[1] if match else f"mu_{level}",
+            period=period,
+            orbit_size=len(orbit),
             level=level,
         )
         orbits.append(co)
         if co.row_matched is None:
             unmatched.append(co)
-    found_keys = set(found)
-    missing = [
-        label
-        for (label, key, skey) in required
-        if key not in found_keys and skey not in found_keys
-    ]
     orbits.sort(key=lambda o: (o.row_matched or 10_000, o.level, [t.sort_key() for t in o.diagrams]))
     return ClassificationReport(
         n_max=n_max,
@@ -465,9 +438,11 @@ class GenericRowsReport:
 
     def to_json(self) -> dict:
         return {
-            "rows": self.rows,
+            "rows": {
+                k: {**row, "period": list(row["period"])} for k, row in self.rows.items()
+            },
             "specializations": [s.to_json() for s in self.specializations],
-            "violations": self.violations,
+            "violations": list(self.violations),
         }
 
 

@@ -22,7 +22,7 @@ from .affine import (
     verify_cor15_on_classified,
 )
 from .charseq import Triple, solve_triples, walk
-from .cycles import canonicalize, enumerate_cycles, is_quiddity
+from .cycles import _level, canonicalize, is_quiddity
 from .localdesc import (
     BUILTIN_PAIRS,
     CoverPair,
@@ -74,7 +74,7 @@ def _triple_from_args(args) -> tuple[Triple, int | None]:
 
 
 def cmd_enumerate(args) -> int:
-    words = sorted(c.canon for c in enumerate_cycles(args.length, limit=args.limit))
+    words = _level(args.length, args.limit)
     _emit(
         args,
         {"length": args.length, "count": len(words), "cycles": [list(w) for w in words]},

@@ -223,28 +223,22 @@ def ear_insert(c: DihedralCycle | Iterable[int], position: int) -> DihedralCycle
     cyc = canonicalize(c)
     if not is_quiddity(cyc):
         raise ValueError(f"not a quiddity cycle: {cyc}")
-    rep = cyc.canon
-    n = len(rep)
-    i = position % n
-    if i < n - 1:
-        cand = rep[:i] + (rep[i] + 1, 1, rep[i + 1] + 1) + rep[i + 2 :]
-    else:
-        cand = (rep[0] + 1,) + rep[1 : n - 1] + (rep[n - 1] + 1, 1)
-    return DihedralCycle(cand)
+    grown = kernels.insert_fanout(cyc.canon)
+    return DihedralCycle._from_canon(grown[position % len(grown)])
 
 
-#: Quiddity classes per length, filled in order from length 2 upwards.
-_levels: dict[int, frozenset[DihedralCycle]] = {}
+#: Canonical words of the quiddity classes per length, each level sorted
+#: once when it is built; filled in order from length 2 upwards.
+_levels: dict[int, tuple[Pattern, ...]] = {}
 
 
-def enumerate_cycles(n: int, *, limit: int | None = None) -> frozenset[DihedralCycle]:
-    """All dihedral classes of quiddity cycles of length ``n``.
+def _level(n: int, limit: int | None = None) -> tuple[Pattern, ...]:
+    """The sorted canonical words of the quiddity classes of length ``n``.
 
     Built length by length from (0,0) by ear insertion at every cyclic
-    position.  ``kernels.insert_fanout`` canonicalizes each insertion once;
-    duplicates are dropped as plain tuples, and each class is wrapped
-    without a second canonicalization.  Results are memoized per length,
-    so repeated and incremental calls are cheap.
+    position: ``kernels.insert_fanout`` canonicalizes each insertion once
+    and duplicates drop as plain tuples.  Memoized per length in
+    ``_levels``, so repeated and incremental calls are cheap.
     """
     bound = DEFAULT_MAX_LENGTH if limit is None else limit
     if n < 2:
@@ -253,10 +247,21 @@ def enumerate_cycles(n: int, *, limit: int | None = None) -> frozenset[DihedralC
         raise ValueError(f"length {n} exceeds the enumeration bound {bound}")
     for k in range(len(_levels) + 2, n + 1):
         words = {(0, 0)} if k == 2 else set()
-        for cyc in _levels.get(k - 1, ()):
-            words.update(kernels.insert_fanout(cyc.canon))
-        _levels[k] = frozenset(map(DihedralCycle._from_canon, words))
+        for word in _levels.get(k - 1, ()):
+            words.update(kernels.insert_fanout(word))
+        _levels[k] = tuple(sorted(words))
     return _levels[n]
+
+
+def enumerate_cycles(n: int, *, limit: int | None = None) -> frozenset[DihedralCycle]:
+    """All dihedral classes of quiddity cycles of length ``n``.
+
+    The memo holds each length's sorted canonical words, not cycles:
+    every call wraps the classes of its level afresh, without
+    canonicalizing them a second time.  ``limit`` overrides
+    ``DEFAULT_MAX_LENGTH``.
+    """
+    return frozenset(map(DihedralCycle._from_canon, _level(n, limit)))
 
 
 def contains_cyclic(c: DihedralCycle | Iterable[int], d: Iterable[int]) -> bool:

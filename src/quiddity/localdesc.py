@@ -25,10 +25,10 @@ from . import kernels
 from .cycles import (
     DihedralCycle,
     Pattern,
+    _level,
     _representatives,
     as_pattern,
     canonicalize,
-    enumerate_cycles,
     is_quiddity,
 )
 
@@ -370,13 +370,15 @@ class CoverReport:
 def verify_cover(pair: CoverPair, max_length: int) -> CoverReport:
     """Check property (2): every quiddity cycle of length <= max_length is
     in E or strictly contains some pattern of F (strictness is
-    len(f) < len(c))."""
+    len(f) < len(c)).  A max_length below 2 checks no class and raises."""
+    if max_length < 2:
+        raise ValueError("max_length must be >= 2")
     e_canons = {e.canon for e in pair.E}
     by_len = sorted(pair.F, key=len)
     checked = 0
     violations: list[DihedralCycle] = []
     for n in range(2, max_length + 1):
-        for word in sorted(c.canon for c in enumerate_cycles(n)):
+        for word in _level(n):
             checked += 1
             if word in e_canons:
                 continue
@@ -422,14 +424,16 @@ def verify_thm_subseqs(max_length: int) -> SubseqReport:
     """For every representative of every quiddity cycle of length <=
     max_length: either it is one of the five exceptional representatives
     or its interior (positions 2..n-1), forward or reversed, linearly
-    contains one of the nine patterns."""
+    contains one of the nine patterns.  A max_length below 2 raises."""
+    if max_length < 2:
+        raise ValueError("max_length must be >= 2")
     exceptional = set(EXCEPTIONAL_REPRESENTATIVES)
     pattern_hits: dict[Pattern, int] = {p: 0 for p in NINE_PATTERNS}
     exceptional_hits: dict[Pattern, int] = {e: 0 for e in EXCEPTIONAL_REPRESENTATIVES}
     checked = 0
     violations: list[Pattern] = []
     for n in range(2, max_length + 1):
-        for word in sorted(c.canon for c in enumerate_cycles(n)):
+        for word in _level(n):
             for rep in _representatives(word):
                 checked += 1
                 if rep in exceptional:

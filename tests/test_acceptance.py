@@ -35,7 +35,7 @@ from quiddity import (
     walk,
 )
 from quiddity.affine import canonical_period_key
-from quiddity.charseq import SHAPE_CYCLE
+from quiddity.charseq import SHAPE_CYCLE, _root_of_unity_triples
 
 
 class Criterion:
@@ -154,47 +154,39 @@ def test_criterion_6_mu9_walk_example():
 
 def test_criterion_7_involution_and_case_consistency_to_24():
     with Criterion(7, "involution + case consistency, all triples n <= 24", 60.0):
-        seen = set()
         checked = 0
-        for n in range(2, 25):
-            for e1 in range(n):
-                for e in range(n):
-                    for e2 in range(n):
-                        t = Triple.from_exponents(n, e1, e, e2)
-                        key = t.sort_key()
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        checked += 1
-                        for sigma, outer in ((sigma1, t.q1), (sigma2, t.q2)):
-                            res = sigma(t)
-                            mv = m_value(outer, t.q)
-                            if res is None:
-                                assert mv is None
-                                continue
-                            image, c = res
-                            assert c == mv.m >= 0
-                            back = sigma(image)
-                            assert back is not None
-                            assert back[0] == t and back[1] == c
-                            d = outer.order()
-                            if d is not None and d > 1 and (c + 1) % d == 0:
-                                if sigma is sigma1:
-                                    case = Triple(
-                                        t.q1,
-                                        (t.q1 ** 2) * t.q.inverse(),
-                                        t.q1 * (t.q ** c) * t.q2,
-                                    )
-                                else:
-                                    case = Triple(
-                                        t.q1 * (t.q ** c) * t.q2,
-                                        (t.q2 ** 2) * t.q.inverse(),
-                                        t.q2,
-                                    )
-                                assert image == case
-                            if ((outer ** c) * t.q).is_one():
-                                assert image == t
-        assert checked >= 80_000
+        for key in _root_of_unity_triples(24):
+            t = Triple.from_exponents(*key)
+            checked += 1
+            for sigma, outer in ((sigma1, t.q1), (sigma2, t.q2)):
+                res = sigma(t)
+                mv = m_value(outer, t.q)
+                if res is None:
+                    assert mv is None
+                    continue
+                image, c = res
+                assert c == mv.m >= 0
+                back = sigma(image)
+                assert back is not None
+                assert back[0] == t and back[1] == c
+                d = outer.order()
+                if d is not None and d > 1 and (c + 1) % d == 0:
+                    if sigma is sigma1:
+                        case = Triple(
+                            t.q1,
+                            (t.q1 ** 2) * t.q.inverse(),
+                            t.q1 * (t.q ** c) * t.q2,
+                        )
+                    else:
+                        case = Triple(
+                            t.q1 * (t.q ** c) * t.q2,
+                            (t.q2 ** 2) * t.q.inverse(),
+                            t.q2,
+                        )
+                    assert image == case
+                if ((outer ** c) * t.q).is_one():
+                    assert image == t
+        assert checked == 82_584
 
 
 def test_criterion_8_classification_at_24():

@@ -18,7 +18,8 @@ from quiddity import (
     verify_cor15_on_classified,
     walk,
 )
-from quiddity.affine import canonical_period_key
+from quiddity import affine, cli
+from quiddity.affine import TableRow, canonical_period_key
 
 
 def mu(n, e1, e, e2):
@@ -167,6 +168,58 @@ def test_classify_report_edits_do_not_leak():
     report.missing.append("edited")
     assert json.dumps(classify_mu(6).to_json()) == expected
     assert verify_cor15_on_classified(6).periods
+
+
+def test_report_json_does_not_alias_the_report():
+    # editing a JSON document leaves the report it came from unchanged
+    report = classify_mu(6)
+    before = json.dumps(report.to_json())
+    doc = report.to_json()
+    doc["missing"].append("x")
+    for o in doc["orbits"] + doc["unmatched"]:
+        o["diagrams"].clear()
+        o["period"].append(9)
+    assert report.ok
+    assert json.dumps(report.to_json()) == before
+
+    generic = check_generic_rows(max_order=4)
+    before = json.dumps(generic.to_json())
+    doc = generic.to_json()
+    doc["rows"][12]["period"].append(9)
+    doc["rows"][13]["shape"] = "edited"
+    doc["rows"].pop(14)
+    doc["violations"].append("edited")
+    doc["specializations"].clear()
+    assert generic.ok and generic.rows[12]["period"] == [2]
+    assert json.dumps(generic.to_json()) == before
+
+
+def _with_extra_row(monkeypatch, n, exponents, period):
+    extra = TableRow(99, n, (exponents,), f"zeta in mu_{n}", period)
+    monkeypatch.setattr(affine, "KNOWN_ROWS", KNOWN_ROWS + (extra,))
+
+
+def test_classify_lists_non_affine_instance_as_missing(monkeypatch):
+    # (9; 6, 8, 6) walks a cycle with the non-affine period (2,2,5)
+    assert decompose_affine(walk(mu(9, 6, 8, 6)).period) is None
+    _with_extra_row(monkeypatch, 9, (6, 8, 6), (2, 2, 5))
+    report = classify_mu(9)
+    assert not report.ok
+    assert report.missing == [
+        f"row 99 at zeta^{u}, mu_9" for u in (1, 2, 4, 5, 7, 8)
+    ]
+    assert not report.unmatched
+    assert 99 not in {o.row_matched for o in report.orbits}
+
+
+def test_classify_lists_broken_instance_as_missing(monkeypatch, capsys):
+    # (5; 0, 1, 1) breaks: the instance is reported, not raised
+    assert walk(mu(5, 0, 1, 1)).shape == "broken"
+    _with_extra_row(monkeypatch, 5, (0, 1, 1), (2,))
+    report = classify_mu(5)
+    assert report.missing == [f"row 99 at zeta^{u}, mu_5" for u in (1, 2, 3, 4)]
+    assert cli.main(["classify", "--nmax", "5"]) == 1
+    assert "MISSING expected instances:" in capsys.readouterr().out
 
 
 def test_classify_rejects_tiny_bound():

@@ -74,6 +74,18 @@ def test_verify_thm16(capsys):
     assert "0 violations" in out
 
 
+@pytest.mark.parametrize("bound", ["1", "-3"])
+def test_verify_cover_rejects_bound_below_two(capsys, bound):
+    # such a bound checks no class, so it must not read as "verified"
+    code, out, err = run(capsys, "verify-cover", "--pair", "builtin:cor12", "--max", bound)
+    assert code == 2 and out == "" and "max_length" in err
+
+
+def test_verify_thm16_rejects_bound_below_two(capsys):
+    code, out, err = run(capsys, "verify-thm16", "--max", "0")
+    assert code == 2 and out == "" and "max_length" in err
+
+
 def test_charseq_root_of_unity(capsys):
     code, out, _ = run(
         capsys, "charseq", "--zeta", "9", "--q1", "6", "--q", "8", "--q2", "6"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quiddity import cycles
 from quiddity import (
     DihedralCycle,
     MINUS_IDENTITY,
@@ -172,6 +173,14 @@ def test_enumerate_small_lengths():
 def test_enumerate_counts():
     expected = [1, 1, 1, 3, 4, 12, 27, 82, 228, 733]
     assert [len(enumerate_cycles(n)) for n in range(3, 13)] == expected
+
+
+def test_levels_are_sorted_canonical_words():
+    for n in range(2, 13):
+        words = cycles._level(n)
+        assert cycles._levels[n] is words
+        assert all(a < b for a, b in zip(words, words[1:]))
+        assert list(words) == sorted(c.canon for c in enumerate_cycles(n))
 
 
 def test_enumerate_bounds():
