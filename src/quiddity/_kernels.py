@@ -1,7 +1,10 @@
 """Pure-Python reference kernels for the hot inner loops.
 
-These four functions dominate the runtime of enumeration and cover
-verification.  ``quiddity._ckernels`` implements the same signatures in
+``canonical_form`` and ``insert_fanout`` dominate the runtime of
+enumeration; the two containment scans serve single-pattern searches
+(``contains_cyclic``, ``cor15_check``, ``verify_thm_subseqs``).
+``verify_cover`` uses none of them: it looks cyclic windows up in sets of
+patterns.  ``quiddity._ckernels`` implements the same signatures in
 Cython; ``quiddity.kernels`` picks one backend at import time.  Both
 backends must stay behaviourally identical (see tests/test_kernels.py).
 """
@@ -13,16 +16,22 @@ BACKEND_NAME = "python"
 
 def canonical_form(seq: tuple) -> tuple:
     """Lexicographically least tuple over all rotations of ``seq`` and of
-    its reversal (the dihedral orbit of the cyclic word)."""
+    its reversal (the dihedral orbit of the cyclic word).
+
+    The least rotation starts at an entry equal to ``min(seq)``, so only
+    rotations from those entries are compared, in both directions.  For a
+    quiddity cycle of length >= 3 these are its ears."""
     n = len(seq)
     if n == 0:
         return seq
+    m = min(seq)
     d = seq + seq
-    best = min(d[i : i + n] for i in range(n))
     r = seq[::-1]
-    d = r + r
-    rbest = min(d[i : i + n] for i in range(n))
-    return best if best <= rbest else rbest
+    dr = r + r
+    return min(
+        [d[i : i + n] for i in range(n) if seq[i] == m]
+        + [dr[i : i + n] for i in range(n) if r[i] == m]
+    )
 
 
 def cyclic_contains(word: tuple, pat: tuple) -> bool:

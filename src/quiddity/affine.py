@@ -90,12 +90,18 @@ class AffineDecomposition:
         }
 
 
-@lru_cache(maxsize=None)
+#: Entries kept by the two caches below.  ``classify_mu(24)`` decomposes
+#: 672 distinct periods and tests 890 distinct blocks, so no sweep up to
+#: that bound evicts anything.
+_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _block_ok(block: Pattern) -> bool:
     return is_quiddity(block)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def decompose_affine(
     period: Pattern, max_multiple: int = 3
 ) -> Optional[AffineDecomposition]:

@@ -370,26 +370,32 @@ class CoverReport:
 def verify_cover(pair: CoverPair, max_length: int) -> CoverReport:
     """Check property (2): every quiddity cycle of length <= max_length is
     in E or strictly contains some pattern of F (strictness is
-    len(f) < len(c)).  A max_length below 2 checks no class and raises."""
+    len(f) < len(c)).  A max_length below 2 checks no class and raises.
+
+    F is read once into one set per pattern length, holding each pattern
+    and its reversal, so a class is checked with one set lookup per
+    cyclic window, shortest patterns first: a pattern occurs in the word
+    read backwards iff its reversal occurs forwards."""
     if max_length < 2:
         raise ValueError("max_length must be >= 2")
     e_canons = {e.canon for e in pair.E}
-    by_len = sorted(pair.F, key=len)
+    patterns: dict[int, set[Pattern]] = {}
+    for f in pair.F:
+        patterns.setdefault(len(f), set()).update((f, f[::-1]))
+    by_len = sorted(patterns.items())
     checked = 0
     violations: list[DihedralCycle] = []
     for n in range(2, max_length + 1):
+        shorter = [(m, pats) for m, pats in by_len if m < n]
         for word in _level(n):
             checked += 1
             if word in e_canons:
                 continue
-            covered = False
-            for f in by_len:
-                if len(f) >= n:
+            d = word + word
+            for m, pats in shorter:
+                if not pats.isdisjoint([d[i : i + m] for i in range(n)]):
                     break
-                if kernels.cyclic_contains(word, f):
-                    covered = True
-                    break
-            if not covered:
+            else:
                 violations.append(DihedralCycle._from_canon(word))
     return CoverReport(checked=checked, violations=violations, bound=max_length)
 

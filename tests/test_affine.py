@@ -227,6 +227,16 @@ def test_classify_rejects_tiny_bound():
         classify_mu(1)
 
 
+def test_decomposition_caches_are_bounded_and_keep_a_sweep():
+    for cached in (affine.decompose_affine, affine._block_ok):
+        cached.cache_clear()
+    classify_mu(18)
+    for cached in (affine.decompose_affine, affine._block_ok):
+        info = cached.cache_info()
+        assert info.maxsize is not None
+        assert 0 < info.misses == info.currsize < info.maxsize
+
+
 # ---------------------------------------------------------------------------
 # generic rows
 

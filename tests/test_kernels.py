@@ -1,6 +1,8 @@
-"""Backend parity: the compiled kernels must match the pure-Python ones."""
+"""Backend parity: the compiled kernels must match the pure-Python ones,
+and the pure canonical form a brute-force minimum over all rotations."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -68,3 +70,24 @@ def test_pure_canonical_form_basics():
     assert pure.canonical_form(()) == ()
     assert pure.canonical_form((5,)) == (5,)
     assert pure.canonical_form((3, 2, 1, 3, 2, 1)) == (1, 2, 3, 1, 2, 3)
+
+
+def brute_canonical_form(seq):
+    """Least of all 2n rotations of ``seq`` and of its reversal."""
+    n = len(seq)
+    rotations = [rep[i:] + rep[:i] for rep in (seq, seq[::-1]) for i in range(n)]
+    return min(rotations, default=seq)
+
+
+def test_pure_canonical_form_matches_brute_force():
+    # exhaustive on small words, including ties between several minimal
+    # entries and palindromes
+    for n in range(8):
+        for word in product(range(4), repeat=n):
+            assert pure.canonical_form(word) == brute_canonical_form(word), word
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        n = rng.randint(1, 20)
+        pool = [rng.randint(-10**12, 10**12) for _ in range(3)] + [-1, 0, 1]
+        word = tuple(rng.choice(pool) for _ in range(n))
+        assert pure.canonical_form(word) == brute_canonical_form(word), word

@@ -30,6 +30,7 @@ from quiddity import (
     verify_thm_subseqs,
     xi,
 )
+from quiddity import kernels
 from quiddity.localdesc import in_a_prime
 
 
@@ -455,3 +456,53 @@ def test_verify_thm_subseqs_violations_in_enumeration_order(monkeypatch):
         if rep in found
     ]
     assert report.violations == expected
+
+
+def reference_cover_json(pair, max_length):
+    """The cover check written as one ``cyclic_contains`` call per
+    pattern, over classes sorted by length, then word."""
+    e_canons = {e.canon for e in pair.E}
+    checked = 0
+    violations = []
+    for n in range(2, max_length + 1):
+        for word in sorted(c.canon for c in enumerate_cycles(n)):
+            checked += 1
+            if word in e_canons:
+                continue
+            if not any(len(f) < n and kernels.cyclic_contains(word, f) for f in pair.F):
+                violations.append(word)
+    return {"checked": checked, "violations": [list(v) for v in violations], "bound": max_length}
+
+
+def random_cover_pairs(count, max_length, seed=20261018):
+    """Seeded pairs whose patterns are cut from enumerated classes, so
+    that each covers some classes and misses others.  Among them are
+    palindromes, a pattern together with its reversal, and a whole class
+    of length ``max_length - 1`` or ``max_length``."""
+    rng = random.Random(seed)
+    words = [c.canon for n in range(3, max_length + 1) for c in enumerate_cycles(n)]
+    for _ in range(count):
+        patterns = []
+        for _ in range(rng.randint(1, 5)):
+            w = rng.choice(words)
+            i, m = rng.randrange(len(w)), rng.randint(2, min(6, len(w)))
+            f = (w + w)[i : i + m]
+            patterns.append(f[::-1] if rng.random() < 0.5 else f)
+        f = rng.choice(patterns)
+        patterns.append(f + f[-2::-1])  # a palindrome
+        patterns.append(f[::-1])  # a pattern with its own reversal
+        patterns.append(rng.choice([w for w in words if len(w) >= max_length - 1]))
+        exceptional = rng.sample(words[:40], rng.randint(0, 4)) + [(0, 0), (1, 1, 1)]
+        yield CoverPair.of(exceptional, patterns)
+
+
+def test_verify_cover_matches_per_pattern_reference():
+    max_length = 12
+    failing = 0
+    for pair in random_cover_pairs(60, max_length):
+        report = verify_cover(pair, max_length)
+        expected = reference_cover_json(pair, max_length)
+        assert report.to_json() == expected
+        assert [list(v.canon) for v in report.violations] == expected["violations"]
+        failing += bool(expected["violations"])
+    assert failing >= 50
