@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
 """Benchmark the pure-Python kernels against the compiled extension.
 
-Times five workloads per backend: the dihedral canonical form on random
+Times six workloads per backend: the dihedral canonical form on random
 words (micro), enumeration of all quiddity classes up to a length
 (macro), two cover verifications over that enumeration (macro) -- the
 27-pattern ``cor12`` pair and the 651-pattern pair of three refinement
-steps from ``builtin:base`` -- and the affine classification sweep
-``classify_mu`` over root-of-unity triples with n up to the same length
-(pipeline).
+steps from ``builtin:base`` -- the interior-subsequence theorem
+``verify_thm_subseqs`` to the same length (pipeline), and the affine
+classification sweep ``classify_mu`` over root-of-unity triples with n
+up to that length (pipeline).
 
+The enumeration grows each level with ``kernels.next_level``; with the
+compiled backend that runs one ``insert_fanout`` call per parent.
 ``verify_cover`` checks patterns by set lookups of cyclic windows and
 calls no kernel, so the two cover rows differ by backend only through
 the enumeration, which the row before them has already cached: expect a
-ratio near 1x there.  Run from the repository root:
+ratio near 1x there.  ``verify_thm_subseqs`` reuses the same cached
+levels and differs through ``linear_contains``.  Run from the
+repository root:
 
     python3 benchmarks/benchmark_kernels.py [--length 13] [--repeat 3]
 """
@@ -81,6 +86,18 @@ def bench_refined_cover(length, repeat):
     return best
 
 
+def bench_subseqs(length, repeat):
+    from quiddity.localdesc import verify_thm_subseqs
+
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        report = verify_thm_subseqs(length)
+        best = min(best, time.perf_counter() - t0)
+        assert report.ok
+    return best
+
+
 def bench_classify(n_max, repeat):
     """Cold classification: the period decomposition caches are emptied first."""
     from quiddity import affine
@@ -123,6 +140,7 @@ def main(argv=None):
             f"enumerate to {args.length}": bench_enumerate(args.length, args.repeat),
             f"cover check to {args.length}": bench_cover(args.length, args.repeat),
             f"depth-3 cover to {args.length}": bench_refined_cover(args.length, args.repeat),
+            f"verify_thm_subseqs({args.length})": bench_subseqs(args.length, args.repeat),
             f"classify_mu({args.length})": bench_classify(args.length, args.repeat),
         }
     kernels.set_backend(backends[-1])

@@ -1,12 +1,16 @@
 """Pure-Python reference kernels for the hot inner loops.
 
-``canonical_form`` and ``insert_fanout`` dominate the runtime of
-enumeration; the two containment scans serve single-pattern searches
-(``contains_cyclic``, ``cor15_check``, ``verify_thm_subseqs``).
+``next_level`` is the inner loop of the enumeration: it grows a whole
+level of canonical quiddity words on byte strings, canonicalizing each
+child from its least ear prefix.  ``canonical_form`` and
+``insert_fanout`` serve single cycles (``DihedralCycle``, ``ear_insert``,
+``delta_preimages``); the two containment scans serve single-pattern
+searches (``contains_cyclic``, ``cor15_check``, ``verify_thm_subseqs``).
 ``verify_cover`` uses none of them: it looks cyclic windows up in sets of
 patterns.  ``quiddity._ckernels`` implements the same signatures in
-Cython; ``quiddity.kernels`` picks one backend at import time.  Both
-backends must stay behaviourally identical (see tests/test_kernels.py).
+Cython, except ``next_level``; ``quiddity.kernels`` picks one backend at
+import time.  Both backends must stay behaviourally identical (see
+tests/test_kernels.py).
 """
 
 from __future__ import annotations
@@ -79,3 +83,53 @@ def insert_fanout(rep: tuple) -> list:
     # wraparound edge: insert between the last and first entries
     out.append(canonical_form((rep[0] + 1,) + rep[1 : n - 1] + (rep[n - 1] + 1, 1)))
     return out
+
+
+def _ear_canonical(c: bytes) -> bytes:
+    """``canonical_form`` of a quiddity cycle of length >= 4 held in bytes.
+
+    Its least entry is 1 and no two 1s are adjacent, so the least
+    rotation starts with (1, x), x >= 2 being the least neighbour of any
+    ear.  Only the rotations of the word and of its reversal that start
+    with the least such prefix present are compared."""
+    n = len(c)
+    d = c + c
+    r = d[::-1]
+    for x in range(2, 256):
+        prefix = bytes((1, x))
+        i = d.find(prefix, 0, n + 1)
+        j = r.find(prefix, 0, n + 1)
+        if i >= 0 or j >= 0:
+            break
+    best = None
+    while i >= 0:
+        rotation = d[i : i + n]
+        if best is None or rotation < best:
+            best = rotation
+        i = d.find(prefix, i + 1, n + 1)
+    while j >= 0:
+        rotation = r[j : j + n]
+        if best is None or rotation < best:
+            best = rotation
+        j = r.find(prefix, j + 1, n + 1)
+    return best
+
+
+def next_level(words) -> tuple:
+    """The sorted canonical words of length k + 1 grown from ``words``,
+    the canonical words of every quiddity class of length k >= 3.
+
+    Each parent becomes ``bytes`` once; each single-ear insertion is cut
+    from it by slicing and canonicalized by ``_ear_canonical``.  Every
+    entry must fit in a byte, so k + 1 <= 257.  Duplicates drop in a set
+    of tuples: a set of the byte strings, converted only at the end,
+    raises the peak memory."""
+    children = set()
+    add = children.add
+    for word in words:
+        b = bytes(word)
+        n = len(b)
+        for i in range(n - 1):
+            add(tuple(_ear_canonical(b[:i] + bytes((b[i] + 1, 1, b[i + 1] + 1)) + b[i + 2 :])))
+        add(tuple(_ear_canonical(bytes((b[0] + 1,)) + b[1 : n - 1] + bytes((b[n - 1] + 1, 1)))))
+    return tuple(sorted(children))

@@ -185,7 +185,7 @@ def minimal_period(window: Iterable[int]) -> Pattern:
         raise ValueError("window must be nonempty")
     n = len(w)
     for p in range(1, n + 1):
-        if n % p == 0 and all(w[i] == w[i % p] for i in range(n)):
+        if n % p == 0 and w[p:] == w[: n - p]:
             core = w[:p]
             doubled = core + core
             return min(doubled[i : i + p] for i in range(p))

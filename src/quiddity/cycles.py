@@ -231,25 +231,35 @@ def ear_insert(c: DihedralCycle | Iterable[int], position: int) -> DihedralCycle
 #: once when it is built; filled in order from length 2 upwards.
 _levels: dict[int, tuple[Pattern, ...]] = {}
 
+#: The levels that ``kernels.next_level`` does not grow: it needs parents
+#: of length >= 3, whose children have no two adjacent 1s.
+_SEED_LEVELS: dict[int, tuple[Pattern, ...]] = {2: ((0, 0),), 3: ((1, 1, 1),)}
+
+#: Longest cycle the byte-string enumeration kernel can hold: a quiddity
+#: cycle of length n has entries up to n - 2, and a byte holds up to 255.
+_MAX_BYTE_LENGTH = 257
+
 
 def _level(n: int, limit: int | None = None) -> tuple[Pattern, ...]:
     """The sorted canonical words of the quiddity classes of length ``n``.
 
-    Built length by length from (0,0) by ear insertion at every cyclic
-    position: ``kernels.insert_fanout`` canonicalizes each insertion once
-    and duplicates drop as plain tuples.  Memoized per length in
-    ``_levels``, so repeated and incremental calls are cheap.
+    Built length by length from (0,0) and (1,1,1) by ear insertion at
+    every cyclic position: ``kernels.next_level`` grows each level from
+    the one before in a single call, the enumeration's inner loop.
+    Memoized per length in ``_levels``, so repeated and incremental calls
+    are cheap.  Lengths past 257 raise even under a larger ``limit``.
     """
     bound = DEFAULT_MAX_LENGTH if limit is None else limit
     if n < 2:
         raise ValueError("cycle length starts at 2")
     if n > bound:
         raise ValueError(f"length {n} exceeds the enumeration bound {bound}")
+    if n > _MAX_BYTE_LENGTH:
+        raise ValueError(
+            f"length {n} exceeds {_MAX_BYTE_LENGTH}: its entries do not fit in a byte"
+        )
     for k in range(len(_levels) + 2, n + 1):
-        words = {(0, 0)} if k == 2 else set()
-        for word in _levels.get(k - 1, ()):
-            words.update(kernels.insert_fanout(word))
-        _levels[k] = tuple(sorted(words))
+        _levels[k] = _SEED_LEVELS.get(k) or kernels.next_level(_levels[k - 1])
     return _levels[n]
 
 

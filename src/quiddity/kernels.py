@@ -71,3 +71,13 @@ def insert_fanout(rep: tuple) -> list:
         return _active.insert_fanout(rep)
     except OverflowError:
         return _py.insert_fanout(rep)
+
+
+def next_level(words: tuple) -> tuple:
+    if _active is _py:
+        return _py.next_level(words)
+    # the compiled backend has no level kernel: one fan-out per parent
+    children = set()
+    for word in words:
+        children.update(insert_fanout(word))
+    return tuple(sorted(children))

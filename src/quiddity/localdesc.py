@@ -426,11 +426,27 @@ class SubseqReport:
         }
 
 
+def _first_interior_hit(rep: Pattern) -> Pattern | None:
+    """The first of the nine patterns that the interior of ``rep``
+    (positions 2..n-1), forward or reversed, linearly contains."""
+    interior = rep[1:-1]
+    reversed_interior = interior[::-1]
+    for p in NINE_PATTERNS:
+        if kernels.linear_contains(interior, p) or kernels.linear_contains(
+            reversed_interior, p
+        ):
+            return p
+    return None
+
+
 def verify_thm_subseqs(max_length: int) -> SubseqReport:
     """For every representative of every quiddity cycle of length <=
     max_length: either it is one of the five exceptional representatives
     or its interior (positions 2..n-1), forward or reversed, linearly
-    contains one of the nine patterns.  A max_length below 2 raises."""
+    contains one of the nine patterns.  A max_length below 2 raises.
+
+    The reversal of a representative has the reversed interior, so both
+    get the same first hit: each class computes it once per pair."""
     if max_length < 2:
         raise ValueError("max_length must be >= 2")
     exceptional = set(EXCEPTIONAL_REPRESENTATIVES)
@@ -440,21 +456,20 @@ def verify_thm_subseqs(max_length: int) -> SubseqReport:
     violations: list[Pattern] = []
     for n in range(2, max_length + 1):
         for word in _level(n):
+            reverse_hits: dict[Pattern, Pattern | None] = {}
             for rep in _representatives(word):
                 checked += 1
                 if rep in exceptional:
                     exceptional_hits[rep] += 1
                     continue
-                interior = rep[1:-1]
-                reversed_interior = interior[::-1]
-                for p in NINE_PATTERNS:
-                    if kernels.linear_contains(interior, p) or kernels.linear_contains(
-                        reversed_interior, p
-                    ):
-                        pattern_hits[p] += 1
-                        break
+                if rep in reverse_hits:
+                    hit = reverse_hits[rep]
                 else:
+                    hit = reverse_hits[rep[::-1]] = _first_interior_hit(rep)
+                if hit is None:
                     violations.append(rep)
+                else:
+                    pattern_hits[hit] += 1
     return SubseqReport(
         checked=checked,
         violations=violations,

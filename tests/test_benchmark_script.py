@@ -18,4 +18,5 @@ def test_benchmark_kernels_runs():
     assert "enumerate to 8" in proc.stdout
     assert "cover check to 8" in proc.stdout
     assert "depth-3 cover to 8" in proc.stdout
+    assert "verify_thm_subseqs(8)" in proc.stdout
     assert "classify_mu(8)" in proc.stdout

@@ -166,6 +166,29 @@ def test_minimal_period_examples():
     assert minimal_period((2, 5, 2, 2, 5, 2)) == (2, 2, 5)
 
 
+def reference_minimal_period(window):
+    """``minimal_period`` with the period tested index by index."""
+    w = tuple(window)
+    n = len(w)
+    for p in range(1, n + 1):
+        if n % p == 0 and all(w[i] == w[i % p] for i in range(n)):
+            core = w[:p]
+            doubled = core + core
+            return min(doubled[i : i + p] for i in range(p))
+
+
+def test_minimal_period_matches_index_by_index_reference():
+    # windows built by repeating a core, half of them with one entry
+    # changed, so that both true and near-miss periods occur
+    rng = random.Random(20261018)
+    for _ in range(40_000):
+        core = [rng.randint(0, 3) for _ in range(rng.randint(1, 6))]
+        window = core * rng.randint(1, 5)
+        if rng.random() < 0.5:
+            window[rng.randrange(len(window))] = rng.randint(0, 3)
+        assert minimal_period(window) == reference_minimal_period(window), window
+
+
 def test_minimal_period_rejects_empty():
     with pytest.raises(ValueError):
         minimal_period(())

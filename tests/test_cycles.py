@@ -171,8 +171,9 @@ def test_enumerate_small_lengths():
 
 
 def test_enumerate_counts():
-    expected = [1, 1, 1, 3, 4, 12, 27, 82, 228, 733]
-    assert [len(enumerate_cycles(n)) for n in range(3, 13)] == expected
+    # OEIS A000207: triangulations of the n-gon up to rotation and reflection
+    expected = [1, 1, 1, 3, 4, 12, 27, 82, 228, 733, 2282, 7528, 24834]
+    assert [len(enumerate_cycles(n)) for n in range(3, 16)] == expected
 
 
 def test_levels_are_sorted_canonical_words():
@@ -188,6 +189,13 @@ def test_enumerate_bounds():
         enumerate_cycles(1)
     with pytest.raises(ValueError):
         enumerate_cycles(9, limit=8)
+
+
+def test_enumerate_refuses_entries_past_a_byte():
+    built = dict(cycles._levels)
+    with pytest.raises(ValueError, match="byte"):
+        enumerate_cycles(258, limit=300)
+    assert cycles._levels == built
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,50 @@ def test_insert_fanout_parity():
             assert comp.insert_fanout(word) == pure.insert_fanout(word)
 
 
+def fanout_levels(max_length):
+    """Levels 3..max_length grown by one set of ``insert_fanout`` children
+    per level, the enumeration before ``next_level``."""
+    levels = {3: ((1, 1, 1),)}
+    for k in range(4, max_length + 1):
+        children = set()
+        for word in levels[k - 1]:
+            children.update(pure.insert_fanout(word))
+        levels[k] = tuple(sorted(children))
+    return levels
+
+
+def test_next_level_matches_insert_fanout_reference():
+    levels = fanout_levels(13)
+    for k in range(3, 13):
+        assert pure.next_level(levels[k]) == levels[k + 1], k
+
+
+@needs_c
+def test_next_level_parity():
+    levels = fanout_levels(12)
+    original = kernels.backend()
+    try:
+        kernels.set_backend("c")
+        for k in range(3, 12):
+            assert kernels.next_level(levels[k]) == levels[k + 1], k
+    finally:
+        kernels.set_backend(original)
+
+
+def test_ear_canonical_matches_canonical_form():
+    from quiddity.cycles import _representatives
+
+    reps = 0
+    for words in fanout_levels(10).values():
+        for word in words:
+            if len(word) < 4:
+                continue
+            for rep in _representatives(word):
+                reps += 1
+                assert pure._ear_canonical(bytes(rep)) == bytes(pure.canonical_form(rep)), rep
+    assert reps > 2000
+
+
 def test_dispatch_survives_backend_switch():
     original = kernels.backend()
     try:

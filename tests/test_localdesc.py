@@ -458,6 +458,49 @@ def test_verify_thm_subseqs_violations_in_enumeration_order(monkeypatch):
     assert report.violations == expected
 
 
+def reference_subseq_report(max_length):
+    """The interior check written per representative: two
+    ``linear_contains`` calls per pattern, over classes sorted by length,
+    then word."""
+    import quiddity.localdesc as localdesc
+
+    exceptional = set(localdesc.EXCEPTIONAL_REPRESENTATIVES)
+    pattern_hits = {p: 0 for p in localdesc.NINE_PATTERNS}
+    exceptional_hits = {e: 0 for e in exceptional}
+    checked = 0
+    violations = []
+    for n in range(2, max_length + 1):
+        for cyc in sorted(enumerate_cycles(n)):
+            for rep in cyc.representatives():
+                checked += 1
+                if rep in exceptional:
+                    exceptional_hits[rep] += 1
+                    continue
+                interior = rep[1:-1]
+                for p in localdesc.NINE_PATTERNS:
+                    if kernels.linear_contains(interior, p) or kernels.linear_contains(
+                        interior[::-1], p
+                    ):
+                        pattern_hits[p] += 1
+                        break
+                else:
+                    violations.append(rep)
+    return localdesc.SubseqReport(checked, violations, max_length, pattern_hits, exceptional_hits)
+
+
+@pytest.mark.parametrize("patterns", [9, 2])
+def test_verify_thm_subseqs_matches_per_representative_reference(monkeypatch, patterns):
+    import quiddity.localdesc as localdesc
+
+    monkeypatch.setattr(localdesc, "NINE_PATTERNS", localdesc.NINE_PATTERNS[:patterns])
+    for max_length in range(2, 12):
+        report = verify_thm_subseqs(max_length)
+        expected = reference_subseq_report(max_length)
+        assert report.to_json() == expected.to_json()
+        assert report.violations == expected.violations
+    assert bool(report.violations) == (patterns == 2)
+
+
 def reference_cover_json(pair, max_length):
     """The cover check written as one ``cyclic_contains`` call per
     pattern, over classes sorted by length, then word."""
