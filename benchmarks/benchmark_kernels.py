@@ -1,28 +1,26 @@
 #!/usr/bin/env python3
-"""Benchmark the pure-Python kernels against the compiled extension.
+"""Time the kernels and the pipelines built on them.
 
-Times six workloads per backend: the dihedral canonical form on random
-words (micro), enumeration of all quiddity classes up to a length
-(macro), two cover verifications over that enumeration (macro) -- the
-27-pattern ``cor12`` pair and the 651-pattern pair of three refinement
-steps from ``builtin:base`` -- the interior-subsequence theorem
+Six workloads: the dihedral canonical form on random words (micro),
+enumeration of all quiddity classes up to a length (macro), two cover
+verifications over that enumeration (macro) -- the 27-pattern ``cor12``
+pair and the 651-pattern pair of three refinement steps from
+``builtin:base`` -- the interior-subsequence theorem
 ``verify_thm_subseqs`` to the same length (pipeline), and the affine
 classification sweep ``classify_mu`` over root-of-unity triples with n
 up to that length (pipeline).
 
-The enumeration grows each level with ``kernels.next_level``; with the
-compiled backend that runs one ``insert_fanout`` call per parent.
 ``verify_cover`` checks patterns by set lookups of cyclic windows and
-calls no kernel, so the two cover rows differ by backend only through
-the enumeration, which the row before them has already cached: expect a
-ratio near 1x there.  ``verify_thm_subseqs`` reuses the same cached
-levels and differs through ``linear_contains``.  Run from the
-repository root:
+calls no kernel; it and ``verify_thm_subseqs`` reuse the levels that the
+enumeration row has already cached.  The first line names the Python
+version and the core count.  Run from the repository root:
 
     python3 benchmarks/benchmark_kernels.py [--length 13] [--repeat 3]
 """
 
 import argparse
+import os
+import platform
 import random
 import sys
 import time
@@ -31,15 +29,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from quiddity import kernels  # noqa: E402
-from quiddity.kernels import available_backends  # noqa: E402
 
 
-def bench_canonical(mod, words, repeat):
+def bench_canonical(words, repeat):
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
         for w in words:
-            mod.canonical_form(w)
+            kernels.canonical_form(w)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -126,40 +123,23 @@ def main(argv=None):
         tuple(rng.randint(0, 8) for _ in range(rng.randint(4, 16))) for _ in range(20000)
     ]
 
-    backends = available_backends()
-    print(f"backends available: {', '.join(backends)}")
-    if "c" not in backends:
-        print("note: compiled extension not built; run "
-              "`python3 setup.py build_ext --inplace` to compare backends")
+    print(f"Python {platform.python_version()}, {os.cpu_count()} cores")
+    results = {
+        "canonical_form x20k": bench_canonical(words, args.repeat),
+        f"enumerate to {args.length}": bench_enumerate(args.length, args.repeat),
+        f"cover check to {args.length}": bench_cover(args.length, args.repeat),
+        f"depth-3 cover to {args.length}": bench_refined_cover(args.length, args.repeat),
+        f"verify_thm_subseqs({args.length})": bench_subseqs(args.length, args.repeat),
+        f"classify_mu({args.length})": bench_classify(args.length, args.repeat),
+    }
 
-    results = {}
-    for name in backends:
-        kernels.set_backend(name)
-        results[name] = {
-            "canonical_form x20k": bench_canonical(kernels, words, args.repeat),
-            f"enumerate to {args.length}": bench_enumerate(args.length, args.repeat),
-            f"cover check to {args.length}": bench_cover(args.length, args.repeat),
-            f"depth-3 cover to {args.length}": bench_refined_cover(args.length, args.repeat),
-            f"verify_thm_subseqs({args.length})": bench_subseqs(args.length, args.repeat),
-            f"classify_mu({args.length})": bench_classify(args.length, args.repeat),
-        }
-    kernels.set_backend(backends[-1])
-
-    workloads = list(next(iter(results.values())))
-    width = max(len(w) for w in workloads) + 2
-    header = f"{'workload':<{width}}" + "".join(f"{b:>12}" for b in backends)
-    if len(backends) > 1:
-        header += f"{'speedup':>10}"
+    width = max(len(w) for w in results) + 2
+    header = f"{'workload':<{width}}{'best':>12}"
     print()
     print(header)
     print("-" * len(header))
-    for w in workloads:
-        line = f"{w:<{width}}"
-        for b in backends:
-            line += f"{results[b][w]:>11.3f}s"
-        if len(backends) > 1:
-            line += f"{results['python'][w] / results['c'][w]:>9.1f}x"
-        print(line)
+    for w, seconds in results.items():
+        print(f"{w:<{width}}{seconds:>11.3f}s")
     return 0
 
 

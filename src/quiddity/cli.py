@@ -37,7 +37,7 @@ USAGE_ERROR = 2
 
 def _ints(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip() != "")
+        return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
 

@@ -1,4 +1,4 @@
-"""Smoke test of the backend comparison script."""
+"""Smoke test of the kernel and pipeline timing script."""
 
 import subprocess
 import sys
@@ -15,6 +15,9 @@ def test_benchmark_kernels_runs():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("Python ") and lines[0].endswith(" cores")
+    assert "canonical_form x20k" in proc.stdout
     assert "enumerate to 8" in proc.stdout
     assert "cover check to 8" in proc.stdout
     assert "depth-3 cover to 8" in proc.stdout

@@ -39,6 +39,17 @@ def test_check_bad_input(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("text", ["1,,2", "1,2,", ","])
+@pytest.mark.parametrize(
+    "argv",
+    [("check", "--cycle"), ("solve", "--bound", "6", "--window"), ("decompose", "--period")],
+    ids=["check", "solve", "decompose"],
+)
+def test_empty_integer_field_is_a_usage_error(capsys, argv, text):
+    code, _, err = run(capsys, *argv, text)
+    assert code == 2 and "expected comma-separated integers" in err
+
+
 def test_cover_step_builtin(tmp_path, capsys):
     out_file = tmp_path / "pair.json"
     code, out, _ = run(capsys, "cover-step", "--in", "builtin:base", "--out", str(out_file))
