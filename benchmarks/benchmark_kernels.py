@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Time the kernels and the pipelines built on them.
 
-Six workloads: the dihedral canonical form on random words (micro),
-enumeration of all quiddity classes up to a length (macro), two cover
-verifications over that enumeration (macro) -- the 27-pattern ``cor12``
-pair and the 651-pattern pair of three refinement steps from
-``builtin:base`` -- the interior-subsequence theorem
+Seven workloads: the dihedral canonical form on random words (micro),
+one ``next_level`` step into a length from the warm level below it
+(kernel), enumeration of all quiddity classes up to that length
+(macro), two cover verifications over that enumeration (macro) -- the
+27-pattern ``cor12`` pair and the 651-pattern pair of three refinement
+steps from ``builtin:base`` -- the interior-subsequence theorem
 ``verify_thm_subseqs`` to the same length (pipeline), and the affine
 classification sweep ``classify_mu`` over root-of-unity triples with n
 up to that length (pipeline).
 
-``verify_cover`` checks patterns by set lookups of cyclic windows and
-calls no kernel; it and ``verify_thm_subseqs`` reuse the levels that the
+``verify_cover`` and ``verify_thm_subseqs`` look cyclic windows up in
+tables of patterns and call no kernel; they reuse the levels that the
 enumeration row has already cached.  The first line names the Python
 version and the core count.  Run from the repository root:
 
@@ -37,6 +38,20 @@ def bench_canonical(words, repeat):
         t0 = time.perf_counter()
         for w in words:
             kernels.canonical_form(w)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def bench_next_level(length, repeat):
+    """One level step: the canonical augmentation of every class of length
+    ``length - 1``, whose levels are built outside the timing."""
+    from quiddity import cycles
+
+    parents = cycles._level(length - 1)
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        kernels.next_level(parents)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -117,6 +132,8 @@ def main(argv=None):
     )
     parser.add_argument("--repeat", type=int, default=3, help="best of N runs")
     args = parser.parse_args(argv)
+    if args.length < 4:
+        parser.error("--length must be >= 4: next_level grows from length 3")
 
     rng = random.Random(12345)
     words = [
@@ -126,6 +143,7 @@ def main(argv=None):
     print(f"Python {platform.python_version()}, {os.cpu_count()} cores")
     results = {
         "canonical_form x20k": bench_canonical(words, args.repeat),
+        f"next_level into {args.length}": bench_next_level(args.length, args.repeat),
         f"enumerate to {args.length}": bench_enumerate(args.length, args.repeat),
         f"cover check to {args.length}": bench_cover(args.length, args.repeat),
         f"depth-3 cover to {args.length}": bench_refined_cover(args.length, args.repeat),

@@ -363,17 +363,17 @@ def classify_mu(n_max: int, max_steps: int = 100000) -> ClassificationReport:
             raise RuntimeError(
                 f"root-of-unity walk did not resolve: {Triple.from_exponents(*key)}"
             )
-        elif decompose_affine(report.period) is None:
+        elif decompose_affine(period := minimal_period(report.window)) is None:
             non_affine += 1
-        elif not cor15_check(report.period):
+        elif not cor15_check(period):
             raise RuntimeError(
                 "affine period fails the fifteen-pattern condition: "
-                f"{report.period} from {Triple.from_exponents(*key)}"
+                f"{period} from {Triple.from_exponents(*key)}"
             )
         else:
             index = len(found)
             orbit = sorted((_triple(n, s) for s in report.orbit), key=Triple.sort_key)
-            found.append((orbit, report.period, n))
+            found.append((orbit, period, n))
         decided.update(((n, s[0], s[1], s[2]), index) for s in report.orbit)
     # the first instance that lands in an orbit names its row
     expected: dict[int, tuple[int, str, Pattern]] = {}

@@ -238,7 +238,9 @@ def _reflect(n: int, s: _State, left: bool) -> Optional[tuple[_State, int]]:
 
 def _walk(n: int, start: _State, max_steps: int) -> CharSeqReport:
     """The walk of ``walk`` on integer states at level n; the report's
-    ``orbit`` lists walk states, not ``Triple``s."""
+    ``orbit`` lists walk states, not ``Triple``s, and its ``period`` is
+    left empty: a caller that reads it takes ``minimal_period`` of the
+    window of a resolved walk."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     seen: dict[tuple[_State, bool], int] = {}
@@ -308,7 +310,7 @@ def _walk(n: int, start: _State, max_steps: int) -> CharSeqReport:
     generic = any(st[3] or st[4] or st[5] for st in orbit)
     return CharSeqReport(
         shape=SHAPE_CHAIN if (generic and ends) else SHAPE_CYCLE,
-        period=minimal_period(window),
+        period=(),
         ends=ends,
         orbit=list(orbit),
         window=window,
@@ -334,6 +336,8 @@ def walk(start: Triple, max_steps: int = 10000) -> CharSeqReport:
     n = start.level()
     report = _walk(n, _exponents(start, n), max_steps)
     report.orbit = [_triple(n, s) for s in report.orbit]
+    if report.state_period:
+        report.period = minimal_period(report.window)
     return report
 
 

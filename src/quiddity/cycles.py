@@ -243,9 +243,9 @@ _MAX_BYTE_LENGTH = 257
 def _level(n: int, limit: int | None = None) -> tuple[Pattern, ...]:
     """The sorted canonical words of the quiddity classes of length ``n``.
 
-    Built length by length from (0,0) and (1,1,1) by ear insertion at
-    every cyclic position: ``kernels.next_level`` grows each level from
-    the one before in a single call, the enumeration's inner loop.
+    Built length by length from (0,0) and (1,1,1) by ear insertion:
+    ``kernels.next_level`` grows each level from the one before in a
+    single call by canonical augmentation, the enumeration's inner loop.
     Memoized per length in ``_levels``, so repeated and incremental calls
     are cheap.  Lengths past 257 raise even under a larger ``limit``.
     """

@@ -1,15 +1,17 @@
 """The hot inner loops, in pure Python.
 
 ``next_level`` is the inner loop of the enumeration: it grows a whole
-level of canonical quiddity words on byte strings, canonicalizing each
-child from its least ear prefix.  Every entry must fit in a byte, so the
-enumeration stops at length 257.  ``canonical_form`` and
-``insert_fanout`` serve single cycles (``DihedralCycle``, ``ear_insert``,
-``delta_preimages``) and are the references that the tests check
-``_ear_canonical`` and ``next_level`` against; the two containment
-scans serve single-pattern searches (``contains_cyclic``, ``cor15_check``,
-``verify_thm_subseqs``).  ``verify_cover`` uses none of them: it looks
-cyclic windows up in sets of patterns.
+level of canonical quiddity words on byte strings by canonical
+augmentation, keeping a child only when its least rotation starts at the
+inserted ear, which ``_is_least_rotation`` decides.  Every entry must
+fit in a byte, so the enumeration stops at length 257.
+``canonical_form`` and ``insert_fanout`` serve single cycles
+(``DihedralCycle``, ``ear_insert``, ``delta_preimages``) and are the
+references that the tests check ``_is_least_rotation`` and
+``next_level`` against; the two containment scans serve
+single-pattern searches (``contains_cyclic``, ``contains_linear``,
+``cor15_check``).  ``verify_cover`` and ``verify_thm_subseqs`` use
+none of them: they look cyclic windows up in tables of patterns.
 """
 
 from __future__ import annotations
@@ -74,8 +76,9 @@ def linear_contains(seq: tuple, pat: tuple) -> bool:
 def insert_fanout(rep: tuple) -> list:
     """Canonical forms of every single-ear insertion into the cycle
     ``rep``: a 1 is inserted between each pair of cyclically adjacent
-    entries and both neighbours are incremented.  This is the inner loop
-    of the length-by-length enumeration."""
+    entries and both neighbours are incremented.  ``ear_insert`` picks
+    one of them; the tests grow whole levels from it as the reference
+    for ``next_level``."""
     n = len(rep)
     out = []
     for i in range(n - 1):
@@ -87,51 +90,86 @@ def insert_fanout(rep: tuple) -> list:
     return out
 
 
-def _ear_canonical(c: bytes) -> bytes:
-    """``canonical_form`` of a quiddity cycle of length >= 4 held in bytes.
+def _is_least_rotation(c: bytes, r: bytes) -> bool:
+    """True iff ``r`` is the ``canonical_form`` of the quiddity word ``c``.
 
-    Its least entry is 1 and no two 1s are adjacent, so the least
-    rotation starts with (1, x), x >= 2 being the least neighbour of any
-    ear.  Only the rotations of the word and of its reversal that start
-    with the least such prefix present are compared."""
-    n = len(c)
+    ``c`` has length >= 4, so its least entry is 1 and no two 1s are
+    adjacent, and ``r`` is a rotation of ``c`` or of its reversal that
+    starts at an ear: r = (1, y, ...).  Every rotation that starts with
+    (1, x), x < y, is smaller than ``r``; of those that start with
+    (1, y), each is found by ``bytes.find`` and the scan stops at the
+    first one smaller than ``r``."""
+    m = len(c)
     d = c + c
-    r = d[::-1]
-    for x in range(2, 256):
-        prefix = bytes((1, x))
-        i = d.find(prefix, 0, n + 1)
-        j = r.find(prefix, 0, n + 1)
-        if i >= 0 or j >= 0:
-            break
-    best = None
-    while i >= 0:
-        rotation = d[i : i + n]
-        if best is None or rotation < best:
-            best = rotation
-        i = d.find(prefix, i + 1, n + 1)
-    while j >= 0:
-        rotation = r[j : j + n]
-        if best is None or rotation < best:
-            best = rotation
-        j = r.find(prefix, j + 1, n + 1)
-    return best
+    for x in range(2, r[1]):
+        if bytes((1, x)) in d or bytes((x, 1)) in d:
+            return False
+    prefix = r[:2]
+    for s in (d, d[::-1]):
+        q = s.find(prefix, 0, m + 1)
+        while q >= 0:
+            if s[q : q + m] < r:
+                return False
+            q = s.find(prefix, q + 1, m + 1)
+    return True
 
 
 def next_level(words) -> tuple:
     """The sorted canonical words of length k + 1 grown from ``words``,
     the canonical words of every quiddity class of length k >= 3.
 
-    Each parent becomes ``bytes`` once; each single-ear insertion is cut
-    from it by slicing and canonicalized by ``_ear_canonical``.  Every
-    entry must fit in a byte, so k + 1 <= 257.  Duplicates drop in a set
-    of tuples: a set of the byte strings, converted only at the end,
-    raises the peak memory."""
-    children = set()
-    add = children.add
+    Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+    J. Algorithms 26, 1998): a child, a parent with one ear inserted, is
+    kept only if its least rotation starts at the new ear, read in
+    either direction.  Removing that ear gives one parent class, so each
+    class of length k + 1 comes from one parent only, and from two of its
+    edges only when an automorphism of the parent maps one onto the
+    other: a set per parent drops those duplicates.
+
+    The parent's canonical word b starts at ear 0, and x0 = b[1] is the
+    least neighbour of any ear.  An ear inserted between entries u and v
+    has least neighbour y = min(u, v) + 1.  Cheapest test first:
+
+    (a) on an edge with u, v >= x0 that leaves ear 0 and b[1] untouched,
+        ear 0 keeps its neighbour x0 < y: the child is rejected unbuilt;
+    (b) the child as built reads from ear 0 (or from the incremented
+        b[0] on the two edges at ear 0): it is rejected if that is
+        smaller than the new ear's least rotation r;
+    (c) if y < x0, no other ear has a neighbour as small, and r is
+        least; otherwise ``_is_least_rotation`` decides.
+
+    Every entry must fit in a byte, so k + 1 <= 257."""
+    out = []
     for word in words:
         b = bytes(word)
         n = len(b)
-        for i in range(n - 1):
-            add(tuple(_ear_canonical(b[:i] + bytes((b[i] + 1, 1, b[i + 1] + 1)) + b[i + 2 :])))
-        add(tuple(_ear_canonical(bytes((b[0] + 1,)) + b[1 : n - 1] + bytes((b[n - 1] + 1, 1)))))
-    return tuple(sorted(children))
+        x0 = b[1]
+        kept = set()
+        for i in range(n):
+            u = b[i]
+            v = b[i + 1] if i < n - 1 else b[0]
+            if u >= x0 and v >= x0 and 1 < i < n - 1:
+                continue
+            if i < n - 1:
+                c = b[:i] + bytes((u + 1, 1, v + 1)) + b[i + 2 :]
+                p = i + 1
+            else:
+                # the wraparound edge, between the last and first entries:
+                # some classes have it as their only augmenting edge (at
+                # length 15, 7,330 of the 24,834)
+                c = bytes((v + 1,)) + b[1 : n - 1] + bytes((u + 1, 1))
+                p = n
+            # the new ear reads (1, v + 1, ...) forwards, (1, u + 1, ...) backwards
+            if u > v:
+                r = c[p:] + c[:p]
+            else:
+                r = c[p::-1] + c[:p:-1]
+                if u == v:
+                    r = min(r, c[p:] + c[:p])
+            if c < r:
+                continue
+            if min(u, v) + 1 < x0 or _is_least_rotation(c, r):
+                kept.add(r)
+        out.extend(map(tuple, kept))
+    out.sort()
+    return tuple(out)

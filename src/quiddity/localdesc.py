@@ -26,7 +26,6 @@ from .cycles import (
     DihedralCycle,
     Pattern,
     _level,
-    _representatives,
     as_pattern,
     canonicalize,
     is_quiddity,
@@ -426,50 +425,60 @@ class SubseqReport:
         }
 
 
-def _first_interior_hit(rep: Pattern) -> Pattern | None:
-    """The first of the nine patterns that the interior of ``rep``
-    (positions 2..n-1), forward or reversed, linearly contains."""
-    interior = rep[1:-1]
-    reversed_interior = interior[::-1]
-    for p in NINE_PATTERNS:
-        if kernels.linear_contains(interior, p) or kernels.linear_contains(
-            reversed_interior, p
-        ):
-            return p
-    return None
-
-
 def verify_thm_subseqs(max_length: int) -> SubseqReport:
     """For every representative of every quiddity cycle of length <=
     max_length: either it is one of the five exceptional representatives
     or its interior (positions 2..n-1), forward or reversed, linearly
     contains one of the nine patterns.  A max_length below 2 raises.
 
-    The reversal of a representative has the reversed interior, so both
-    get the same first hit: each class computes it once per pair."""
+    Each class is read in one pass over its cyclic windows of the
+    pattern lengths, looked up in a table that maps every pattern and
+    its reversal to its first index in ``NINE_PATTERNS``.  The interior
+    of the rotation at i is the cyclic word without positions i - 1 and
+    i, so a window of length m at start s lies inside it iff
+    m < (i - s) mod n, and the rotation's first hit is the least index
+    among those windows.  The reversed rotation at j has the reversed
+    interior of the rotation at (n - j) mod n, so the same first hit."""
     if max_length < 2:
         raise ValueError("max_length must be >= 2")
     exceptional = set(EXCEPTIONAL_REPRESENTATIVES)
     pattern_hits: dict[Pattern, int] = {p: 0 for p in NINE_PATTERNS}
     exceptional_hits: dict[Pattern, int] = {e: 0 for e in EXCEPTIONAL_REPRESENTATIVES}
+    rank: dict[Pattern, int] = {}
+    for r, p in enumerate(NINE_PATTERNS):
+        rank.setdefault(p, r)
+        rank.setdefault(p[::-1], r)
+    lengths = sorted({len(p) for p in NINE_PATTERNS})
     checked = 0
     violations: list[Pattern] = []
     for n in range(2, max_length + 1):
+        fitting = [m for m in lengths if m <= n - 2]
         for word in _level(n):
-            reverse_hits: dict[Pattern, Pattern | None] = {}
-            for rep in _representatives(word):
-                checked += 1
-                if rep in exceptional:
-                    exceptional_hits[rep] += 1
-                    continue
-                if rep in reverse_hits:
-                    hit = reverse_hits[rep]
-                else:
-                    hit = reverse_hits[rep[::-1]] = _first_interior_hit(rep)
-                if hit is None:
-                    violations.append(rep)
-                else:
-                    pattern_hits[hit] += 1
+            d = word + word
+            found = sorted(
+                (r, s, m)
+                for m in fitting
+                for s in range(n)
+                if (r := rank.get(d[s : s + m])) is not None
+            )
+            hits = [next((r for r, s, m in found if m < (i - s) % n), None) for i in range(n)]
+            # distinct rotations of the word, then of its reversal, as in
+            # ``_representatives``
+            seen: set[Pattern] = set()
+            for base, base_hits in ((word, hits), (word[::-1], hits[:1] + hits[:0:-1])):
+                dd = base + base
+                for i in range(n):
+                    rep = dd[i : i + n]
+                    if rep in seen:
+                        continue
+                    seen.add(rep)
+                    checked += 1
+                    if rep in exceptional:
+                        exceptional_hits[rep] += 1
+                    elif base_hits[i] is None:
+                        violations.append(rep)
+                    else:
+                        pattern_hits[NINE_PATTERNS[base_hits[i]]] += 1
     return SubseqReport(
         checked=checked,
         violations=violations,

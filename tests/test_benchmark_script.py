@@ -18,6 +18,7 @@ def test_benchmark_kernels_runs():
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("Python ") and lines[0].endswith(" cores")
     assert "canonical_form x20k" in proc.stdout
+    assert "next_level into 8" in proc.stdout
     assert "enumerate to 8" in proc.stdout
     assert "cover check to 8" in proc.stdout
     assert "depth-3 cover to 8" in proc.stdout

@@ -1,5 +1,5 @@
 """The pure kernels against their references: ``next_level`` against
-one ``insert_fanout`` per parent, ``_ear_canonical`` against
+one ``insert_fanout`` per parent, ``_is_least_rotation`` against
 ``canonical_form``, and ``canonical_form`` against a brute-force minimum
 over all rotations."""
 
@@ -27,18 +27,48 @@ def test_next_level_matches_insert_fanout_reference():
         assert kernels.next_level(levels[k]) == levels[k + 1], k
 
 
-def test_ear_canonical_matches_canonical_form():
+def test_next_level_grows_each_class_from_one_parent():
+    # canonical augmentation: the children of distinct parents are
+    # disjoint, and together they are the whole next level
+    levels = fanout_levels(13)
+    for k in range(4, 13):
+        grown = set()
+        for word in levels[k]:
+            children = kernels.next_level((word,))
+            assert grown.isdisjoint(children), word
+            grown.update(children)
+        assert grown == set(levels[k + 1]), k
+
+
+def ear_rotations(rep):
+    """The least rotation of ``rep`` from each of its ears, in either
+    direction."""
+    for p, entry in enumerate(rep):
+        if entry == 1:
+            forward = rep[p:] + rep[:p]
+            yield min(forward, forward[:1] + forward[:0:-1])
+
+
+def test_is_least_rotation_matches_canonical_form():
     from quiddity.cycles import _representatives
 
-    reps = 0
+    reps = least = 0
+    verdicts = set()
     for words in fanout_levels(10).values():
         for word in words:
             if len(word) < 4:
                 continue
+            canon = bytes(kernels.canonical_form(word))
             for rep in _representatives(word):
                 reps += 1
-                assert kernels._ear_canonical(bytes(rep)) == bytes(kernels.canonical_form(rep)), rep
-    assert reps > 2000
+                least += bytes(rep) == canon
+                for r in ear_rotations(rep):
+                    verdict = kernels._is_least_rotation(bytes(rep), bytes(r))
+                    assert verdict == (bytes(r) == canon), (rep, r)
+                    verdicts.add(verdict)
+    # representatives that are their own least rotation, and others
+    assert reps > 2000 and 0 < least < reps
+    assert verdicts == {True, False}
 
 
 def test_pure_canonical_form_basics():
