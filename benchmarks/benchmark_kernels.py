@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Time the kernels and the pipelines built on them.
 
-Seven workloads: the dihedral canonical form on random words (micro),
+Eight workloads: the dihedral canonical form on random words (micro),
 one ``next_level`` step into a length from the warm level below it
 (kernel), enumeration of all quiddity classes up to that length
 (macro), two cover verifications over that enumeration (macro) -- the
 27-pattern ``cor12`` pair and the 651-pattern pair of three refinement
 steps from ``builtin:base`` -- the interior-subsequence theorem
-``verify_thm_subseqs`` to the same length (pipeline), and the affine
-classification sweep ``classify_mu`` over root-of-unity triples with n
-up to that length (pipeline).
+``verify_thm_subseqs`` to the same length (pipeline), and two sweeps
+over root-of-unity triples with n up to that length (pipelines): the
+affine classification ``classify_mu`` and the reconstruction
+``solve_triples`` of the window (2,2,5).
 
 ``verify_cover`` and ``verify_thm_subseqs`` look cyclic windows up in
 tables of patterns and call no kernel; they reuse the levels that the
@@ -125,10 +126,21 @@ def bench_classify(n_max, repeat):
     return best
 
 
+def bench_solve(bound, repeat):
+    from quiddity.charseq import solve_triples
+
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        solve_triples((2, 2, 5), bound)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--length", type=int, default=13, help="enumeration length and classify_mu bound"
+        "--length", type=int, default=13, help="enumeration length and root-of-unity sweep bound"
     )
     parser.add_argument("--repeat", type=int, default=3, help="best of N runs")
     args = parser.parse_args(argv)
@@ -149,6 +161,7 @@ def main(argv=None):
         f"depth-3 cover to {args.length}": bench_refined_cover(args.length, args.repeat),
         f"verify_thm_subseqs({args.length})": bench_subseqs(args.length, args.repeat),
         f"classify_mu({args.length})": bench_classify(args.length, args.repeat),
+        f"solve_triples((2,2,5), {args.length})": bench_solve(args.length, args.repeat),
     }
 
     width = max(len(w) for w in results) + 2

@@ -8,9 +8,11 @@ entry-sum identity of quiddity cycles forces the number of junctions per
 window to be exactly 3*len - sum, which prunes the search to triviality.
 
 ``classify_mu`` sweeps all root-of-unity triples up to a torsion bound,
-walks each one, keeps the affine orbits and matches them against the
-built-in classification table (eleven root-of-unity rows plus three
-one-parameter families checked by specialization).
+walks one reflection orbit of each Galois class at each level (the
+conjugates zeta -> zeta^u share its verdict), keeps the affine orbits and
+matches them against the built-in classification table (eleven
+root-of-unity rows plus three one-parameter families checked by
+specialization).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .charseq import (
     Triple,
     _exponents,
     _root_of_unity_triples,
-    _triple,
+    _units,
     _walk,
     minimal_period,
     walk,
@@ -271,6 +273,10 @@ class ClassifiedOrbit:
 
 @dataclass
 class ClassificationReport:
+    """The sweep's affine orbits and table checks.  ``triples_checked``
+    counts reflection orbits, each once, not triples: it is the sum of
+    ``broken``, ``non_affine`` and the number of affine ``orbits``."""
+
     n_max: int
     orbits: list[ClassifiedOrbit]
     missing: list[str]
@@ -337,6 +343,11 @@ def classify_mu(n_max: int, max_steps: int = 100000) -> ClassificationReport:
     n <= n_max, keep the affine orbits, and match each one against the
     classification table.
 
+    One orbit of each Galois class is walked; the conjugate orbits, u
+    times it for the units u mod n, get its verdict without a walk (see
+    ``charseq._units``).  Each conjugate is still counted as an orbit of
+    its own, and an affine one gets its own ``ClassifiedOrbit``.
+
     A table instance whose orbit is broken or not affine is reported
     missing.  Raises if an affine period ever fails the fifteen-pattern
     condition (that would contradict the necessity direction and means a
@@ -348,33 +359,48 @@ def classify_mu(n_max: int, max_steps: int = 100000) -> ClassificationReport:
     # names each triple once; it maps to the index of its affine orbit in
     # ``found``, or to None
     decided: dict[tuple[int, int, int, int], Optional[int]] = {}
-    found: list[tuple[list[Triple], Pattern, int]] = []
+    # (least member, sorted triples, period) of each affine orbit
+    found: list[tuple[tuple[int, int, int, int], list[Triple], Pattern]] = []
     checked = broken = non_affine = 0
     for key in _root_of_unity_triples(n_max):
         if key in decided:
             continue
-        checked += 1
         n = key[0]
         report = _walk(n, key[1:] + (0, 0, 0), max_steps)
-        index = None
-        if report.shape == SHAPE_BROKEN:
-            broken += 1
-        elif report.shape != SHAPE_CYCLE:
+        if report.shape not in (SHAPE_BROKEN, SHAPE_CYCLE):
             raise RuntimeError(
                 f"root-of-unity walk did not resolve: {Triple.from_exponents(*key)}"
             )
-        elif decompose_affine(period := minimal_period(report.window)) is None:
-            non_affine += 1
-        elif not cor15_check(period):
-            raise RuntimeError(
-                "affine period fails the fifteen-pattern condition: "
-                f"{period} from {Triple.from_exponents(*key)}"
-            )
-        else:
-            index = len(found)
-            orbit = sorted((_triple(n, s) for s in report.orbit), key=Triple.sort_key)
-            found.append((orbit, period, n))
-        decided.update(((n, s[0], s[1], s[2]), index) for s in report.orbit)
+        period = None  # set for an affine orbit
+        if report.shape == SHAPE_CYCLE:
+            candidate = minimal_period(report.window)
+            if decompose_affine(candidate) is not None:
+                if not cor15_check(candidate):
+                    raise RuntimeError(
+                        "affine period fails the fifteen-pattern condition: "
+                        f"{candidate} from {Triple.from_exponents(*key)}"
+                    )
+                period = candidate
+        # a unit u maps this orbit onto the orbit of u * key, with the same
+        # window (see ``charseq._units``), so the verdict holds for every
+        # conjugate orbit; one whose first member is decided is done
+        for u in _units(n):
+            members = [(n, u * s[0] % n, u * s[1] % n, u * s[2] % n) for s in report.orbit]
+            if members[0] in decided:
+                continue
+            checked += 1
+            index = None
+            if report.shape == SHAPE_BROKEN:
+                broken += 1
+            elif period is None:
+                non_affine += 1
+            else:
+                index = len(found)
+                triples = sorted(
+                    (Triple.from_exponents(*m) for m in members), key=Triple.sort_key
+                )
+                found.append((min(members), triples, period))
+            decided.update((m, index) for m in members)
     # the first instance that lands in an orbit names its row
     expected: dict[int, tuple[int, str, Pattern]] = {}
     missing: list[str] = []
@@ -386,7 +412,9 @@ def classify_mu(n_max: int, max_steps: int = 100000) -> ClassificationReport:
             missing.append(label)
     orbits: list[ClassifiedOrbit] = []
     unmatched: list[ClassifiedOrbit] = []
-    for i, (orbit, period, level) in enumerate(found):
+    # in the order a sweep that walks every orbit meets them
+    for i in sorted(range(len(found)), key=lambda i: found[i][0]):
+        (level, *_), orbit, period = found[i]
         match = expected.get(i)
         if match is not None and canonical_period_key(period) != canonical_period_key(match[2]):
             match = None

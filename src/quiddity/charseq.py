@@ -11,12 +11,18 @@ purely periodic unless some m-value is undefined (a broken triple).
 ``sigma1``/``sigma2`` act on ``Scalar`` triples one step at a time.  The
 walk and the sweeps over root-of-unity triples run on integer exponents
 instead (``_walk``): ``Triple``s are built only for what they return.
+
+A unit u mod n acts on the triples of level n by zeta -> zeta^u, i.e. by
+multiplying all three exponents by u.  The walk commutes with this
+action, so the sweeps walk one triple of each Galois class (the classes
+have phi(n) members each) and hand the result to its conjugates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional
 
@@ -89,6 +95,20 @@ def _root_of_unity_triples(n_max: int) -> Iterator[tuple[int, int, int, int]]:
                 for e2 in range(n):
                     if gcd(n, e1, e, e2) == 1:
                         yield n, e1, e, e2
+
+
+@lru_cache(maxsize=256)
+def _units(n: int) -> tuple[int, ...]:
+    """The units of Z/n in [1, n), or (1,) for n = 1; u = 1 comes first.
+
+    The sweeps rely on this: the walk from u*s has the shape, window, ends
+    and window origin of the walk from s, and its orbit is u times that
+    orbit, member by member.  Proof: ``_m_rule`` reads (ai, a) only
+    through gcd(ai, n) and the solutions of ai*m = -a (mod n), which a
+    unit keeps, so every step records the same m; and each reflection is
+    linear in the exponents, so it commutes with the multiplication by u.
+    """
+    return tuple(u for u in range(1, max(n, 2)) if gcd(u, n) == 1)
 
 
 def sigma1(t: Triple) -> Optional[tuple[Triple, int]]:
@@ -409,6 +429,10 @@ def solve_triples(
     Windows adjacent to (or on top of) ends match too; when different
     matches place ends at different window positions, the result is
     flagged ambiguous.
+
+    Only the least triple of each Galois class is walked: its conjugates
+    have the same sequence and ends (see ``_units``), hence the same
+    alignments and end offsets.
     """
     target = tuple(window)
     if len(target) < 3:
@@ -417,13 +441,17 @@ def solve_triples(
         raise ValueError("modulus_bound must be >= 1")
     matches: list[SolveMatch] = []
     for n, e1, e, e2 in _root_of_unity_triples(modulus_bound):
+        conjugates = [(u * e1 % n, u * e % n, u * e2 % n) for u in _units(n)]
+        if min(conjugates) != conjugates[0]:
+            continue
         report = _walk(n, (e1, e, e2, 0, 0, 0), max_steps)
         if report.shape != SHAPE_CYCLE:
             continue
         hits = _window_matches(report, target)
         if hits:
-            t = Triple.from_exponents(n, e1, e, e2)
-            matches.extend(SolveMatch(t, off, end_offsets) for off, end_offsets in hits)
+            for c in conjugates:
+                t = Triple.from_exponents(n, *c)
+                matches.extend(SolveMatch(t, off, end_offsets) for off, end_offsets in hits)
     matches.sort(key=lambda m: (m.triple.sort_key(), m.offset))
     triples = list(dict.fromkeys(m.triple for m in matches))
     ambiguous = len({m.end_offsets for m in matches}) > 1

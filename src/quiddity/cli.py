@@ -196,7 +196,7 @@ def cmd_classify(args) -> int:
     report = classify_mu(args.nmax)
     human = [
         f"swept exponent triples for n <= {report.n_max}: "
-        f"{report.triples_checked} triples, {report.broken} broken, "
+        f"{report.triples_checked} orbits, {report.broken} broken, "
         f"{report.non_affine} non-affine orbits, {len(report.orbits)} affine orbits",
         "",
         f"{'row':>4} | {'diagrams':<58} | {'parameter':<40} | period",

@@ -13,13 +13,21 @@ from quiddity import (
     cor15_check,
     decompose_affine,
     is_quiddity,
+    minimal_period,
     sigma1,
     sigma2,
     verify_cor15_on_classified,
     walk,
 )
 from quiddity import affine, cli
-from quiddity.affine import TableRow, canonical_period_key
+from quiddity.affine import (
+    ClassificationReport,
+    ClassifiedOrbit,
+    TableRow,
+    _instance_orbits,
+    canonical_period_key,
+)
+from quiddity.charseq import SHAPE_BROKEN, SHAPE_CYCLE, _root_of_unity_triples, _walk
 
 
 def mu(n, e1, e, e2):
@@ -192,6 +200,77 @@ def test_report_json_does_not_alias_the_report():
     doc["specializations"].clear()
     assert generic.ok and generic.rows[12]["period"] == [2]
     assert json.dumps(generic.to_json()) == before
+
+
+def reference_classify_mu(n_max, max_steps=100000):
+    """``classify_mu`` as a walk from the least triple of every reflection
+    orbit, conjugate orbits included."""
+    decided, found = {}, []
+    checked = broken = non_affine = 0
+    for key in _root_of_unity_triples(n_max):
+        if key in decided:
+            continue
+        checked += 1
+        n = key[0]
+        report = _walk(n, key[1:] + (0, 0, 0), max_steps)
+        index = None
+        if report.shape == SHAPE_BROKEN:
+            broken += 1
+        elif report.shape != SHAPE_CYCLE:
+            raise RuntimeError(f"unresolved walk from {key}")
+        elif decompose_affine(period := minimal_period(report.window)) is None:
+            non_affine += 1
+        else:
+            assert cor15_check(period)
+            index = len(found)
+            orbit = sorted((mu(n, *s[:3]) for s in report.orbit), key=Triple.sort_key)
+            found.append((orbit, period, n))
+        decided.update(((n, *s[:3]), index) for s in report.orbit)
+    expected, missing = {}, []
+    for label, match, keys in _instance_orbits(n_max):
+        indices = [decided[k] for k in keys if decided[k] is not None]
+        for i in indices:
+            expected.setdefault(i, match)
+        if not indices:
+            missing.append(label)
+    orbits, unmatched = [], []
+    for i, (orbit, period, level) in enumerate(found):
+        match = expected.get(i)
+        if match is not None and canonical_period_key(period) != canonical_period_key(match[2]):
+            match = None
+        co = ClassifiedOrbit(
+            row_matched=match[0] if match else None,
+            diagrams=orbit,
+            parameter=match[1] if match else f"mu_{level}",
+            period=period,
+            orbit_size=len(orbit),
+            level=level,
+        )
+        orbits.append(co)
+        if co.row_matched is None:
+            unmatched.append(co)
+    orbits.sort(key=lambda o: (o.row_matched or 10_000, o.level, [t.sort_key() for t in o.diagrams]))
+    return ClassificationReport(n_max, orbits, missing, unmatched, checked, broken, non_affine)
+
+
+def _assert_classify_matches_reference(n_max):
+    report, reference = classify_mu(n_max), reference_classify_mu(n_max)
+    assert report.to_json() == reference.to_json()
+    assert report.missing == reference.missing
+    assert [o.to_json() for o in report.unmatched] == [o.to_json() for o in reference.unmatched]
+    return report
+
+
+def test_classify_matches_walking_every_orbit():
+    for n_max in range(2, 17):
+        _assert_classify_matches_reference(n_max)
+
+
+def test_classify_matches_walking_every_orbit_with_an_unmatched_orbit(monkeypatch):
+    # without row 9 its orbits at mu_12 are unmatched, in the reference's order
+    monkeypatch.setattr(affine, "KNOWN_ROWS", tuple(r for r in KNOWN_ROWS if r.row != 9))
+    report = _assert_classify_matches_reference(12)
+    assert len(report.unmatched) > 1 and report.missing == []
 
 
 def _with_extra_row(monkeypatch, n, exponents, period):

@@ -24,3 +24,4 @@ def test_benchmark_kernels_runs():
     assert "depth-3 cover to 8" in proc.stdout
     assert "verify_thm_subseqs(8)" in proc.stdout
     assert "classify_mu(8)" in proc.stdout
+    assert "solve_triples((2,2,5), 8)" in proc.stdout

@@ -14,7 +14,12 @@ from quiddity.charseq import (
     SHAPE_CHAIN,
     SHAPE_CYCLE,
     SHAPE_UNRESOLVED,
+    SolveMatch,
+    SolveReport,
     _root_of_unity_triples,
+    _units,
+    _walk,
+    _window_matches,
 )
 
 REPORT_FIELDS = (
@@ -238,6 +243,34 @@ def test_solve_triples_matches_verify():
         )
 
 
+def reference_solve_triples(window, modulus_bound, max_steps=10000):
+    """``solve_triples`` as a walk from every triple, conjugates included."""
+    target = tuple(window)
+    matches = []
+    for n, e1, e, e2 in _root_of_unity_triples(modulus_bound):
+        report = _walk(n, (e1, e, e2, 0, 0, 0), max_steps)
+        if report.shape != SHAPE_CYCLE:
+            continue
+        t = mu(n, e1, e, e2)
+        matches += [SolveMatch(t, off, ends) for off, ends in _window_matches(report, target)]
+    matches.sort(key=lambda m: (m.triple.sort_key(), m.offset))
+    return SolveReport(
+        window=target,
+        bound=modulus_bound,
+        matches=matches,
+        triples=list(dict.fromkeys(m.triple for m in matches)),
+        ambiguous=len({m.end_offsets for m in matches}) > 1,
+    )
+
+
+@pytest.mark.parametrize("window", [(2, 2, 5), (1, 3, 1), (1, 4, 1, 4)])
+def test_solve_triples_matches_walking_every_triple(window):
+    report, reference = solve_triples(window, 12), reference_solve_triples(window, 12)
+    assert report.matches
+    assert report.to_json() == reference.to_json()
+    assert report.triples == reference.triples
+
+
 # ---------------------------------------------------------------------------
 # the sweep over root-of-unity triples
 
@@ -259,6 +292,30 @@ def test_root_of_unity_triples_once_at_exact_level():
     counts = Counter(t.level() for t in triples)
     assert counts == {n: jordan3(n) for n in range(1, 15)}
     assert len({t.sort_key() for t in triples}) == len(triples) == 10132
+
+
+def test_units():
+    assert _units(1) == (1,) and _units(2) == (1,)
+    assert _units(12) == (1, 5, 7, 11)
+    assert [len(_units(n)) for n in range(1, 11)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
+
+
+def test_conjugate_walk_is_the_walk_times_the_unit():
+    # the lemma both sweeps rest on, for every triple with n <= 12
+    shapes = Counter()
+    for n, e1, e, e2 in _root_of_unity_triples(12):
+        base = _walk(n, (e1, e, e2, 0, 0, 0), 10000)
+        shapes[base.shape] += 1
+        for u in _units(n)[1:]:
+            image = _walk(n, (u * e1 % n, u * e % n, u * e2 % n, 0, 0, 0), 10000)
+            assert image.shape == base.shape
+            assert image.window == base.window
+            assert image.ends == base.ends
+            assert image.window_origin == base.window_origin
+            assert image.orbit == [
+                (u * x1 % n, u * x % n, u * x2 % n, 0, 0, 0) for x1, x, x2, *_ in base.orbit
+            ]
+    assert set(shapes) == {SHAPE_BROKEN, SHAPE_CYCLE}
 
 
 def test_root_of_unity_triples_follow_the_exponent_loops():

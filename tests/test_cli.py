@@ -140,6 +140,16 @@ def test_classify(capsys):
     assert "row" in out
 
 
+def test_classify_first_line_counts_orbits(capsys):
+    # the 396 triples with n <= 6 fall into 340 reflection orbits
+    code, out, _ = run(capsys, "classify", "--nmax", "6")
+    assert code == 0
+    assert out.splitlines()[0] == (
+        "swept exponent triples for n <= 6: 340 orbits, 105 broken, "
+        "203 non-affine orbits, 32 affine orbits"
+    )
+
+
 def test_classify_json_deterministic(capsys):
     code1, out1, _ = run(capsys, "classify", "--nmax", "5", "--json")
     code2, out2, _ = run(capsys, "classify", "--nmax", "5", "--json")
