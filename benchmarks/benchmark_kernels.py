@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Time the kernels and the pipelines built on them.
 
-Eight workloads: the dihedral canonical form on random words (micro),
+Ten workloads: the dihedral canonical form on random words (micro),
 one ``next_level`` step into a length from the warm level below it
-(kernel), enumeration of all quiddity classes up to that length
-(macro), two cover verifications over that enumeration (macro) -- the
+(kernel), ``m_value`` on 2,000 seeded pairs of roots of unity (kernel),
+enumeration of all quiddity classes up to that length (macro), two cover verifications over that enumeration (macro) -- the
 27-pattern ``cor12`` pair and the 651-pattern pair of three refinement
 steps from ``builtin:base`` -- the interior-subsequence theorem
 ``verify_thm_subseqs`` to the same length (pipeline), and two sweeps
 over root-of-unity triples with n up to that length (pipelines): the
 affine classification ``classify_mu`` and the reconstruction
-``solve_triples`` of the window (2,2,5).
+``solve_triples`` of the window (2,2,5), and the check of the three
+one-parameter rows ``check_generic_rows`` at its default order 48
+(pipeline).
 
 ``verify_cover`` and ``verify_thm_subseqs`` look cyclic windows up in
 tables of patterns and call no kernel; they reuse the levels that the
@@ -30,7 +32,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from quiddity import kernels  # noqa: E402
+from quiddity import Scalar, kernels  # noqa: E402
 
 
 def bench_canonical(words, repeat):
@@ -53,6 +55,18 @@ def bench_next_level(length, repeat):
     for _ in range(repeat):
         t0 = time.perf_counter()
         kernels.next_level(parents)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def bench_m_value(pairs, repeat):
+    from quiddity import m_value
+
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        for qi, q in pairs:
+            m_value(qi, q)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -137,6 +151,18 @@ def bench_solve(bound, repeat):
     return best
 
 
+def bench_generic_rows(max_order, repeat):
+    from quiddity import check_generic_rows
+
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        report = check_generic_rows(max_order)
+        best = min(best, time.perf_counter() - t0)
+        assert report.ok
+    return best
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -152,16 +178,24 @@ def main(argv=None):
         tuple(rng.randint(0, 8) for _ in range(rng.randint(4, 16))) for _ in range(20000)
     ]
 
+    def root():
+        n = rng.randint(1, 48)
+        return Scalar.root_of_unity(n, rng.randrange(n))
+
+    pairs = [(root(), root()) for _ in range(2000)]
+
     print(f"Python {platform.python_version()}, {os.cpu_count()} cores")
     results = {
         "canonical_form x20k": bench_canonical(words, args.repeat),
         f"next_level into {args.length}": bench_next_level(args.length, args.repeat),
+        "m_value x2k": bench_m_value(pairs, args.repeat),
         f"enumerate to {args.length}": bench_enumerate(args.length, args.repeat),
         f"cover check to {args.length}": bench_cover(args.length, args.repeat),
         f"depth-3 cover to {args.length}": bench_refined_cover(args.length, args.repeat),
         f"verify_thm_subseqs({args.length})": bench_subseqs(args.length, args.repeat),
         f"classify_mu({args.length})": bench_classify(args.length, args.repeat),
         f"solve_triples((2,2,5), {args.length})": bench_solve(args.length, args.repeat),
+        "check_generic_rows(48)": bench_generic_rows(48, args.repeat),
     }
 
     width = max(len(w) for w in results) + 2

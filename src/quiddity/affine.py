@@ -487,6 +487,10 @@ def check_generic_rows(max_order: int = 48, max_steps: int = 10000) -> GenericRo
     A specialization must reproduce the generic period exactly when k is
     allowed, and must degenerate or break exactly when the parameter
     column excludes it (including q = +-1 for all three rows).
+
+    One walk per (row, k), at q = zeta_k: zeta_k -> zeta_k^u fixes -1, so
+    each specialization q = zeta_k^u is a Galois conjugate of it and has
+    the same shape and period (see ``charseq._units``).
     """
     rows: dict[int, dict] = {}
     specializations: list[SpecializationResult] = []
@@ -512,18 +516,16 @@ def check_generic_rows(max_order: int = 48, max_steps: int = 10000) -> GenericRo
             violations.append(f"row {rowno}: generic period not affine")
         target = canonical_period_key(period)
         for k in range(1, max_order + 1):
-            for u in range(1, max(k, 2)):
-                if gcd(u, k) != 1:
-                    continue
-                srep = walk(maker(Scalar.root_of_unity(k, u)), max_steps=max_steps)
-                if srep.shape == SHAPE_BROKEN:
-                    status = "broken"
-                elif canonical_period_key(srep.period) == target:
-                    status = "match"
-                else:
-                    status = "degenerate"
+            srep = walk(maker(Scalar.root_of_unity(k)), max_steps=max_steps)
+            if srep.shape == SHAPE_BROKEN:
+                status = "broken"
+            elif canonical_period_key(srep.period) == target:
+                status = "match"
+            else:
+                status = "degenerate"
+            allowed = k not in excluded
+            for u in _units(k):
                 specializations.append(SpecializationResult(rowno, k, u, status))
-                allowed = k not in excluded
                 if allowed and status != "match":
                     violations.append(
                         f"row {rowno}: mu_{k} (exp {u}) should match but got {status}"

@@ -21,7 +21,6 @@ have phi(n) members each) and hand the result to its conjugates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional
@@ -52,12 +51,9 @@ class Triple:
         return Triple(self.q2, self.q, self.q1)
 
     def level(self) -> int:
-        """Least n with all torsion parts in (1/n)Z."""
-        return lcm(
-            self.q1.torsion.denominator,
-            self.q.torsion.denominator,
-            self.q2.torsion.denominator,
-        )
+        """Least n with all three roots of unity in mu_n: the lcm of their
+        orders."""
+        return lcm(self.q1.n, self.q.n, self.q2.n)
 
     @property
     def is_root_of_unity(self) -> bool:
@@ -220,17 +216,18 @@ _State = tuple[int, int, int, int, int, int]
 
 
 def _exponents(t: Triple, n: int) -> _State:
-    """The walk state of ``t`` at a level ``n`` that ``t.level()`` divides."""
+    """The walk state of ``t`` at a level ``n`` that ``t.level()`` divides:
+    zeta_m^k is zeta_n^(k*n/m)."""
     s = (t.q1, t.q, t.q2)
-    x = tuple(c.torsion.numerator * (n // c.torsion.denominator) for c in s)
+    x = tuple(c.k * (n // c.n) for c in s)
     return x + tuple(c.qexp for c in s)
 
 
 def _triple(n: int, s: _State) -> Triple:
     return Triple(
-        Scalar(Fraction(s[0], n), s[3]),
-        Scalar(Fraction(s[1], n), s[4]),
-        Scalar(Fraction(s[2], n), s[5]),
+        Scalar(s[0], n, s[3]),
+        Scalar(s[1], n, s[4]),
+        Scalar(s[2], n, s[5]),
     )
 
 

@@ -1,69 +1,78 @@
 """Exact scalars of the form (root of unity) * q^e.
 
 The reflection walk only ever needs values in the abelian group
-(Q/Z) x Z: a root of unity stored as a reduced rational exponent mod 1,
-times an integer power of a single abstract parameter q of infinite
-multiplicative order.  All arithmetic is exact and equality is decidable,
-which keeps the walk and the classification free of numerics.
+(Q/Z) x Z: a root of unity zeta_n^k stored as a reduced pair of integers
+(k, n), times an integer power of a single abstract parameter q of
+infinite multiplicative order.  All arithmetic is exact and equality is
+decidable, which keeps the walk and the classification free of numerics.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Literal, Optional
 
 
 @dataclass(frozen=True, slots=True)
 class Scalar:
-    """zeta-part times q^qexp, with the zeta-part e^(2*pi*i*torsion)."""
+    """zeta_n^k times q^qexp, with zeta_n = e^(2*pi*i/n).
 
-    torsion: Fraction = Fraction(0)
+    Stored reduced: 0 <= k < n and gcd(k, n) == 1, so n is the order of
+    the root-of-unity part.
+    """
+
+    k: int = 0
+    n: int = 1
     qexp: int = 0
 
     def __post_init__(self):
-        t = Fraction(self.torsion) % 1
-        object.__setattr__(self, "torsion", t)
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
         if not isinstance(self.qexp, int):
             raise TypeError("qexp must be an integer")
+        g = gcd(self.k, self.n)
+        object.__setattr__(self, "k", self.k % self.n // g)
+        object.__setattr__(self, "n", self.n // g)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def one(cls) -> "Scalar":
-        return cls(Fraction(0), 0)
+        return cls()
 
     @classmethod
     def minus_one(cls) -> "Scalar":
-        return cls(Fraction(1, 2), 0)
+        return cls(1, 2)
 
     @classmethod
     def root_of_unity(cls, n: int, k: int = 1) -> "Scalar":
         """e^(2*pi*i*k/n)."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return cls(Fraction(k, n), 0)
+        return cls(k, n)
 
     @classmethod
     def q_power(cls, e: int, *, negate: bool = False) -> "Scalar":
         """q^e, or -q^e when ``negate``."""
-        return cls(Fraction(1, 2) if negate else Fraction(0), e)
+        return cls(1 if negate else 0, 2, e)
 
     # -- group operations --------------------------------------------------
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.torsion + other.torsion, self.qexp + other.qexp)
+        return Scalar(
+            self.k * other.n + other.k * self.n,
+            self.n * other.n,
+            self.qexp + other.qexp,
+        )
 
-    def __pow__(self, k: int) -> "Scalar":
-        return Scalar(self.torsion * k, self.qexp * k)
+    def __pow__(self, e: int) -> "Scalar":
+        return Scalar(self.k * e, self.n, self.qexp * e)
 
     def inverse(self) -> "Scalar":
-        return Scalar(-self.torsion, -self.qexp)
+        return Scalar(-self.k, self.n, -self.qexp)
 
     def is_one(self) -> bool:
-        return self.torsion == 0 and self.qexp == 0
+        return self.k == 0 and self.qexp == 0
 
     @property
     def is_root_of_unity(self) -> bool:
@@ -72,47 +81,39 @@ class Scalar:
     def order(self) -> Optional[int]:
         """Multiplicative order; absent (None) when a q-power is present,
         since q has infinite order by the model."""
-        if self.qexp != 0:
-            return None
-        return self.torsion.denominator
+        return None if self.qexp else self.n
 
     # -- presentation ------------------------------------------------------
 
     def sort_key(self) -> tuple[int, int, int]:
-        return (self.torsion.numerator, self.torsion.denominator, self.qexp)
+        return (self.k, self.n, self.qexp)
 
     def to_json(self) -> dict:
-        return {
-            "zeta": [self.torsion.numerator, self.torsion.denominator],
-            "qexp": self.qexp,
-        }
+        return {"zeta": [self.k, self.n], "qexp": self.qexp}
 
     @classmethod
     def from_json(cls, data: dict) -> "Scalar":
         k, n = data["zeta"]
-        return cls(Fraction(k, n), data["qexp"])
+        return cls(k, n, data["qexp"])
 
     def render(self, zeta_order: int | None = None) -> str:
         """Fixed-root notation: zeta powers for torsion, q powers for the
         generic part, with -1 folded into a leading sign."""
-        t, e = self.torsion, self.qexp
+        k, n, e = self.k, self.n, self.qexp
         if e == 0:
-            if t == 0:
+            if n == 1:
                 return "1"
-            if t == Fraction(1, 2):
+            if n == 2:
                 return "-1"
-            n = zeta_order if zeta_order is not None else t.denominator
-            k = t * n
-            if k.denominator != 1:
-                n = t.denominator
-                k = Fraction(t.numerator)
-            return f"z{n}^{int(k)}" if int(k) != 1 else f"z{n}"
+            if zeta_order is not None and zeta_order % n == 0:
+                k, n = k * (zeta_order // n), zeta_order
+            return f"z{n}^{k}" if k != 1 else f"z{n}"
         qpart = "q" if e == 1 else f"q^{e}"
-        if t == 0:
+        if n == 1:
             return qpart
-        if t == Fraction(1, 2):
+        if n == 2:
             return f"-{qpart}"
-        return f"z{t.denominator}^{t.numerator}*{qpart}"
+        return f"z{n}^{k}*{qpart}"
 
     def __str__(self) -> str:
         return self.render()
@@ -187,16 +188,9 @@ def _m_rule(n: int, ai: int, bi: int, a: int, b: int) -> Optional[tuple[int, Bra
 
 def m_value(qi: Scalar, q: Scalar) -> Optional[MValue]:
     """Minimum over the two defining conditions; None when neither is
-    solvable (the broken indicator).  Both scalars are written over their
-    common torsion level and handed to the integer rule ``_m_rule``.
+    solvable (the broken indicator).  Both scalars are written over the
+    lcm of their orders and handed to the integer rule ``_m_rule``.
     """
-    ti, t = qi.torsion, q.torsion
-    n = lcm(ti.denominator, t.denominator)
-    res = _m_rule(
-        n,
-        ti.numerator * (n // ti.denominator),
-        qi.qexp,
-        t.numerator * (n // t.denominator),
-        q.qexp,
-    )
+    n = lcm(qi.n, q.n)
+    res = _m_rule(n, qi.k * (n // qi.n), qi.qexp, q.k * (n // q.n), q.qexp)
     return None if res is None else MValue(*res)

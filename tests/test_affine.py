@@ -1,6 +1,7 @@
 """Affine gluing, the fifteen-pattern condition and the classification."""
 
 import json
+from math import gcd
 
 import pytest
 
@@ -328,6 +329,55 @@ def test_generic_rows_clean():
     assert report.rows[14]["period"] == [1, 4]
     assert all(d["shape"] == "chain" for d in report.rows.values())
     assert all(d["affine"] for d in report.rows.values())
+
+
+def reference_generic_specializations(max_order, max_steps=10000):
+    """The specializations and violations of ``check_generic_rows`` from
+    one walk per specialization q = zeta_k^u."""
+    specializations, violations = [], []
+    for rowno, _param, maker, period, excluded in affine.GENERIC_ROWS:
+        target = canonical_period_key(period)
+        for k in range(1, max_order + 1):
+            for u in range(1, max(k, 2)):
+                if gcd(u, k) != 1:
+                    continue
+                srep = walk(maker(Scalar.root_of_unity(k, u)), max_steps=max_steps)
+                if srep.shape == SHAPE_BROKEN:
+                    status = "broken"
+                elif canonical_period_key(srep.period) == target:
+                    status = "match"
+                else:
+                    status = "degenerate"
+                specializations.append({"row": rowno, "order": k, "exponent": u, "status": status})
+                allowed = k not in excluded
+                if allowed and status != "match":
+                    violations.append(f"row {rowno}: mu_{k} (exp {u}) should match but got {status}")
+                if not allowed and status == "match":
+                    violations.append(f"row {rowno}: mu_{k} (exp {u}) is excluded but matches")
+    return specializations, violations
+
+
+def _assert_generic_rows_match_reference(max_order):
+    doc = check_generic_rows(max_order).to_json()
+    assert (doc["specializations"], doc["violations"]) == reference_generic_specializations(
+        max_order
+    )
+    return doc
+
+
+def test_generic_rows_match_walking_every_specialization():
+    for max_order in range(1, 31):
+        _assert_generic_rows_match_reference(max_order)
+
+
+def test_generic_rows_match_walking_every_specialization_with_wrong_exclusions(monkeypatch):
+    # row 14 with mu_4 allowed and mu_5 excluded: both give violations, one per exponent
+    rows = tuple(
+        r[:4] + ((1, 2, 3, 5),) if r[0] == 14 else r for r in affine.GENERIC_ROWS
+    )
+    monkeypatch.setattr(affine, "GENERIC_ROWS", rows)
+    doc = _assert_generic_rows_match_reference(12)
+    assert len(doc["violations"]) == 2 + 4
 
 
 def test_generic_row14_exclusions():

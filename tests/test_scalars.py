@@ -2,21 +2,26 @@
 
 import cmath
 import random
+import subprocess
+import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quiddity
 from quiddity import MValue, Scalar, m_value, parse_scalar
+from quiddity.scalars import _m_rule
 
-fractions = st.builds(
-    Fraction,
+scalars = st.builds(
+    Scalar,
     st.integers(min_value=-40, max_value=40),
     st.integers(min_value=1, max_value=24),
+    st.integers(min_value=-6, max_value=6),
 )
-scalars = st.builds(Scalar, fractions, st.integers(min_value=-6, max_value=6))
 
 
 def zeta(n, k=1):
@@ -36,9 +41,114 @@ def test_mul_pow_examples():
 
 
 def test_torsion_normalized():
-    assert Scalar(Fraction(14, 9)).torsion == Fraction(5, 9)
-    assert Scalar(Fraction(-1, 3)).torsion == Fraction(2, 3)
+    assert (Scalar(14, 9).k, Scalar(14, 9).n) == (5, 9)
+    assert (Scalar(-1, 3).k, Scalar(-1, 3).n) == (2, 3)
     assert zeta(6, 2) == zeta(3, 1)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_level_below_one_is_rejected(n):
+    with pytest.raises(ValueError):
+        Scalar.from_json({"zeta": [1, n], "qexp": 0})
+    with pytest.raises(ValueError):
+        Scalar(1, n)
+
+
+def test_root_of_unity_of_order_zero_is_rejected():
+    with pytest.raises(ValueError):
+        Scalar.root_of_unity(0, 1)
+
+
+class FractionScalar:
+    """Reference: the root of unity as a reduced ``Fraction`` mod 1."""
+
+    def __init__(self, torsion, qexp):
+        self.torsion, self.qexp = Fraction(torsion) % 1, qexp
+
+    def __mul__(self, other):
+        return FractionScalar(self.torsion + other.torsion, self.qexp + other.qexp)
+
+    def __pow__(self, e):
+        return FractionScalar(self.torsion * e, self.qexp * e)
+
+    def inverse(self):
+        return FractionScalar(-self.torsion, -self.qexp)
+
+    def is_one(self):
+        return self.torsion == 0 and self.qexp == 0
+
+    def order(self):
+        return None if self.qexp else self.torsion.denominator
+
+    def sort_key(self):
+        return (self.torsion.numerator, self.torsion.denominator, self.qexp)
+
+    def to_json(self):
+        return {"zeta": [self.torsion.numerator, self.torsion.denominator], "qexp": self.qexp}
+
+    def render(self, zeta_order=None):
+        t, e = self.torsion, self.qexp
+        if e == 0:
+            if t == 0:
+                return "1"
+            if t == Fraction(1, 2):
+                return "-1"
+            n = zeta_order if zeta_order is not None else t.denominator
+            k = t * n
+            if k.denominator != 1:
+                n = t.denominator
+                k = Fraction(t.numerator)
+            return f"z{n}^{int(k)}" if int(k) != 1 else f"z{n}"
+        qpart = "q" if e == 1 else f"q^{e}"
+        if t == 0:
+            return qpart
+        if t == Fraction(1, 2):
+            return f"-{qpart}"
+        return f"z{t.denominator}^{t.numerator}*{qpart}"
+
+
+def reference_m_value(qi, q):
+    """``m_value`` over the lcm of the torsion denominators."""
+    ti, t = qi.torsion, q.torsion
+    n = lcm(ti.denominator, t.denominator)
+    res = _m_rule(
+        n,
+        ti.numerator * (n // ti.denominator),
+        qi.qexp,
+        t.numerator * (n // t.denominator),
+        q.qexp,
+    )
+    return None if res is None else MValue(*res)
+
+
+def assert_same_scalar(s, ref):
+    assert (s.sort_key(), s.to_json(), s.order(), s.is_one()) == (
+        ref.sort_key(),
+        ref.to_json(),
+        ref.order(),
+        ref.is_one(),
+    )
+    assert Scalar.from_json(s.to_json()) == s
+    for zeta_order in (None, s.n * 6, s.n * 6 + 1):
+        assert s.render(zeta_order) == ref.render(zeta_order), (s, zeta_order)
+
+
+def test_integer_scalar_matches_fraction_reference():
+    rng = random.Random(2024)
+
+    def draw():
+        k, n = rng.randint(-60, 60), rng.randint(1, 36)
+        e = rng.randint(-5, 5) if rng.random() < 0.5 else 0
+        return Scalar(k, n, e), FractionScalar(Fraction(k, n), e)
+
+    for _ in range(3000):
+        (a, ra), (b, rb) = draw(), draw()
+        e = rng.randint(-9, 9)
+        assert_same_scalar(a, ra)
+        assert_same_scalar(a * b, ra * rb)
+        assert_same_scalar(a ** e, ra ** e)
+        assert_same_scalar(a.inverse(), ra.inverse())
+        assert m_value(a, b) == reference_m_value(ra, rb)
 
 
 @given(scalars, scalars, scalars)
@@ -104,7 +214,7 @@ def test_m_value_zero():
 
 def complex_value(s: Scalar) -> complex:
     assert s.qexp == 0
-    return cmath.exp(2j * cmath.pi * float(s.torsion))
+    return cmath.exp(2j * cmath.pi * s.k / s.n)
 
 
 def test_geometric_branch_against_complex_sums():
@@ -201,3 +311,16 @@ def test_json_round_trip():
     for s in [zeta(9, 6), Scalar.q_power(-3), Scalar.minus_one() * Scalar.q_power(2)]:
         assert Scalar.from_json(s.to_json()) == s
     assert zeta(9, 6).to_json() == {"zeta": [2, 3], "qexp": 0}
+
+
+def test_library_does_not_load_fractions():
+    # a fresh interpreter that imports the package under test, nothing else
+    root = str(Path(quiddity.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {root!r}); import quiddity, quiddity.cli; "
+        "print('fractions' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert proc.stdout.strip() == "False"
