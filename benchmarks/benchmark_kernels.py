@@ -126,11 +126,13 @@ def bench_subseqs(length, repeat):
 
 
 def bench_classify(n_max, repeat):
-    """Cold classification: the period decomposition caches are emptied first."""
+    """Cold classification: the per-level verdicts and the period
+    decomposition caches are emptied first."""
     from quiddity import affine
 
     best = float("inf")
     for _ in range(repeat):
+        affine._levels.clear()
         affine.decompose_affine.cache_clear()
         affine._block_ok.cache_clear()
         t0 = time.perf_counter()

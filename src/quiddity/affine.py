@@ -29,7 +29,7 @@ from .charseq import (
     SHAPE_CYCLE,
     Triple,
     _exponents,
-    _root_of_unity_triples,
+    _level_triples,
     _units,
     _walk,
     minimal_period,
@@ -338,107 +338,108 @@ def _instance_orbits(n_max: int) -> Iterator[tuple[str, tuple[int, str, Pattern]
             yield label, match, ((n, e1, e, e2), (n, e2, e, e1))
 
 
-def classify_mu(n_max: int, max_steps: int = 100000) -> ClassificationReport:
-    """Sweep all root-of-unity triples with exponents in (Z/n)^3 for
-    n <= n_max, keep the affine orbits, and match each one against the
-    classification table.
+@dataclass(frozen=True, slots=True)
+class _Level:
+    """One level's verdicts: its numbers of orbits, broken and non-affine
+    ones, and its affine orbits as (sorted members, period) by least member."""
 
-    One orbit of each Galois class is walked; the conjugate orbits, u
-    times it for the units u mod n, get its verdict without a walk (see
-    ``charseq._units``).  Each conjugate is still counted as an orbit of
-    its own, and an affine one gets its own ``ClassifiedOrbit``.
+    counts: tuple[int, int, int]
+    affine: tuple[tuple[tuple[tuple[int, int, int], ...], Pattern], ...]
 
-    A table instance whose orbit is broken or not affine is reported
-    missing.  Raises if an affine period ever fails the fifteen-pattern
-    condition (that would contradict the necessity direction and means a
-    bug or a counterexample).
-    """
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    # an orbit stays at the exact level of its start, so (n, e1, e, e2)
-    # names each triple once; it maps to the index of its affine orbit in
-    # ``found``, or to None
-    decided: dict[tuple[int, int, int, int], Optional[int]] = {}
-    # (least member, sorted triples, period) of each affine orbit
-    found: list[tuple[tuple[int, int, int, int], list[Triple], Pattern]] = []
-    checked = broken = non_affine = 0
-    for key in _root_of_unity_triples(n_max):
+
+#: ``_level``'s records by level n: a reflection orbit never leaves the
+#: exact level of its start, so the verdicts at n depend on n alone.
+_levels: dict[int, _Level] = {}
+
+
+def _level(n: int) -> _Level:
+    """Walk one reflection orbit of each Galois class of level n.  Raises
+    if an affine period fails the fifteen-pattern condition (that would
+    contradict the necessity direction: a bug or a counterexample)."""
+    decided: set[tuple[int, int, int]] = set()
+    affine = []
+    orbits = broken = non_affine = 0
+    for key in _level_triples(n):
         if key in decided:
             continue
-        n = key[0]
-        report = _walk(n, key[1:] + (0, 0, 0), max_steps)
-        if report.shape not in (SHAPE_BROKEN, SHAPE_CYCLE):
-            raise RuntimeError(
-                f"root-of-unity walk did not resolve: {Triple.from_exponents(*key)}"
-            )
+        report = _walk(n, key + (0, 0, 0), 2 * n**3)
         period = None  # set for an affine orbit
-        if report.shape == SHAPE_CYCLE:
-            candidate = minimal_period(report.window)
-            if decompose_affine(candidate) is not None:
-                if not cor15_check(candidate):
-                    raise RuntimeError(
-                        "affine period fails the fifteen-pattern condition: "
-                        f"{candidate} from {Triple.from_exponents(*key)}"
-                    )
-                period = candidate
+        if report.shape == SHAPE_CYCLE and decompose_affine(p := minimal_period(report.window)):
+            if not cor15_check(p):
+                raise RuntimeError(
+                    "affine period fails the fifteen-pattern condition: "
+                    f"{p} from {Triple.from_exponents(n, *key)}"
+                )
+            period = p
         # a unit u maps this orbit onto the orbit of u * key, with the same
         # window (see ``charseq._units``), so the verdict holds for every
-        # conjugate orbit; one whose first member is decided is done
+        # conjugate orbit, which still counts as an orbit of its own
         for u in _units(n):
-            members = [(n, u * s[0] % n, u * s[1] % n, u * s[2] % n) for s in report.orbit]
+            members = [(u * s[0] % n, u * s[1] % n, u * s[2] % n) for s in report.orbit]
             if members[0] in decided:
                 continue
-            checked += 1
-            index = None
+            decided.update(members)
+            orbits += 1
             if report.shape == SHAPE_BROKEN:
                 broken += 1
             elif period is None:
                 non_affine += 1
             else:
-                index = len(found)
-                triples = sorted(
-                    (Triple.from_exponents(*m) for m in members), key=Triple.sort_key
-                )
-                found.append((min(members), triples, period))
-            decided.update((m, index) for m in members)
+                affine.append((tuple(sorted(members)), period))
+    return _Level((orbits, broken, non_affine), tuple(sorted(affine)))
+
+
+def _levels_up_to(n_max: int) -> list[_Level]:
+    if n_max < 2:
+        raise ValueError("n_max must be >= 2")
+    for n in range(len(_levels) + 1, n_max + 1):
+        _levels[n] = _level(n)
+    return [_levels[n] for n in range(1, n_max + 1)]
+
+
+def classify_mu(n_max: int) -> ClassificationReport:
+    """Sweep all root-of-unity triples with exponents in (Z/n)^3 for
+    n <= n_max, keep the affine orbits, and match each one against the
+    classification table.
+
+    Every call folds the verdicts of levels 1..n_max, each built once
+    (``_level``), into a fresh report.  A table instance whose orbit is
+    broken or not affine is reported missing.
+    """
+    levels = _levels_up_to(n_max)
+    # (level, sorted members, period) of each affine orbit, in the order a
+    # sweep that walks every orbit meets them, and the orbit of each member
+    found = [(n, *orbit) for n, level in enumerate(levels, 1) for orbit in level.affine]
+    where = {(n, *m): i for i, (n, members, _) in enumerate(found) for m in members}
     # the first instance that lands in an orbit names its row
     expected: dict[int, tuple[int, str, Pattern]] = {}
     missing: list[str] = []
     for label, match, keys in _instance_orbits(n_max):
-        indices = [decided[k] for k in keys if decided[k] is not None]
+        indices = [where[k] for k in keys if k in where]
         for i in indices:
             expected.setdefault(i, match)
         if not indices:
             missing.append(label)
     orbits: list[ClassifiedOrbit] = []
-    unmatched: list[ClassifiedOrbit] = []
-    # in the order a sweep that walks every orbit meets them
-    for i in sorted(range(len(found)), key=lambda i: found[i][0]):
-        (level, *_), orbit, period = found[i]
+    for i, (level, members, period) in enumerate(found):
         match = expected.get(i)
         if match is not None and canonical_period_key(period) != canonical_period_key(match[2]):
             match = None
         co = ClassifiedOrbit(
             row_matched=match[0] if match else None,
-            diagrams=orbit,
+            diagrams=sorted(
+                (Triple.from_exponents(level, *m) for m in members), key=Triple.sort_key
+            ),
             parameter=match[1] if match else f"mu_{level}",
             period=period,
-            orbit_size=len(orbit),
+            orbit_size=len(members),
             level=level,
         )
         orbits.append(co)
-        if co.row_matched is None:
-            unmatched.append(co)
+    unmatched = [o for o in orbits if o.row_matched is None]
     orbits.sort(key=lambda o: (o.row_matched or 10_000, o.level, [t.sort_key() for t in o.diagrams]))
-    return ClassificationReport(
-        n_max=n_max,
-        orbits=orbits,
-        missing=missing,
-        unmatched=unmatched,
-        triples_checked=checked,
-        broken=broken,
-        non_affine=non_affine,
-    )
+    counts = map(sum, zip(*(level.counts for level in levels)))
+    return ClassificationReport(n_max, orbits, missing, unmatched, *counts)
 
 
 @dataclass
@@ -480,7 +481,7 @@ class GenericRowsReport:
         }
 
 
-def check_generic_rows(max_order: int = 48, max_steps: int = 10000) -> GenericRowsReport:
+def check_generic_rows(max_order: int = 48) -> GenericRowsReport:
     """Walk the three one-parameter families symbolically, then specialize
     q to every primitive k-th root for k up to ``max_order``.
 
@@ -496,8 +497,7 @@ def check_generic_rows(max_order: int = 48, max_steps: int = 10000) -> GenericRo
     specializations: list[SpecializationResult] = []
     violations: list[str] = []
     for rowno, param, maker, period, excluded in GENERIC_ROWS:
-        q = Scalar.q_power(1)
-        rep = walk(maker(q), max_steps=max_steps)
+        rep = walk(maker(Scalar.q_power(1)))  # an infinite state space: walk's budget
         dec = decompose_affine(rep.period) if rep.period else None
         rows[rowno] = {
             "parameter": param,
@@ -516,7 +516,7 @@ def check_generic_rows(max_order: int = 48, max_steps: int = 10000) -> GenericRo
             violations.append(f"row {rowno}: generic period not affine")
         target = canonical_period_key(period)
         for k in range(1, max_order + 1):
-            srep = walk(maker(Scalar.root_of_unity(k)), max_steps=max_steps)
+            srep = walk(t := maker(Scalar.root_of_unity(k)), max_steps=2 * t.level() ** 3)
             if srep.shape == SHAPE_BROKEN:
                 status = "broken"
             elif canonical_period_key(srep.period) == target:
@@ -558,11 +558,11 @@ class Cor15Report:
 
 
 def verify_cor15_on_classified(n_max: int) -> Cor15Report:
-    """Every affine period found by the sweep passes the fifteen-pattern
-    containment condition."""
-    report = classify_mu(n_max)
+    """Every affine period found by the sweep of ``classify_mu`` passes the
+    fifteen-pattern containment condition.  It reads the sweep's per-level
+    verdicts, so after ``classify_mu(n_max)`` it walks nothing."""
     periods = sorted(
-        {canonical_period_key(o.period) for o in report.orbits},
+        {canonical_period_key(p) for level in _levels_up_to(n_max) for _, p in level.affine},
         key=lambda p: (len(p), p),
     )
     failures = [p for p in periods if not cor15_check(p)]

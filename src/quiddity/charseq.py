@@ -77,20 +77,20 @@ class Triple:
         return self.render()
 
 
-def _root_of_unity_triples(n_max: int) -> Iterator[tuple[int, int, int, int]]:
-    """Exponents (n, e1, e, e2) of every triple of n-th roots of unity with
-    n <= n_max, once each.
+def _level_triples(n: int) -> Iterator[tuple[int, int, int]]:
+    """Exponents (e1, e, e2) in (Z/n)^3 with gcd(n, e1, e, e2) == 1, i.e. of
+    every triple of exact level n, lexicographically: J_3(n) of them."""
+    for e1 in range(n):
+        for e in range(n):
+            for e2 in range(n):
+                if gcd(n, e1, e, e2) == 1:
+                    yield e1, e, e2
 
-    A triple is yielded at its exact level n >= 1, i.e. with exponents
-    (e1, e, e2) in (Z/n)^3 and gcd(n, e1, e, e2) == 1, by increasing n and
-    then lexicographically; level n holds Jordan's totient J_3(n) triples.
-    """
-    for n in range(1, n_max + 1):
-        for e1 in range(n):
-            for e in range(n):
-                for e2 in range(n):
-                    if gcd(n, e1, e, e2) == 1:
-                        yield n, e1, e, e2
+
+def _root_of_unity_triples(n_max: int) -> Iterator[tuple[int, int, int, int]]:
+    """Exponents (n, e1, e, e2) of every triple of exact level n <= n_max,
+    once each, by increasing n (see ``_level_triples``)."""
+    return ((n, *e) for n in range(1, n_max + 1) for e in _level_triples(n))
 
 
 @lru_cache(maxsize=256)
@@ -257,7 +257,8 @@ def _walk(n: int, start: _State, max_steps: int) -> CharSeqReport:
     """The walk of ``walk`` on integer states at level n; the report's
     ``orbit`` lists walk states, not ``Triple``s, and its ``period`` is
     left empty: a caller that reads it takes ``minimal_period`` of the
-    window of a resolved walk."""
+    window of a resolved walk.  A root-of-unity walk has at most 2n^3
+    (state, side) pairs, so ``max_steps`` = 2n^3 always resolves it."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     seen: dict[tuple[_State, bool], int] = {}
@@ -416,9 +417,7 @@ def _window_matches(report: CharSeqReport, window: Pattern) -> list[tuple[int, t
     return out
 
 
-def solve_triples(
-    window: Iterable[int], modulus_bound: int, max_steps: int = 10000
-) -> SolveReport:
+def solve_triples(window: Iterable[int], modulus_bound: int) -> SolveReport:
     """Exhaustive reconstruction: all root-of-unity triples with exponents
     in (Z/n)^3 for n <= modulus_bound whose characteristic sequence
     contains the window at some alignment.
@@ -441,8 +440,8 @@ def solve_triples(
         conjugates = [(u * e1 % n, u * e % n, u * e2 % n) for u in _units(n)]
         if min(conjugates) != conjugates[0]:
             continue
-        report = _walk(n, (e1, e, e2, 0, 0, 0), max_steps)
-        if report.shape != SHAPE_CYCLE:
+        report = _walk(n, (e1, e, e2, 0, 0, 0), 2 * n**3)
+        if report.shape != SHAPE_CYCLE:  # broken
             continue
         hits = _window_matches(report, target)
         if hits:

@@ -63,14 +63,15 @@ def _load_pair(source: str) -> CoverPair:
 
 
 def _triple_from_args(args) -> tuple[Triple, int | None]:
-    if args.triple:
-        parts = [p.strip() for p in args.triple.split(",")]
-        if len(parts) != 3:
-            raise ValueError("--triple needs three comma-separated scalars")
-        return Triple(*(parse_scalar(p) for p in parts)), None
-    if args.zeta is None or args.q1 is None or args.q is None or args.q2 is None:
+    exponents = (args.zeta, args.q1, args.q, args.q2)
+    if exponents.count(None) != (4 if args.triple else 0):
         raise ValueError("give either --triple or all of --zeta/--q1/--q/--q2")
-    return Triple.from_exponents(args.zeta, args.q1, args.q, args.q2), args.zeta
+    if not args.triple:
+        return Triple.from_exponents(*exponents), args.zeta
+    parts = [p.strip() for p in args.triple.split(",")]
+    if len(parts) != 3:
+        raise ValueError("--triple needs three comma-separated scalars")
+    return Triple(*(parse_scalar(p) for p in parts)), None
 
 
 def cmd_enumerate(args) -> int:

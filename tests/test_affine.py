@@ -308,6 +308,7 @@ def test_classify_rejects_tiny_bound():
 
 
 def test_decomposition_caches_are_bounded_and_keep_a_sweep():
+    affine._levels.clear()
     for cached in (affine.decompose_affine, affine._block_ok):
         cached.cache_clear()
     classify_mu(18)
@@ -315,6 +316,45 @@ def test_decomposition_caches_are_bounded_and_keep_a_sweep():
         info = cached.cache_info()
         assert info.maxsize is not None
         assert 0 < info.misses == info.currsize < info.maxsize
+
+
+def _cor15_periods(report):
+    periods = {canonical_period_key(o.period) for o in report.orbits}
+    return sorted(periods, key=lambda p: (len(p), p))
+
+
+def test_classify_with_warm_levels_matches_a_cold_sweep():
+    # cold runs of both calls, each one first, then every smaller bound
+    # read from the levels a classification to 24 left behind
+    cold = {}
+    for k in range(2, 25):
+        affine._levels.clear()
+        cold[k] = classify_mu(k)
+        assert verify_cor15_on_classified(k).periods == _cor15_periods(cold[k])
+        affine._levels.clear()
+        assert verify_cor15_on_classified(k).periods == _cor15_periods(cold[k])
+        assert classify_mu(k).to_json() == cold[k].to_json()
+    affine._levels.clear()
+    assert classify_mu(24).to_json() == cold[24].to_json()
+    for k in range(2, 24):
+        assert classify_mu(k).to_json() == cold[k].to_json()
+
+
+def test_verify_cor15_after_classify_walks_nothing(monkeypatch):
+    classify_mu(18)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _walk(*args)
+
+    monkeypatch.setattr(affine, "_walk", counted)
+    report = verify_cor15_on_classified(18)
+    assert calls == []
+    assert report.ok and report.periods == _cor15_periods(classify_mu(18))
+    affine._levels.clear()
+    verify_cor15_on_classified(6)
+    assert calls  # a cleared memo walks again
 
 
 # ---------------------------------------------------------------------------

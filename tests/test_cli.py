@@ -1,5 +1,6 @@
 """Command-line interface: dispatch, exit codes, JSON and determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -117,6 +118,21 @@ def test_charseq_needs_arguments(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--triple", "q,q,q", "--zeta", "4", "--q1", "1", "--q", "2", "--q2", "3"],
+        ["--triple", "q,q,q", "--zeta", "4"],
+        ["--triple", "q,q,q", "--q2", "0"],
+    ],
+    ids=["all_exponents", "zeta", "q2"],
+)
+def test_charseq_triple_with_exponents_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, "charseq", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_solve(capsys):
     code, out, _ = run(capsys, "solve", "--window", "2,2,5", "--bound", "9")
     assert code == 0
@@ -222,3 +238,29 @@ def test_verify_cover_malformed_pair_file(tmp_path, capsys, text):
     code, out, err = run(capsys, "verify-cover", "--pair", str(path), "--max", "6")
     assert code == 2
     assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["classify", "--nmax", "24", "--json"],
+            "815f163ebbd3cec9297b7a9ae8b9ca67f04e0e29b9d40da5a0f75d323be719fb",
+        ),
+        (
+            ["verify-cor15", "--nmax", "24", "--json"],
+            "9007e80ce0f3213c06cf150a650819198c6eaa787d6c98f812228715a60eeaef",
+        ),
+        (
+            ["solve", "--window", "2,2,5", "--bound", "12", "--json"],
+            "481703d5a39681114556fa60071da02bfdb42834809b9f25659b5e33cde62092",
+        ),
+        (["generic", "--json"], "a56d29539dbdcb1daeb2fa0ca973ae178211b799b2a58d7040e8d8cf8f2b4db5"),
+    ],
+    ids=["classify", "verify-cor15", "solve", "generic"],
+)
+def test_json_output_is_pinned(capsys, argv, digest):
+    # the sha256 of stdout: a refactor of the sweeps must not change a byte
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
