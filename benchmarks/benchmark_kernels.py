@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
 """Time the kernels and the pipelines built on them.
 
-Ten workloads: the dihedral canonical form on random words (micro),
+Eleven workloads: the dihedral canonical form on random words (micro),
 one ``next_level`` step into a length from the warm level below it
 (kernel), ``m_value`` on 2,000 seeded pairs of roots of unity (kernel),
 enumeration of all quiddity classes up to that length (macro), two cover verifications over that enumeration (macro) -- the
 27-pattern ``cor12`` pair and the 651-pattern pair of three refinement
 steps from ``builtin:base`` -- the interior-subsequence theorem
-``verify_thm_subseqs`` to the same length (pipeline), and two sweeps
-over root-of-unity triples with n up to that length (pipelines): the
-affine classification ``classify_mu`` and the reconstruction
-``solve_triples`` of the window (2,2,5), and the check of the three
-one-parameter rows ``check_generic_rows`` at its default order 48
-(pipeline).
+``verify_thm_subseqs`` to the same length (pipeline), the affine
+classification ``classify_mu`` with n up to that length and the
+reconstruction ``solve_triples`` of the window (2,2,5) to the same bound,
+both cold (pipelines), ``solve_triples`` again over the sweep records the
+classification left (pipeline), and the check of the three one-parameter
+rows ``check_generic_rows`` at its default order 48 (pipeline).
 
 ``verify_cover`` and ``verify_thm_subseqs`` look cyclic windows up in
 tables of patterns and call no kernel; they reuse the levels that the
@@ -126,12 +126,13 @@ def bench_subseqs(length, repeat):
 
 
 def bench_classify(n_max, repeat):
-    """Cold classification: the per-level verdicts and the period
-    decomposition caches are emptied first."""
-    from quiddity import affine
+    """Cold classification: the per-level sweep records, the verdicts drawn
+    from them and the period decomposition caches are emptied first."""
+    from quiddity import affine, charseq
 
     best = float("inf")
     for _ in range(repeat):
+        charseq._sweeps.clear()
         affine._levels.clear()
         affine.decompose_affine.cache_clear()
         affine._block_ok.cache_clear()
@@ -143,12 +144,29 @@ def bench_classify(n_max, repeat):
 
 
 def bench_solve(bound, repeat):
-    from quiddity.charseq import solve_triples
+    """Cold reconstruction: the per-level sweep records it shares with
+    ``classify_mu`` are emptied first."""
+    from quiddity import charseq
 
     best = float("inf")
     for _ in range(repeat):
+        charseq._sweeps.clear()
         t0 = time.perf_counter()
-        solve_triples((2, 2, 5), bound)
+        charseq.solve_triples((2, 2, 5), bound)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def bench_solve_after_classify(bound, repeat):
+    """Reconstruction over the sweep records left by an untimed
+    classification to the same bound."""
+    from quiddity import charseq, classify_mu
+
+    classify_mu(bound)
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        charseq.solve_triples((2, 2, 5), bound)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -197,6 +215,9 @@ def main(argv=None):
         f"verify_thm_subseqs({args.length})": bench_subseqs(args.length, args.repeat),
         f"classify_mu({args.length})": bench_classify(args.length, args.repeat),
         f"solve_triples((2,2,5), {args.length})": bench_solve(args.length, args.repeat),
+        f"solve_triples((2,2,5), {args.length}) after classify_mu({args.length})": (
+            bench_solve_after_classify(args.length, args.repeat)
+        ),
         "check_generic_rows(48)": bench_generic_rows(48, args.repeat),
     }
 

@@ -7,12 +7,12 @@ decides this by backtracking over junction positions and splits; the
 entry-sum identity of quiddity cycles forces the number of junctions per
 window to be exactly 3*len - sum, which prunes the search to triviality.
 
-``classify_mu`` sweeps all root-of-unity triples up to a torsion bound,
-walks one reflection orbit of each Galois class at each level (the
-conjugates zeta -> zeta^u share its verdict), keeps the affine orbits and
-matches them against the built-in classification table (eleven
-root-of-unity rows plus three one-parameter families checked by
-specialization).
+``classify_mu`` reads the level records of the root-of-unity sweep in
+``charseq`` (one walk per Galois class of reflection orbits, from its
+Galois-least key), derives per level which classes are affine (the
+conjugates zeta -> zeta^u share a verdict), and matches the affine orbits
+against the built-in classification table (eleven root-of-unity rows
+plus three one-parameter families checked by specialization).
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ from . import kernels
 from .charseq import (
     SHAPE_BROKEN,
     SHAPE_CHAIN,
-    SHAPE_CYCLE,
     Triple,
     _exponents,
-    _level_triples,
+    _first_steps,
+    _Sweep,
+    _swept,
     _units,
-    _walk,
     minimal_period,
     walk,
 )
@@ -347,53 +347,51 @@ class _Level:
     affine: tuple[tuple[tuple[tuple[int, int, int], ...], Pattern], ...]
 
 
-#: ``_level``'s records by level n: a reflection orbit never leaves the
-#: exact level of its start, so the verdicts at n depend on n alone.
+#: ``_level``'s records by level n, derived from ``charseq._sweeps``.
 _levels: dict[int, _Level] = {}
 
 
-def _level(n: int) -> _Level:
-    """Walk one reflection orbit of each Galois class of level n.  Raises
-    if an affine period fails the fifteen-pattern condition (that would
-    contradict the necessity direction: a bug or a counterexample)."""
-    decided: set[tuple[int, int, int]] = set()
+def _level(n: int, sweep: _Sweep) -> _Level:
+    """The verdicts of level n from its sweep record: an orbit class is
+    affine when the period of its window is, and then every one of its
+    orbits u * O is listed (see ``charseq._units``).  Raises if an affine
+    period fails the fifteen-pattern condition (that would contradict the
+    necessity direction: a bug or a counterexample)."""
     affine = []
-    orbits = broken = non_affine = 0
-    for key in _level_triples(n):
-        if key in decided:
+    periodic = non_affine = 0
+    periods: dict[bytes, Optional[Pattern]] = {}  # by window: the affine period, or None
+    for key, orbits, window, _ in sweep.periodic():
+        periodic += orbits
+        if window not in periods:
+            # affine-ness is a property of the cyclic period up to rotation
+            # and reversal, so the cache keeps one entry per such class
+            decomposed = decompose_affine(canonical_period_key(window))
+            periods[window] = minimal_period(window) if decomposed else None
+        p = periods[window]
+        if p is None:
+            non_affine += orbits
             continue
-        report = _walk(n, key + (0, 0, 0), 2 * n**3)
-        period = None  # set for an affine orbit
-        if report.shape == SHAPE_CYCLE and decompose_affine(p := minimal_period(report.window)):
-            if not cor15_check(p):
-                raise RuntimeError(
-                    "affine period fails the fifteen-pattern condition: "
-                    f"{p} from {Triple.from_exponents(n, *key)}"
-                )
-            period = p
-        # a unit u maps this orbit onto the orbit of u * key, with the same
-        # window (see ``charseq._units``), so the verdict holds for every
-        # conjugate orbit, which still counts as an orbit of its own
-        for u in _units(n):
-            members = [(u * s[0] % n, u * s[1] % n, u * s[2] % n) for s in report.orbit]
-            if members[0] in decided:
-                continue
-            decided.update(members)
-            orbits += 1
-            if report.shape == SHAPE_BROKEN:
-                broken += 1
-            elif period is None:
-                non_affine += 1
-            else:
-                affine.append((tuple(sorted(members)), period))
-    return _Level((orbits, broken, non_affine), tuple(sorted(affine)))
+        if not cor15_check(p):
+            raise RuntimeError(
+                "affine period fails the fifteen-pattern condition: "
+                f"{p} from {Triple.from_exponents(n, *key)}"
+            )
+        members = list(_first_steps(n, key, window))
+        conjugates = {
+            tuple(sorted((u * s[0] % n, u * s[1] % n, u * s[2] % n) for s in members))
+            for u in _units(n)
+        }
+        affine += ((c, p) for c in conjugates)
+    counts = (sweep.broken + periodic, sweep.broken, non_affine)
+    return _Level(counts, tuple(sorted(affine)))
 
 
 def _levels_up_to(n_max: int) -> list[_Level]:
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
+    sweeps = _swept(n_max)
     for n in range(len(_levels) + 1, n_max + 1):
-        _levels[n] = _level(n)
+        _levels[n] = _level(n, sweeps[n - 1])
     return [_levels[n] for n in range(1, n_max + 1)]
 
 
@@ -402,9 +400,10 @@ def classify_mu(n_max: int) -> ClassificationReport:
     n <= n_max, keep the affine orbits, and match each one against the
     classification table.
 
-    Every call folds the verdicts of levels 1..n_max, each built once
-    (``_level``), into a fresh report.  A table instance whose orbit is
-    broken or not affine is reported missing.
+    Every call folds the verdicts of levels 1..n_max, each drawn once
+    from the level's sweep record (``_level``), into a fresh report.  A
+    table instance whose orbit is broken or not affine is reported
+    missing.
     """
     levels = _levels_up_to(n_max)
     # (level, sorted members, period) of each affine orbit, in the order a

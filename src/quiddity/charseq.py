@@ -9,13 +9,18 @@ state space is finite and the walk is reversible, so the sequence is
 purely periodic unless some m-value is undefined (a broken triple).
 
 ``sigma1``/``sigma2`` act on ``Scalar`` triples one step at a time.  The
-walk and the sweeps over root-of-unity triples run on integer exponents
+walk and the sweep over root-of-unity triples run on integer exponents
 instead (``_walk``): ``Triple``s are built only for what they return.
 
 A unit u mod n acts on the triples of level n by zeta -> zeta^u, i.e. by
 multiplying all three exponents by u.  The walk commutes with this
-action, so the sweeps walk one triple of each Galois class (the classes
-have phi(n) members each) and hand the result to its conjugates.
+action (see ``_units``), and the action is free, so each Galois class
+has phi(n) members and one least member, its key.  ``_galois_keys``
+yields the keys of a level and ``_galois_nf`` maps any triple to its key.
+``_sweep`` walks each level once, from the keys that no earlier orbit has
+met, and keeps a packed record per level (``_sweeps``): per Galois class
+of periodic orbits, its key, its number of orbits, its window and ends.
+``solve_triples`` and ``affine.classify_mu`` both read those records.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional
 
-from .cycles import Pattern
+from .cycles import Pattern, as_pattern
 from .scalars import Scalar, _m_rule, m_value
 
 
@@ -77,34 +82,68 @@ class Triple:
         return self.render()
 
 
-def _level_triples(n: int) -> Iterator[tuple[int, int, int]]:
-    """Exponents (e1, e, e2) in (Z/n)^3 with gcd(n, e1, e, e2) == 1, i.e. of
-    every triple of exact level n, lexicographically: J_3(n) of them."""
-    for e1 in range(n):
-        for e in range(n):
-            for e2 in range(n):
-                if gcd(n, e1, e, e2) == 1:
-                    yield e1, e, e2
-
-
-def _root_of_unity_triples(n_max: int) -> Iterator[tuple[int, int, int, int]]:
-    """Exponents (n, e1, e, e2) of every triple of exact level n <= n_max,
-    once each, by increasing n (see ``_level_triples``)."""
-    return ((n, *e) for n in range(1, n_max + 1) for e in _level_triples(n))
-
-
 @lru_cache(maxsize=256)
 def _units(n: int) -> tuple[int, ...]:
     """The units of Z/n in [1, n), or (1,) for n = 1; u = 1 comes first.
 
-    The sweeps rely on this: the walk from u*s has the shape, window, ends
-    and window origin of the walk from s, and its orbit is u times that
-    orbit, member by member.  Proof: ``_m_rule`` reads (ai, a) only
-    through gcd(ai, n) and the solutions of ai*m = -a (mod n), which a
-    unit keeps, so every step records the same m; and each reflection is
-    linear in the exponents, so it commutes with the multiplication by u.
+    The sweep and the reconstruction rely on this: the walk from u*s has
+    the shape, window, ends and window origin of the walk from s, and its
+    orbit is u times that orbit, member by member.  Proof: ``_m_rule``
+    reads (ai, a) only through gcd(ai, n) and the solutions of
+    ai*m = -a (mod n), which a unit keeps, so every step records the same
+    m; and each reflection is linear in the exponents, so it commutes with
+    the multiplication by u.
     """
     return tuple(u for u in range(1, max(n, 2)) if gcd(u, n) == 1)
+
+
+# ---------------------------------------------------------------------------
+# Galois-least keys
+#
+# The units act freely on the triples of exact level n: u*s = s forces
+# u = 1 when gcd(n, s) = 1.  So a Galois class has phi(n) members, and its
+# lexicographically least one (its key) is found one coordinate at a time
+# along the subgroups H_m = {u : u = 1 mod m}, m | n.  H_1 holds every unit,
+# and the stabilizer of a value x inside H_m is H_lcm(m, n/gcd(x, n)):
+#   e1 -> gcd(e1, n) (0 for e1 = 0) under H_1,
+#   e  -> its least value under the stabilizer H_m of that first entry,
+#   e2 -> its least value under the stabilizer of the first two.
+
+#: One row per divisor m of n: entry x holds (the least of x*H_m mod n, a
+#: unit of H_m that reaches it, the modulus of its stabilizer in H_m).
+_GaloisTable = dict[int, tuple[tuple[int, int, int], ...]]
+
+
+def _galois_table(n: int) -> _GaloisTable:
+    """The tau(n) rows of n entries each that ``_galois_keys`` and
+    ``_galois_nf`` read."""
+    table = {}
+    for m in (m for m in range(1, n + 1) if n % m == 0):
+        h = [u for u in _units(n) if (u - 1) % m == 0]
+        least = (min((x * u % n, u) for u in h) for x in range(n))
+        table[m] = tuple((y, u, lcm(m, n // gcd(y, n))) for y, u in least)
+    return table
+
+
+def _galois_nf(n: int, table: _GaloisTable, s) -> tuple[int, int, int]:
+    """The key of the Galois class of the triple (s[0], s[1], s[2]) of
+    level n, in three table lookups."""
+    a, u, m = table[1][s[0]]
+    b, v, m = table[m][s[1] * u % n]
+    return a, b, table[m][s[2] * u * v % n][0]
+
+
+def _galois_keys(n: int, table: _GaloisTable) -> Iterator[tuple[int, int, int]]:
+    """The key of every Galois class of the triples of exact level n, in
+    lexicographic order: J_3(n)/phi(n) of them."""
+    fixed = {m: [x for x, entry in enumerate(row) if entry[0] == x] for m, row in table.items()}
+    for a in fixed[1]:
+        ga, m1 = gcd(a, n), table[1][a][2]
+        for b in fixed[m1]:
+            gab, m2 = gcd(ga, b), table[m1][b][2]
+            for c in fixed[m2]:
+                if gab == 1 or gcd(gab, c) == 1:
+                    yield a, b, c
 
 
 def sigma1(t: Triple) -> Optional[tuple[Triple, int]]:
@@ -231,26 +270,27 @@ def _triple(n: int, s: _State) -> Triple:
     )
 
 
-def _reflect(n: int, s: _State, left: bool) -> Optional[tuple[_State, int]]:
-    """``sigma1`` (``left``) or ``sigma2`` on a walk state at level n."""
+def _reflected(n: int, s: _State, left: bool, m: int) -> _State:
+    """The image of a walk state at level n under the left (``left``) or
+    right reflection whose m-value is m."""
     x1, x, x2, y1, y, y2 = s
     if left:
-        mv = _m_rule(n, x1, y1, x, y)
-        if mv is None:
-            return None
-        m = mv[0]
         return (
             x1, (-2 * m * x1 - x) % n, (m * m * x1 + m * x + x2) % n,
             y1, -2 * m * y1 - y, m * m * y1 + m * y + y2,
-        ), m
-    mv = _m_rule(n, x2, y2, x, y)
-    if mv is None:
-        return None
-    m = mv[0]
+        )
     return (
         (x1 + m * x + m * m * x2) % n, (-2 * m * x2 - x) % n, x2,
         y1 + m * y + m * m * y2, -2 * m * y2 - y, y2,
-    ), m
+    )
+
+
+def _reflect(n: int, s: _State, left: bool) -> Optional[tuple[_State, int]]:
+    """``sigma1`` (``left``) or ``sigma2`` on a walk state at level n."""
+    mv = _m_rule(n, s[0], s[3], s[1], s[4]) if left else _m_rule(n, s[2], s[5], s[1], s[4])
+    if mv is None:
+        return None
+    return _reflected(n, s, left, mv[0]), mv[0]
 
 
 def _walk(n: int, start: _State, max_steps: int) -> CharSeqReport:
@@ -359,6 +399,97 @@ def walk(start: Triple, max_steps: int = 10000) -> CharSeqReport:
     return report
 
 
+# ---------------------------------------------------------------------------
+# one sweep per level
+
+
+#: A Galois class of periodic reflection orbits at one level: its key (the
+#: Galois-least triple the sweep walked), its number of distinct orbits
+#: u * O, the m-values of one state period of the walk from the key (their
+#: number is the state period) and the end positions of that walk.
+_OrbitClass = tuple[tuple[int, int, int], int, bytes, tuple[int, ...]]
+
+
+@dataclass(frozen=True, slots=True)
+class _Sweep:
+    """One level's walks: its number of broken reflection orbits, and its
+    Galois classes of periodic ones by increasing key, packed.
+
+    ``classes`` holds four bytes per class, the key (e1, e, e2) and the
+    number of orbits; ``windows`` and ``ends`` hold the rest, one entry per
+    class.  A key entry, an m-value and phi(n) at level n are all below n,
+    so levels up to 256 fit bytes.
+    """
+
+    broken: int
+    classes: bytes
+    windows: tuple[bytes, ...]
+    ends: tuple[tuple[int, ...], ...]
+
+    def periodic(self) -> Iterator[_OrbitClass]:
+        for i, (window, ends) in enumerate(zip(self.windows, self.ends)):
+            e1, e, e2, orbits = self.classes[4 * i : 4 * i + 4]
+            yield (e1, e, e2), orbits, window, ends
+
+
+#: ``_sweep``'s records by level n: a reflection orbit never leaves the
+#: exact level of its start, so the record of n depends on n alone.
+_sweeps: dict[int, _Sweep] = {}
+
+
+def _sweep(n: int) -> _Sweep:
+    """Walk one reflection orbit of each Galois class of orbits at level n.
+
+    Keys come by increasing order, and one is walked unless an orbit walked
+    before met its Galois class: the walks of a sweep over every triple
+    that skips the members of every orbit it has seen and of their
+    conjugates.  A unit u maps the orbit O walked from a key onto the
+    orbit of u * key (see ``_units``), so only the classes of O's own
+    members are marked, and the class holds phi(n) / #{members of O in the
+    key's class} distinct orbits.
+    """
+    table = _galois_table(n)
+    phi = len(_units(n))
+    decided: set[tuple[int, int, int]] = set()
+    broken = 0
+    classes, windows, ends = bytearray(), [], []
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one copy of equal ends
+    for key in _galois_keys(n, table):
+        if key in decided:
+            continue
+        report = _walk(n, key + (0, 0, 0), 2 * n**3)
+        met = [_galois_nf(n, table, s) for s in report.orbit]  # one key per member
+        decided.update(met)
+        orbits = phi // met.count(key)
+        if report.shape == SHAPE_BROKEN:
+            broken += orbits
+        else:
+            classes += bytes((*key, orbits))
+            windows.append(bytes(report.window))
+            at = tuple(report.ends)
+            ends.append(shared.setdefault(at, at))
+    return _Sweep(broken, bytes(classes), tuple(windows), tuple(ends))
+
+
+def _swept(n_max: int) -> list[_Sweep]:
+    """The records of levels 1..n_max, sweeping the levels not yet swept."""
+    for n in range(len(_sweeps) + 1, n_max + 1):
+        _sweeps[n] = _sweep(n)
+    return [_sweeps[n] for n in range(1, n_max + 1)]
+
+
+def _first_steps(n: int, key: tuple[int, int, int], window: bytes) -> dict[tuple[int, int, int], int]:
+    """The members of the orbit walked from ``key``, whose m-values are
+    ``window``, in visit order, each with the step at which that walk first
+    meets it.  It replays the m-values through ``_reflected``: no m-rule,
+    no walk."""
+    s, steps = key + (0, 0, 0), {}
+    for j, m in enumerate(window):
+        steps.setdefault(s[:3], j)
+        s = _reflected(n, s, j % 2 == 0, m)
+    return steps
+
+
 @dataclass(frozen=True, slots=True)
 class SolveMatch:
     """One alignment of the searched window inside a triple's sequence."""
@@ -398,22 +529,17 @@ class SolveReport:
         }
 
 
-def _window_matches(report: CharSeqReport, window: Pattern) -> list[tuple[int, tuple[int, ...]]]:
-    """Alignments of ``window`` in the bi-infinite periodic sequence."""
-    w = report.window
-    length = report.state_period or len(w)
-    if length == 0:
-        return []
-    k = len(window)
-    reps = -(-(length + k - 1) // length)  # ceil
-    tiled = tuple(w) * reps
-    ends = report.end_offsets()
+def _hits(window: bytes, target: bytes, ends: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """Offsets o < len(window) from which the periodic sequence with one
+    period ``window`` reads ``target``, each with the target positions that
+    sit on ``ends``."""
+    length, k = len(window), len(target)
+    tiled = window * -(-(length + k - 1) // length)
     out = []
-    target = tuple(window)
-    for off in range(length):
-        if tiled[off : off + k] == target:
-            end_offsets = tuple(j for j in range(k) if (off + j) % length in ends)
-            out.append((off, end_offsets))
+    o = tiled.find(target)
+    while 0 <= o < length:
+        out.append((o, tuple(i for i in range(k) if (o + i) % length in ends)))
+        o = tiled.find(target, o + 1)
     return out
 
 
@@ -426,28 +552,47 @@ def solve_triples(window: Iterable[int], modulus_bound: int) -> SolveReport:
     matches place ends at different window positions, the result is
     flagged ambiguous.
 
-    Only the least triple of each Galois class is walked: its conjugates
-    have the same sequence and ends (see ``_units``), hence the same
-    alignments and end offsets.
+    It reads the level records of ``_swept``, shared with
+    ``affine.classify_mu``, and matches the window once per orbit class,
+    forwards and reversed, against the window of the walk from its key.
+    The walk from a member first met at step j reads that window from j on
+    when j is even, with ends e - j; when j is odd it reads it backwards
+    from j - 1, c_(j-1-i), with ends j - 1 - e (the reflections are
+    involutions).  Each unit conjugate of a member has the same hits (see
+    ``_units``).
     """
-    target = tuple(window)
+    target = as_pattern(window)
     if len(target) < 3:
         raise ValueError("window must have length >= 3")
     if modulus_bound < 1:
         raise ValueError("modulus_bound must be >= 1")
+    if max(target) > 255:
+        # an m-value at level n is below n, and the records hold levels up
+        # to 256: no sequence they hold has such an entry
+        return SolveReport(window=target, bound=modulus_bound, matches=[], triples=[], ambiguous=False)
+    k, pattern, reversed_pattern = len(target), bytes(target), bytes(target[::-1])
     matches: list[SolveMatch] = []
-    for n, e1, e, e2 in _root_of_unity_triples(modulus_bound):
-        conjugates = [(u * e1 % n, u * e % n, u * e2 % n) for u in _units(n)]
-        if min(conjugates) != conjugates[0]:
-            continue
-        report = _walk(n, (e1, e, e2, 0, 0, 0), 2 * n**3)
-        if report.shape != SHAPE_CYCLE:  # broken
-            continue
-        hits = _window_matches(report, target)
-        if hits:
-            for c in conjugates:
-                t = Triple.from_exponents(n, *c)
-                matches.extend(SolveMatch(t, off, end_offsets) for off, end_offsets in hits)
+    for n, level in enumerate(_swept(modulus_bound), 1):
+        found: dict[tuple[int, int, int], list[tuple[int, tuple[int, ...]]]] = {}
+        for key, _, w, ends in level.periodic():
+            forward = _hits(w, pattern, ends)
+            backward = [
+                (r, tuple(k - 1 - i for i in reversed(on_ends)))
+                for r, on_ends in _hits(w, reversed_pattern, ends)
+            ]
+            if not forward and not backward:
+                continue
+            for (x1, x, x2), j in _first_steps(n, key, w).items():
+                if j % 2 == 0:
+                    hits = [((o - j) % len(w), e) for o, e in forward]
+                else:
+                    hits = [((j - k - r) % len(w), e) for r, e in backward]
+                if hits:
+                    for u in _units(n):
+                        found[u * x1 % n, u * x % n, u * x2 % n] = hits
+        for exponents, hits in found.items():
+            t = Triple.from_exponents(n, *exponents)
+            matches.extend(SolveMatch(t, off, end_offsets) for off, end_offsets in hits)
     matches.sort(key=lambda m: (m.triple.sort_key(), m.offset))
     triples = list(dict.fromkeys(m.triple for m in matches))
     ambiguous = len({m.end_offsets for m in matches}) > 1

@@ -35,7 +35,9 @@ from quiddity import (
     walk,
 )
 from quiddity.affine import canonical_period_key
-from quiddity.charseq import SHAPE_CYCLE, _root_of_unity_triples
+from quiddity.charseq import SHAPE_CYCLE
+
+from brute_triples import root_of_unity_triples as _root_of_unity_triples
 
 
 class Criterion:

@@ -20,7 +20,7 @@ from quiddity import (
     verify_cor15_on_classified,
     walk,
 )
-from quiddity import affine, cli
+from quiddity import affine, charseq, cli
 from quiddity.affine import (
     ClassificationReport,
     ClassifiedOrbit,
@@ -28,7 +28,9 @@ from quiddity.affine import (
     _instance_orbits,
     canonical_period_key,
 )
-from quiddity.charseq import SHAPE_BROKEN, SHAPE_CYCLE, _root_of_unity_triples, _walk
+from quiddity.charseq import SHAPE_BROKEN, SHAPE_CYCLE, _walk
+
+from brute_triples import root_of_unity_triples as _root_of_unity_triples
 
 
 def mu(n, e1, e, e2):
@@ -307,8 +309,14 @@ def test_classify_rejects_tiny_bound():
         classify_mu(1)
 
 
-def test_decomposition_caches_are_bounded_and_keep_a_sweep():
+def _clear_records():
+    """Forget the sweep records and the verdicts drawn from them."""
     affine._levels.clear()
+    charseq._sweeps.clear()
+
+
+def test_decomposition_caches_are_bounded_and_keep_a_sweep():
+    _clear_records()
     for cached in (affine.decompose_affine, affine._block_ok):
         cached.cache_clear()
     classify_mu(18)
@@ -328,13 +336,13 @@ def test_classify_with_warm_levels_matches_a_cold_sweep():
     # read from the levels a classification to 24 left behind
     cold = {}
     for k in range(2, 25):
-        affine._levels.clear()
+        _clear_records()
         cold[k] = classify_mu(k)
         assert verify_cor15_on_classified(k).periods == _cor15_periods(cold[k])
-        affine._levels.clear()
+        _clear_records()
         assert verify_cor15_on_classified(k).periods == _cor15_periods(cold[k])
         assert classify_mu(k).to_json() == cold[k].to_json()
-    affine._levels.clear()
+    _clear_records()
     assert classify_mu(24).to_json() == cold[24].to_json()
     for k in range(2, 24):
         assert classify_mu(k).to_json() == cold[k].to_json()
@@ -348,11 +356,11 @@ def test_verify_cor15_after_classify_walks_nothing(monkeypatch):
         calls.append(args)
         return _walk(*args)
 
-    monkeypatch.setattr(affine, "_walk", counted)
+    monkeypatch.setattr(charseq, "_walk", counted)
     report = verify_cor15_on_classified(18)
     assert calls == []
     assert report.ok and report.periods == _cor15_periods(classify_mu(18))
-    affine._levels.clear()
+    _clear_records()
     verify_cor15_on_classified(6)
     assert calls  # a cleared memo walks again
 

@@ -1,10 +1,12 @@
 """Smoke test of the kernel and pipeline timing script."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "benchmark_kernels.py"
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+SCRIPT = BENCHMARKS / "benchmark_kernels.py"
 
 
 def test_benchmark_kernels_runs():
@@ -26,4 +28,28 @@ def test_benchmark_kernels_runs():
     assert "verify_thm_subseqs(8)" in proc.stdout
     assert "classify_mu(8)" in proc.stdout
     assert "solve_triples((2,2,5), 8)" in proc.stdout
+    assert "solve_triples((2,2,5), 8) after classify_mu(8)" in proc.stdout
     assert "check_generic_rows(48)" in proc.stdout
+
+
+def test_sweep_record_runs():
+    proc = subprocess.run(
+        [sys.executable, str(BENCHMARKS / "sweep_record.py"), "--src", str(BENCHMARKS.parent),
+         "--repeat", "1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["backend"] == "python" and record["repeat"] == 1
+    assert list(record["figures"]) == [
+        "classify_mu(24) cold",
+        "classify_mu(40) cold",
+        "classify_mu(48) cold",
+        "solve_triples((2,2,5), 12) cold",
+        "solve_triples((2,2,5), 12) after classify_mu(12)",
+        "solve_triples((2,2,5), 24) cold",
+        "solve_triples((2,2,5), 24) after classify_mu(24)",
+    ]
+    assert all(f["s"] >= 0 and f["peak_rss_mib"] > 0 for f in record["figures"].values())

@@ -7,7 +7,17 @@ from math import gcd
 
 import pytest
 
-from quiddity import Scalar, Triple, minimal_period, sigma1, sigma2, solve_triples, walk
+from quiddity import (
+    Scalar,
+    Triple,
+    classify_mu,
+    minimal_period,
+    sigma1,
+    sigma2,
+    solve_triples,
+    walk,
+)
+from quiddity import affine, charseq
 from quiddity.affine import GENERIC_ROWS
 from quiddity.charseq import (
     SHAPE_BROKEN,
@@ -16,11 +26,18 @@ from quiddity.charseq import (
     SHAPE_UNRESOLVED,
     SolveMatch,
     SolveReport,
-    _root_of_unity_triples,
+    _first_steps,
+    _galois_keys,
+    _galois_nf,
+    _galois_table,
+    _reflect,
     _units,
     _walk,
-    _window_matches,
 )
+
+from brute_triples import level_triples
+from brute_triples import root_of_unity_triples as _root_of_unity_triples
+from brute_triples import window_matches as _window_matches
 
 REPORT_FIELDS = (
     "shape", "period", "ends", "orbit", "window", "window_origin", "state_period", "steps",
@@ -271,8 +288,108 @@ def test_solve_triples_matches_walking_every_triple(window):
     assert report.triples == reference.triples
 
 
+@pytest.mark.parametrize("window", [(2, 2, 5), (1, 3, 1), (1, 4, 1, 4), (5, 5, 3, 2)])
+def test_solve_triples_cold_and_warm_match_walking_every_triple(window):
+    reference = reference_solve_triples(window, 14).to_json()
+    charseq._sweeps.clear()
+    assert solve_triples(window, 14).to_json() == reference  # sweeps levels 1..14
+    assert solve_triples(window, 14).to_json() == reference  # reads their records
+
+
+def _sides(n, key):
+    """Each state of the walk from ``key`` with the parities of the steps
+    that meet it, by stepping the reflections one at a time."""
+    s, left, sides = key + (0, 0, 0), True, {}
+    while True:
+        sides.setdefault(s[:3], set()).add(0 if left else 1)
+        s = _reflect(n, s, left)[0]
+        left = not left
+        if (s, left) == (key + (0, 0, 0), True):
+            return sides
+
+
+def test_solve_triples_maps_hits_to_members_met_only_on_odd_steps():
+    # the walk from the key (2, 1, 3) at mu_12 meets (2, 3, 10) on odd
+    # steps only, so that member reads the key's window backwards
+    assert _sides(12, (2, 1, 3))[2, 3, 10] == {1}
+    assert mu(12, 2, 3, 10) in solve_triples((5, 5, 3, 2), 12).triples
+
+
+def _count_walks(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _walk(*args)
+
+    monkeypatch.setattr(charseq, "_walk", counted)
+    return calls
+
+
+def test_solve_triples_after_classify_walks_nothing(monkeypatch):
+    classify_mu(18)
+    calls = _count_walks(monkeypatch)
+    report = solve_triples((2, 2, 5), 12)
+    assert calls == [] and report.matches
+
+
+def test_sweeps_walk_one_orbit_per_galois_class_of_orbits(monkeypatch):
+    calls = _count_walks(monkeypatch)
+    affine._levels.clear()
+    charseq._sweeps.clear()
+    classify_mu(18)
+    assert len(calls) == 2815
+    charseq._sweeps.clear()
+    solve_triples((2, 2, 5), 24)
+    assert len(calls) == 2815 + 6364
+
+
+def test_solve_triples_rejects_negative_or_non_integer_entries(monkeypatch):
+    calls = _count_walks(monkeypatch)
+    charseq._sweeps.clear()
+    for window in [(-1, 2, 5), (2, 2.0, 5), (2, True, 5)]:
+        with pytest.raises(ValueError):
+            solve_triples(window, 3)
+    assert calls == []  # refused before any walk
+
+
+def test_solve_triples_entry_above_255_matches_nothing():
+    # an m-value at level n is below n: no level the records hold has one
+    report = solve_triples((300, 1, 1), 6)
+    assert report.matches == [] and report.window == (300, 1, 1)
+
+
+def test_first_steps_replay_the_walk():
+    for n in range(1, 11):
+        for key, _, window, _ in charseq._swept(n)[-1].periodic():
+            steps = _first_steps(n, key, window)
+            assert list(steps) == [s[:3] for s in _walk(n, key + (0, 0, 0), 2 * n**3).orbit]
+            sides = _sides(n, key)
+            assert all(j % 2 in sides[s] for s, j in steps.items())
+
+
 # ---------------------------------------------------------------------------
 # the sweep over root-of-unity triples
+
+
+def test_galois_keys_are_the_least_member_of_each_class():
+    # keys of exact level, least in their class, distinct, and as many as
+    # the classes: so exactly one per class
+    for n in range(1, 31):
+        keys = list(_galois_keys(n, _galois_table(n)))
+        assert keys == sorted(set(keys))
+        assert len(keys) == jordan3(n) // len(_units(n))
+        for key in keys:
+            assert gcd(n, *key) == 1
+            assert key == min(tuple(u * e % n for e in key) for u in _units(n))
+
+
+def test_galois_normal_form_is_the_least_conjugate():
+    for n in range(1, 13):
+        table = _galois_table(n)
+        for s in level_triples(n):
+            conjugates = [tuple(u * e % n for e in s) for u in _units(n)]
+            assert {_galois_nf(n, table, c) for c in conjugates} == {min(conjugates)}
 
 
 def jordan3(n):
@@ -301,7 +418,7 @@ def test_units():
 
 
 def test_conjugate_walk_is_the_walk_times_the_unit():
-    # the lemma both sweeps rest on, for every triple with n <= 12
+    # the lemma the sweep rests on, for every triple with n <= 12
     shapes = Counter()
     for n, e1, e, e2 in _root_of_unity_triples(12):
         base = _walk(n, (e1, e, e2, 0, 0, 0), 10000)

@@ -144,6 +144,13 @@ def test_solve_none_found(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("window", ["-1,2,5", "2,-2,5"])
+def test_solve_rejects_negative_window_entries(capsys, window):
+    # a negative entry is a usage error, not a search that finds nothing
+    code, out, err = run(capsys, "solve", f"--window={window}", "--bound", "3")
+    assert code == 2 and out == "" and "integers >= 0" in err
+
+
 @pytest.mark.parametrize("bound", ["0", "-3"])
 def test_solve_rejects_bound_below_one(capsys, bound):
     code, out, err = run(capsys, "solve", "--window", "2,2,5", "--bound", bound)
