@@ -14,8 +14,10 @@ both cold (pipelines), ``solve_triples`` again over the sweep records the
 classification left (pipeline), and the check of the three one-parameter
 rows ``check_generic_rows`` at its default order 48 (pipeline).
 
-``verify_cover`` and ``verify_thm_subseqs`` look cyclic windows up in
-tables of patterns and call no kernel; they reuse the levels that the
+``verify_cover`` searches each class with one compiled byte-trie
+regular expression of its patterns, and ``verify_thm_subseqs`` ranks the
+cyclic windows of each class and counts its representatives from its
+symmetries; neither calls a kernel, and both reuse the levels that the
 enumeration row has already cached.  The first line names the Python
 version and the core count.  Run from the repository root:
 

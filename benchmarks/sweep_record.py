@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the root-of-unity sweeps of a source checkout and print one JSON
-record.
+"""Time the root-of-unity sweeps and the cover checks of a source
+checkout and print one JSON record.
 
 Each figure is the best of ``--repeat`` fresh interpreters, so every call
 starts with empty memos, with the peak RSS of that best process:
@@ -8,7 +8,11 @@ starts with empty memos, with the peak RSS of that best process:
 - ``classify_mu(n)`` cold, for n = 24, 40 and 48;
 - ``solve_triples((2,2,5), L)`` cold, for L = 12 and 24;
 - the same ``solve_triples`` call timed after an untimed
-  ``classify_mu(L)`` in the same process.
+  ``classify_mu(L)`` in the same process;
+- ``verify_cover`` to 15 of the 27-pattern ``cor12`` pair and of the
+  651-pattern pair of three refinement steps from ``builtin:base``, and
+  ``verify_thm_subseqs(13)``, each timed after the levels it reads (and
+  the refined pair) are built untimed in the same process.
 
 The record names the Python version, the core count and the kernel
 backend.  ``--src`` selects the checkout whose ``src`` is imported, so one
@@ -30,11 +34,23 @@ CHILD = """
 import json, resource, sys, time
 import quiddity as q
 kind, n = sys.argv[1], int(sys.argv[2])
+pair = q.BUILTIN_PAIRS["cor12"]
 if kind == "solve warm":
     q.classify_mu(n)
+if kind in ("cover", "cover refined", "thm"):
+    for k in range(2, n + 1):
+        q.enumerate_cycles(k)
+if kind == "cover refined":
+    pair = q.BUILTIN_PAIRS["base"]
+    for _ in range(3):
+        pair = q.theorem_step(pair)
 t0 = time.perf_counter()
 if kind == "classify":
     q.classify_mu(n)
+elif kind == "thm":
+    q.verify_thm_subseqs(n)
+elif kind.startswith("cover"):
+    q.verify_cover(pair, n)
 else:
     q.solve_triples((2, 2, 5), n)
 s = time.perf_counter() - t0
@@ -76,6 +92,11 @@ def main(argv=None):
         figures[f"solve_triples((2,2,5), {n}) after classify_mu({n})"] = best_of(
             args.src, "solve warm", n, args.repeat
         )
+    figures["verify_cover(cor12, 15)"] = best_of(args.src, "cover", 15, args.repeat)
+    figures["verify_cover(depth-3 refined, 15)"] = best_of(
+        args.src, "cover refined", 15, args.repeat
+    )
+    figures["verify_thm_subseqs(13)"] = best_of(args.src, "thm", 13, args.repeat)
     backends = {f.pop("backend") for f in figures.values()}
     record = {
         "python": platform.python_version(),

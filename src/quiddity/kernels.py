@@ -11,7 +11,10 @@ references that the tests check ``_is_least_rotation`` and
 ``next_level`` against; the two containment scans serve
 single-pattern searches (``contains_cyclic``, ``contains_linear``,
 ``cor15_check``).  ``verify_cover`` and ``verify_thm_subseqs`` use
-none of them: they look cyclic windows up in tables of patterns.
+none of them: the first searches each class with one byte-trie regular
+expression of its patterns, the second ranks the cyclic windows of each
+class through a table of patterns and counts the representatives from
+the class's symmetries.
 """
 
 from __future__ import annotations

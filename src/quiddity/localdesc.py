@@ -17,12 +17,14 @@ rewriting with a forward check on every candidate.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
 from . import kernels
 from .cycles import (
+    DEFAULT_MAX_LENGTH,
     DihedralCycle,
     Pattern,
     _level,
@@ -89,9 +91,12 @@ class CoverPair:
         return sorted(self.F, key=_by_length)
 
     def check_properties(self) -> None:
-        """Raise unless (0,0),(1,1,1) are in E and every f in F has a 1."""
+        """Raise unless (0,0),(1,1,1) are in E, F is nonempty and every f
+        in F has a 1."""
         if ZERO_ZERO not in self.E or TRIANGLE not in self.E:
             raise ValueError("E must contain <0,0> and <1,1,1>")
+        if not self.F:
+            raise ValueError("F must contain at least one pattern")
         for f in self.F:
             if 1 not in f:
                 raise ValueError(f"every pattern in F must contain a 1: {f}")
@@ -366,35 +371,81 @@ class CoverReport:
         }
 
 
+def _check_bound(max_length: int) -> None:
+    """Refuse a bound below 2 or past the enumeration bound before any
+    level is built."""
+    if max_length < 2:
+        raise ValueError("max_length must be >= 2")
+    if max_length > DEFAULT_MAX_LENGTH:
+        raise ValueError(
+            f"max_length {max_length} exceeds the enumeration bound {DEFAULT_MAX_LENGTH}"
+        )
+
+
+def _trie_source(patterns: Iterable[bytes]) -> bytes:
+    """A ``re`` source over bytes matching any of ``patterns``, shaped as
+    their trie: shared prefixes are written once, and a node where a
+    pattern ends matches at once, so longer patterns through it are
+    dropped.  Bytes are written as themselves, escaped only where ``re``
+    reads them as syntax, which keeps the source short to parse.  The
+    patterns must be nonempty."""
+    trie: dict = {}
+    for p in patterns:
+        node = trie
+        for c in p:
+            node = node.setdefault(c, {})
+        node[None] = None
+
+    def source(node: dict) -> bytes:
+        if None in node:
+            return b""
+        children = sorted(node.items())
+        ends = b"".join(re.escape(bytes((c,))) for c, child in children if None in child)
+        branches = [b"[" + ends + b"]"] if ends else []
+        branches += [
+            re.escape(bytes((c,))) + source(child) for c, child in children if None not in child
+        ]
+        return branches[0] if len(branches) == 1 else b"(?:" + b"|".join(branches) + b")"
+
+    return source(trie)
+
+
 def verify_cover(pair: CoverPair, max_length: int) -> CoverReport:
     """Check property (2): every quiddity cycle of length <= max_length is
     in E or strictly contains some pattern of F (strictness is
-    len(f) < len(c)).  A max_length below 2 checks no class and raises.
+    len(f) < len(c)).  A max_length below 2 or above
+    ``DEFAULT_MAX_LENGTH`` raises before any class is enumerated.
 
-    F is read once into one set per pattern length, holding each pattern
-    and its reversal, so a class is checked with one set lookup per
-    cyclic window, shortest patterns first: a pattern occurs in the word
-    read backwards iff its reversal occurs forwards."""
-    if max_length < 2:
-        raise ValueError("max_length must be >= 2")
+    The patterns of F shorter than a length n, and their reversals, are
+    compiled into one regular expression over bytes shaped as their
+    shared-prefix trie (as in Aho and Corasick, "Efficient string
+    matching", CACM 18, 1975), which ``re`` runs in C; this happens once
+    per call for each set of pattern lengths in use.  A class outside E is
+    checked by one search over its word followed by its first k entries,
+    k one less than the longest pattern, which holds every cyclic window
+    of a pattern's length: a pattern occurs in the word read backwards
+    iff its reversal occurs forwards.  A pattern with an entry above 255
+    is dropped, since every entry of a class of length <= 257 fits in a
+    byte."""
+    _check_bound(max_length)
     e_canons = {e.canon for e in pair.E}
-    patterns: dict[int, set[Pattern]] = {}
-    for f in pair.F:
-        patterns.setdefault(len(f), set()).update((f, f[::-1]))
-    by_len = sorted(patterns.items())
+    usable = sorted((bytes(f) for f in pair.F if max(f) < 256), key=len)
     checked = 0
     violations: list[DihedralCycle] = []
+    regex = None
+    used = k = 0
     for n in range(2, max_length + 1):
-        shorter = [(m, pats) for m, pats in by_len if m < n]
+        shorter = sum(1 for f in usable if len(f) < n)
+        if shorter != used:
+            used = shorter
+            k = len(usable[used - 1]) - 1
+            regex = re.compile(_trie_source(f for p in usable[:used] for f in (p, p[::-1])))
         for word in _level(n):
             checked += 1
             if word in e_canons:
                 continue
-            d = word + word
-            for m, pats in shorter:
-                if not pats.isdisjoint([d[i : i + m] for i in range(n)]):
-                    break
-            else:
+            b = bytes(word)
+            if regex is None or regex.search(b + b[:k]) is None:
                 violations.append(DihedralCycle._from_canon(word))
     return CoverReport(checked=checked, violations=violations, bound=max_length)
 
@@ -429,20 +480,32 @@ def verify_thm_subseqs(max_length: int) -> SubseqReport:
     """For every representative of every quiddity cycle of length <=
     max_length: either it is one of the five exceptional representatives
     or its interior (positions 2..n-1), forward or reversed, linearly
-    contains one of the nine patterns.  A max_length below 2 raises.
+    contains one of the nine patterns.  A max_length below 2 or above
+    ``DEFAULT_MAX_LENGTH`` raises before any class is enumerated.
 
     Each class is read in one pass over its cyclic windows of the
     pattern lengths, looked up in a table that maps every pattern and
-    its reversal to its first index in ``NINE_PATTERNS``.  The interior
-    of the rotation at i is the cyclic word without positions i - 1 and
-    i, so a window of length m at start s lies inside it iff
-    m < (i - s) mod n, and the rotation's first hit is the least index
-    among those windows.  The reversed rotation at j has the reversed
-    interior of the rotation at (n - j) mod n, so the same first hit."""
-    if max_length < 2:
-        raise ValueError("max_length must be >= 2")
+    its reversal to its first index (rank) in ``NINE_PATTERNS``.  The
+    interior of the rotation at i is the cyclic word without positions
+    i - 1 and i, so a window of length m at start s lies inside the
+    interiors of the rotations s + m + 1, ..., s + n - 1 (mod n).  Taking
+    the found windows in rank order gives every rotation its first hit,
+    and the pass stops once each rotation has one.
+
+    The representatives are counted, not built.  With p the least
+    rotation period of the word, the distinct representatives are the
+    rotations 0..p-1, plus as many reversed rotations unless the class
+    is reflection-symmetric.  The reversed rotation at j has the reversed
+    interior of the rotation at (n - j) mod n, so the reversed rotations'
+    hits are a permutation of the first p hits.  Representative tuples
+    are built, in the order of ``_representatives``, only up to the
+    length of the longest exceptional representative and for classes
+    with a rotation that has no hit, whose representatives are listed as
+    violations."""
+    _check_bound(max_length)
     exceptional = set(EXCEPTIONAL_REPRESENTATIVES)
-    pattern_hits: dict[Pattern, int] = {p: 0 for p in NINE_PATTERNS}
+    longest_exceptional = max(map(len, exceptional))
+    counts = [0] * len(NINE_PATTERNS)
     exceptional_hits: dict[Pattern, int] = {e: 0 for e in EXCEPTIONAL_REPRESENTATIVES}
     rank: dict[Pattern, int] = {}
     for r, p in enumerate(NINE_PATTERNS):
@@ -461,24 +524,42 @@ def verify_thm_subseqs(max_length: int) -> SubseqReport:
                 for s in range(n)
                 if (r := rank.get(d[s : s + m])) is not None
             )
-            hits = [next((r for r, s, m in found if m < (i - s) % n), None) for i in range(n)]
-            # distinct rotations of the word, then of its reversal, as in
-            # ``_representatives``
-            seen: set[Pattern] = set()
-            for base, base_hits in ((word, hits), (word[::-1], hits[:1] + hits[:0:-1])):
-                dd = base + base
-                for i in range(n):
-                    rep = dd[i : i + n]
-                    if rep in seen:
-                        continue
-                    seen.add(rep)
-                    checked += 1
-                    if rep in exceptional:
-                        exceptional_hits[rep] += 1
-                    elif base_hits[i] is None:
-                        violations.append(rep)
-                    else:
-                        pattern_hits[NINE_PATTERNS[base_hits[i]]] += 1
+            hits: list[int | None] = [None] * n
+            left = n
+            for r, s, m in found:
+                for t in range(s + m + 1, s + n):
+                    i = t % n
+                    if hits[i] is None:
+                        hits[i] = r
+                        left -= 1
+                if not left:
+                    break
+            if left or n <= longest_exceptional:
+                seen: set[Pattern] = set()
+                for base, base_hits in ((word, hits), (word[::-1], hits[:1] + hits[:0:-1])):
+                    dd = base + base
+                    for i in range(n):
+                        rep = dd[i : i + n]
+                        if rep in seen:
+                            continue
+                        seen.add(rep)
+                        checked += 1
+                        if rep in exceptional:
+                            exceptional_hits[rep] += 1
+                        elif base_hits[i] is None:
+                            violations.append(rep)
+                        else:
+                            counts[base_hits[i]] += 1
+            else:
+                b = bytes(word)
+                p = (b + b).find(b, 1)
+                copies = 1 if b[::-1] in b + b else 2
+                checked += copies * p
+                for r in hits[:p]:
+                    counts[r] += copies
+    pattern_hits: dict[Pattern, int] = {p: 0 for p in NINE_PATTERNS}
+    for r, count in enumerate(counts):
+        pattern_hits[NINE_PATTERNS[r]] += count
     return SubseqReport(
         checked=checked,
         violations=violations,

@@ -51,5 +51,8 @@ def test_sweep_record_runs():
         "solve_triples((2,2,5), 12) after classify_mu(12)",
         "solve_triples((2,2,5), 24) cold",
         "solve_triples((2,2,5), 24) after classify_mu(24)",
+        "verify_cover(cor12, 15)",
+        "verify_cover(depth-3 refined, 15)",
+        "verify_thm_subseqs(13)",
     ]
     assert all(f["s"] >= 0 and f["peak_rss_mib"] > 0 for f in record["figures"].values())

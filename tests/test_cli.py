@@ -98,6 +98,33 @@ def test_verify_thm16_rejects_bound_below_two(capsys):
     assert code == 2 and out == "" and "max_length" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("verify-cover", "--pair", "builtin:cor12", "--max", "25"), ("verify-thm16", "--max", "25")],
+    ids=["verify-cover", "verify-thm16"],
+)
+def test_verifiers_refuse_a_bound_past_the_enumeration_bound_before_enumerating(
+    capsys, monkeypatch, argv
+):
+    # enumerating up to length 24 first would take hours
+    import quiddity.localdesc as localdesc
+
+    def no_level(*args):
+        raise AssertionError("a level was enumerated")
+
+    monkeypatch.setattr(localdesc, "_level", no_level)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "exceeds the enumeration bound 24" in err
+
+
+def test_cover_step_rejects_an_empty_pattern_set(tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    path.write_text('{"E": [[0, 0], [1, 1, 1]], "F": []}')
+    code, out, err = run(capsys, "cover-step", "--in", str(path), "--out", str(tmp_path / "o.json"))
+    assert code == 2 and out == "" and err == "error: F must contain at least one pattern\n"
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_charseq_root_of_unity(capsys):
     code, out, _ = run(
         capsys, "charseq", "--zeta", "9", "--q1", "6", "--q", "8", "--q2", "6"

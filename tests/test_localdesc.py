@@ -493,6 +493,14 @@ def test_verify_thm_subseqs_matches_per_representative_reference(monkeypatch, pa
     import quiddity.localdesc as localdesc
 
     monkeypatch.setattr(localdesc, "NINE_PATTERNS", localdesc.NINE_PATTERNS[:patterns])
+    # the check counts the representatives of a class from its stabilizer
+    # past length 5: the classes below cover every kind of stabilizer
+    stabilizers = set()
+    for n in range(6, 12):
+        for cyc in enumerate_cycles(n):
+            b = bytes(cyc.canon)
+            stabilizers.add((b in (b + b)[1 : 2 * n - 1], b[::-1] in b + b))
+    assert stabilizers == {(False, False), (True, False), (False, True), (True, True)}
     for max_length in range(2, 12):
         report = verify_thm_subseqs(max_length)
         expected = reference_subseq_report(max_length)
@@ -520,8 +528,10 @@ def reference_cover_json(pair, max_length):
 def random_cover_pairs(count, max_length, seed=20261018):
     """Seeded pairs whose patterns are cut from enumerated classes, so
     that each covers some classes and misses others.  Among them are
-    palindromes, a pattern together with its reversal, and a whole class
-    of length ``max_length - 1`` or ``max_length``."""
+    palindromes, a pattern together with its reversal, a whole class of
+    length ``max_length - 1`` or ``max_length``, a pattern longer than
+    ``max_length``, and patterns with an entry 0 or an entry above 255,
+    which fits in no byte."""
     rng = random.Random(seed)
     words = [c.canon for n in range(3, max_length + 1) for c in enumerate_cycles(n)]
     for _ in range(count):
@@ -535,14 +545,21 @@ def random_cover_pairs(count, max_length, seed=20261018):
         patterns.append(f + f[-2::-1])  # a palindrome
         patterns.append(f[::-1])  # a pattern with its own reversal
         patterns.append(rng.choice([w for w in words if len(w) >= max_length - 1]))
+        patterns.append(rng.choice(words[-50:]) + (1,))  # longer than max_length
+        f = rng.choice(patterns)
+        patterns.append(f[:1] + (0,) + f[1:])
+        patterns.append(f[:-1] + (rng.choice([256, 257, 300]),))
         exceptional = rng.sample(words[:40], rng.randint(0, 4)) + [(0, 0), (1, 1, 1)]
         yield CoverPair.of(exceptional, patterns)
 
 
 def test_verify_cover_matches_per_pattern_reference():
     max_length = 12
+    refined = [BUILTIN_PAIRS["base"]]
+    for _ in range(3):
+        refined.append(theorem_step(refined[-1]))
     failing = 0
-    for pair in random_cover_pairs(60, max_length):
+    for pair in [*random_cover_pairs(60, max_length), *BUILTIN_PAIRS.values(), *refined[1:]]:
         report = verify_cover(pair, max_length)
         expected = reference_cover_json(pair, max_length)
         assert report.to_json() == expected
