@@ -30,159 +30,52 @@ import platform
 import random
 import sys
 import time
+from collections import deque
+from itertools import starmap
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from quiddity import Scalar, kernels  # noqa: E402
+from quiddity import (  # noqa: E402
+    Scalar,
+    affine,
+    charseq,
+    check_generic_rows,
+    cycles,
+    kernels,
+    m_value,
+)
+from quiddity.localdesc import (  # noqa: E402
+    BUILTIN_PAIRS,
+    theorem_step,
+    verify_cover,
+    verify_thm_subseqs,
+)
 
 
-def bench_canonical(words, repeat):
+def best_of(call, repeat, reset=None, ok=False):
+    """The least wall time of ``repeat`` runs of ``call()``, each after an
+    untimed ``reset()`` when one is given; with ``ok``, every run's
+    report must be ok."""
     best = float("inf")
     for _ in range(repeat):
+        if reset is not None:
+            reset()
         t0 = time.perf_counter()
-        for w in words:
-            kernels.canonical_form(w)
+        report = call()
         best = min(best, time.perf_counter() - t0)
+        if ok:
+            assert report.ok
     return best
 
 
-def bench_next_level(length, repeat):
-    """One level step: the canonical augmentation of every class of length
-    ``length - 1``, whose levels are built outside the timing."""
-    from quiddity import cycles
-
-    parents = cycles._level(length - 1)
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        kernels.next_level(parents)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def bench_m_value(pairs, repeat):
-    from quiddity import m_value
-
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        for qi, q in pairs:
-            m_value(qi, q)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def bench_enumerate(length, repeat):
-    """Cold enumeration: the per-length class cache is emptied first."""
-    from quiddity import cycles
-
-    best = float("inf")
-    for _ in range(repeat):
-        cycles._levels.clear()
-        t0 = time.perf_counter()
-        cycles.enumerate_cycles(length)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def bench_cover(length, repeat):
-    from quiddity.localdesc import BUILTIN_PAIRS, verify_cover
-
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        report = verify_cover(BUILTIN_PAIRS["cor12"], length)
-        best = min(best, time.perf_counter() - t0)
-        assert report.ok
-    return best
-
-
-def bench_refined_cover(length, repeat):
-    """The many-pattern cover: three refinement steps from the trivial
-    pair, built once outside the timing."""
-    from quiddity.localdesc import BUILTIN_PAIRS, theorem_step, verify_cover
-
-    pair = BUILTIN_PAIRS["base"]
-    for _ in range(3):
-        pair = theorem_step(pair)
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        report = verify_cover(pair, length)
-        best = min(best, time.perf_counter() - t0)
-        assert report.ok
-    return best
-
-
-def bench_subseqs(length, repeat):
-    from quiddity.localdesc import verify_thm_subseqs
-
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        report = verify_thm_subseqs(length)
-        best = min(best, time.perf_counter() - t0)
-        assert report.ok
-    return best
-
-
-def bench_classify(n_max, repeat):
-    """Cold classification: the per-level sweep records, the verdicts drawn
-    from them and the period decomposition caches are emptied first."""
-    from quiddity import affine, charseq
-
-    best = float("inf")
-    for _ in range(repeat):
-        charseq._sweeps.clear()
-        affine._levels.clear()
-        affine.decompose_affine.cache_clear()
-        affine._block_ok.cache_clear()
-        t0 = time.perf_counter()
-        report = affine.classify_mu(n_max)
-        best = min(best, time.perf_counter() - t0)
-        assert report.ok
-    return best
-
-
-def bench_solve(bound, repeat):
-    """Cold reconstruction: the per-level sweep records it shares with
-    ``classify_mu`` are emptied first."""
-    from quiddity import charseq
-
-    best = float("inf")
-    for _ in range(repeat):
-        charseq._sweeps.clear()
-        t0 = time.perf_counter()
-        charseq.solve_triples((2, 2, 5), bound)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def bench_solve_after_classify(bound, repeat):
-    """Reconstruction over the sweep records left by an untimed
-    classification to the same bound."""
-    from quiddity import charseq, classify_mu
-
-    classify_mu(bound)
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        charseq.solve_triples((2, 2, 5), bound)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def bench_generic_rows(max_order, repeat):
-    from quiddity import check_generic_rows
-
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        report = check_generic_rows(max_order)
-        best = min(best, time.perf_counter() - t0)
-        assert report.ok
-    return best
+def cold_classify():
+    """Empty the per-level sweep records, the window verdicts and the
+    period decomposition caches."""
+    charseq._sweeps.clear()
+    affine._verdicts.clear()
+    affine.decompose_affine.cache_clear()
+    affine._block_ok.cache_clear()
 
 
 def main(argv=None):
@@ -194,6 +87,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.length < 4:
         parser.error("--length must be >= 4: next_level grows from length 3")
+    n, repeat = args.length, args.repeat
 
     rng = random.Random(12345)
     words = [
@@ -201,27 +95,42 @@ def main(argv=None):
     ]
 
     def root():
-        n = rng.randint(1, 48)
-        return Scalar.root_of_unity(n, rng.randrange(n))
+        k = rng.randint(1, 48)
+        return Scalar.root_of_unity(k, rng.randrange(k))
 
     pairs = [(root(), root()) for _ in range(2000)]
 
+    def solve():
+        return charseq.solve_triples((2, 2, 5), n)
+
     print(f"Python {platform.python_version()}, {os.cpu_count()} cores")
-    results = {
-        "canonical_form x20k": bench_canonical(words, args.repeat),
-        f"next_level into {args.length}": bench_next_level(args.length, args.repeat),
-        "m_value x2k": bench_m_value(pairs, args.repeat),
-        f"enumerate to {args.length}": bench_enumerate(args.length, args.repeat),
-        f"cover check to {args.length}": bench_cover(args.length, args.repeat),
-        f"depth-3 cover to {args.length}": bench_refined_cover(args.length, args.repeat),
-        f"verify_thm_subseqs({args.length})": bench_subseqs(args.length, args.repeat),
-        f"classify_mu({args.length})": bench_classify(args.length, args.repeat),
-        f"solve_triples((2,2,5), {args.length})": bench_solve(args.length, args.repeat),
-        f"solve_triples((2,2,5), {args.length}) after classify_mu({args.length})": (
-            bench_solve_after_classify(args.length, args.repeat)
-        ),
-        "check_generic_rows(48)": bench_generic_rows(48, args.repeat),
-    }
+    results = {}
+    results["canonical_form x20k"] = best_of(
+        lambda: deque(map(kernels.canonical_form, words), 0), repeat
+    )
+    parents = cycles._level(n - 1)  # built outside the timing
+    results[f"next_level into {n}"] = best_of(lambda: kernels.next_level(parents), repeat)
+    results["m_value x2k"] = best_of(lambda: deque(starmap(m_value, pairs), 0), repeat)
+    results[f"enumerate to {n}"] = best_of(
+        lambda: cycles.enumerate_cycles(n), repeat, reset=cycles._levels.clear
+    )
+    results[f"cover check to {n}"] = best_of(
+        lambda: verify_cover(BUILTIN_PAIRS["cor12"], n), repeat, ok=True
+    )
+    refined = BUILTIN_PAIRS["base"]
+    for _ in range(3):
+        refined = theorem_step(refined)
+    results[f"depth-3 cover to {n}"] = best_of(lambda: verify_cover(refined, n), repeat, ok=True)
+    results[f"verify_thm_subseqs({n})"] = best_of(lambda: verify_thm_subseqs(n), repeat, ok=True)
+    results[f"classify_mu({n})"] = best_of(
+        lambda: affine.classify_mu(n), repeat, reset=cold_classify, ok=True
+    )
+    results[f"solve_triples((2,2,5), {n})"] = best_of(solve, repeat, reset=charseq._sweeps.clear)
+    affine.classify_mu(n)  # the records the next row reads
+    results[f"solve_triples((2,2,5), {n}) after classify_mu({n})"] = best_of(solve, repeat)
+    results["check_generic_rows(48)"] = best_of(
+        lambda: check_generic_rows(48), repeat, ok=True
+    )
 
     width = max(len(w) for w in results) + 2
     header = f"{'workload':<{width}}{'best':>12}"

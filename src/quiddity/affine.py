@@ -9,10 +9,11 @@ window to be exactly 3*len - sum, which prunes the search to triviality.
 
 ``classify_mu`` reads the level records of the root-of-unity sweep in
 ``charseq`` (one walk per Galois class of reflection orbits, from its
-Galois-least key), derives per level which classes are affine (the
-conjugates zeta -> zeta^u share a verdict), and matches the affine orbits
-against the built-in classification table (eleven root-of-unity rows
-plus three one-parameter families checked by specialization).
+Galois-least key), decides each distinct window once whether it is
+affine (the conjugates zeta -> zeta^u share a window, so they share the
+verdict), and matches the affine orbits against the built-in
+classification table (eleven root-of-unity rows plus three
+one-parameter families checked by specialization).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .charseq import (
     Triple,
     _exponents,
     _first_steps,
-    _Sweep,
     _swept,
     _units,
     minimal_period,
@@ -93,7 +93,7 @@ class AffineDecomposition:
 
 
 #: Entries kept by the two caches below.  ``classify_mu(24)`` decomposes
-#: 672 distinct periods and tests 890 distinct blocks, so no sweep up to
+#: 670 distinct periods and tests 890 distinct blocks, so no sweep up to
 #: that bound evicts anything.
 _CACHE_SIZE = 4096
 
@@ -338,61 +338,19 @@ def _instance_orbits(n_max: int) -> Iterator[tuple[str, tuple[int, str, Pattern]
             yield label, match, ((n, e1, e, e2), (n, e2, e, e1))
 
 
-@dataclass(frozen=True, slots=True)
-class _Level:
-    """One level's verdicts: its numbers of orbits, broken and non-affine
-    ones, and its affine orbits as (sorted members, period) by least member."""
-
-    counts: tuple[int, int, int]
-    affine: tuple[tuple[tuple[tuple[int, int, int], ...], Pattern], ...]
+#: The verdict of each sweep window met so far, by its ``bytes``: its
+#: minimal period when that period is affine, else None.  Affine-ness is a
+#: property of the cyclic period up to rotation and reversal, so a window
+#: is decided once, whatever level or class it comes from.
+_verdicts: dict[bytes, Optional[Pattern]] = {}
 
 
-#: ``_level``'s records by level n, derived from ``charseq._sweeps``.
-_levels: dict[int, _Level] = {}
-
-
-def _level(n: int, sweep: _Sweep) -> _Level:
-    """The verdicts of level n from its sweep record: an orbit class is
-    affine when the period of its window is, and then every one of its
-    orbits u * O is listed (see ``charseq._units``).  Raises if an affine
-    period fails the fifteen-pattern condition (that would contradict the
-    necessity direction: a bug or a counterexample)."""
-    affine = []
-    periodic = non_affine = 0
-    periods: dict[bytes, Optional[Pattern]] = {}  # by window: the affine period, or None
-    for key, orbits, window, _ in sweep.periodic():
-        periodic += orbits
-        if window not in periods:
-            # affine-ness is a property of the cyclic period up to rotation
-            # and reversal, so the cache keeps one entry per such class
-            decomposed = decompose_affine(canonical_period_key(window))
-            periods[window] = minimal_period(window) if decomposed else None
-        p = periods[window]
-        if p is None:
-            non_affine += orbits
-            continue
-        if not cor15_check(p):
-            raise RuntimeError(
-                "affine period fails the fifteen-pattern condition: "
-                f"{p} from {Triple.from_exponents(n, *key)}"
-            )
-        members = list(_first_steps(n, key, window))
-        conjugates = {
-            tuple(sorted((u * s[0] % n, u * s[1] % n, u * s[2] % n) for s in members))
-            for u in _units(n)
-        }
-        affine += ((c, p) for c in conjugates)
-    counts = (sweep.broken + periodic, sweep.broken, non_affine)
-    return _Level(counts, tuple(sorted(affine)))
-
-
-def _levels_up_to(n_max: int) -> list[_Level]:
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    sweeps = _swept(n_max)
-    for n in range(len(_levels) + 1, n_max + 1):
-        _levels[n] = _level(n, sweeps[n - 1])
-    return [_levels[n] for n in range(1, n_max + 1)]
+def _verdict(window: bytes) -> Optional[Pattern]:
+    """The minimal period of a sweep window when it is affine, else None."""
+    if window not in _verdicts:
+        p = minimal_period(window)
+        _verdicts[window] = p if decompose_affine(kernels.canonical_form(p)) else None
+    return _verdicts[window]
 
 
 def classify_mu(n_max: int) -> ClassificationReport:
@@ -400,15 +358,43 @@ def classify_mu(n_max: int) -> ClassificationReport:
     n <= n_max, keep the affine orbits, and match each one against the
     classification table.
 
-    Every call folds the verdicts of levels 1..n_max, each drawn once
-    from the level's sweep record (``_level``), into a fresh report.  A
-    table instance whose orbit is broken or not affine is reported
-    missing.
+    Every call folds the sweep records of levels 1..n_max
+    (``charseq._swept``) into a fresh report.  An orbit class is affine
+    when the period of its window is (``_verdict``), and then every one of
+    its orbits u * O is listed (see ``charseq._units``), its members
+    replayed from the key and window.  Raises if an affine period fails
+    the fifteen-pattern condition (that would contradict the necessity
+    direction: a bug or a counterexample).  A table instance whose orbit
+    is broken or not affine is reported missing.
     """
-    levels = _levels_up_to(n_max)
+    if n_max < 2:
+        raise ValueError("n_max must be >= 2")
     # (level, sorted members, period) of each affine orbit, in the order a
     # sweep that walks every orbit meets them, and the orbit of each member
-    found = [(n, *orbit) for n, level in enumerate(levels, 1) for orbit in level.affine]
+    found: list[tuple[int, tuple[tuple[int, int, int], ...], Pattern]] = []
+    checked = broken = non_affine = 0
+    for n, sweep in enumerate(_swept(n_max), 1):
+        checked += sweep.broken
+        broken += sweep.broken
+        affine = []
+        for key, orbits, window, _ in sweep.periodic():
+            checked += orbits
+            p = _verdict(window)
+            if p is None:
+                non_affine += orbits
+                continue
+            if not cor15_check(p):
+                raise RuntimeError(
+                    "affine period fails the fifteen-pattern condition: "
+                    f"{p} from {Triple.from_exponents(n, *key)}"
+                )
+            members = list(_first_steps(n, key, window))
+            conjugates = {
+                tuple(sorted((u * s[0] % n, u * s[1] % n, u * s[2] % n) for s in members))
+                for u in _units(n)
+            }
+            affine += ((c, p) for c in conjugates)
+        found += ((n, *orbit) for orbit in sorted(affine))
     where = {(n, *m): i for i, (n, members, _) in enumerate(found) for m in members}
     # the first instance that lands in an orbit names its row
     expected: dict[int, tuple[int, str, Pattern]] = {}
@@ -437,8 +423,7 @@ def classify_mu(n_max: int) -> ClassificationReport:
         orbits.append(co)
     unmatched = [o for o in orbits if o.row_matched is None]
     orbits.sort(key=lambda o: (o.row_matched or 10_000, o.level, [t.sort_key() for t in o.diagrams]))
-    counts = map(sum, zip(*(level.counts for level in levels)))
-    return ClassificationReport(n_max, orbits, missing, unmatched, *counts)
+    return ClassificationReport(n_max, orbits, missing, unmatched, checked, broken, non_affine)
 
 
 @dataclass
@@ -558,10 +543,15 @@ class Cor15Report:
 
 def verify_cor15_on_classified(n_max: int) -> Cor15Report:
     """Every affine period found by the sweep of ``classify_mu`` passes the
-    fifteen-pattern containment condition.  It reads the sweep's per-level
-    verdicts, so after ``classify_mu(n_max)`` it walks nothing."""
+    fifteen-pattern containment condition.  It reads the sweep records
+    and window verdicts that ``classify_mu`` reads, so after
+    ``classify_mu(n_max)`` it walks nothing, and a failing period is
+    reported in ``failures``."""
+    if n_max < 2:
+        raise ValueError("n_max must be >= 2")
+    windows = {w for sweep in _swept(n_max) for w in sweep.windows}
     periods = sorted(
-        {canonical_period_key(p) for level in _levels_up_to(n_max) for _, p in level.affine},
+        {kernels.canonical_form(p) for p in map(_verdict, windows) if p is not None},
         key=lambda p: (len(p), p),
     )
     failures = [p for p in periods if not cor15_check(p)]

@@ -472,7 +472,11 @@ def _sweep(n: int) -> _Sweep:
 
 
 def _swept(n_max: int) -> list[_Sweep]:
-    """The records of levels 1..n_max, sweeping the levels not yet swept."""
+    """The records of levels 1..n_max, sweeping the levels not yet swept.
+    Raises before any walk when n_max is above 256, the last level whose
+    record fits bytes (see ``_Sweep``)."""
+    if n_max > 256:
+        raise ValueError(f"bound {n_max} is above 256, the largest level the sweep records hold")
     for n in range(len(_sweeps) + 1, n_max + 1):
         _sweeps[n] = _sweep(n)
     return [_sweeps[n] for n in range(1, n_max + 1)]
@@ -566,9 +570,10 @@ def solve_triples(window: Iterable[int], modulus_bound: int) -> SolveReport:
         raise ValueError("window must have length >= 3")
     if modulus_bound < 1:
         raise ValueError("modulus_bound must be >= 1")
-    if max(target) > 255:
-        # an m-value at level n is below n, and the records hold levels up
-        # to 256: no sequence they hold has such an entry
+    if max(target) >= modulus_bound:
+        # an m-value at level n is below n, so no level up to the bound
+        # has a sequence with such an entry; past here every entry is
+        # below a bound that ``_swept`` holds to 256, so it fits a byte
         return SolveReport(window=target, bound=modulus_bound, matches=[], triples=[], ambiguous=False)
     k, pattern, reversed_pattern = len(target), bytes(target), bytes(target[::-1])
     matches: list[SolveMatch] = []

@@ -498,13 +498,12 @@ def verify_thm_subseqs(max_length: int) -> SubseqReport:
     is reflection-symmetric.  The reversed rotation at j has the reversed
     interior of the rotation at (n - j) mod n, so the reversed rotations'
     hits are a permutation of the first p hits.  Representative tuples
-    are built, in the order of ``_representatives``, only up to the
-    length of the longest exceptional representative and for classes
-    with a rotation that has no hit, whose representatives are listed as
-    violations."""
+    are built, in the order of ``_representatives``, only for the
+    representatives without a hit, in classes with a rotation that has
+    none: each is exceptional or a violation.  Every exceptional
+    representative is among them, since its interior, (), (1), (2,1),
+    (1,2) or (1,3,1), holds no pattern."""
     _check_bound(max_length)
-    exceptional = set(EXCEPTIONAL_REPRESENTATIVES)
-    longest_exceptional = max(map(len, exceptional))
     counts = [0] * len(NINE_PATTERNS)
     exceptional_hits: dict[Pattern, int] = {e: 0 for e in EXCEPTIONAL_REPRESENTATIVES}
     rank: dict[Pattern, int] = {}
@@ -534,29 +533,23 @@ def verify_thm_subseqs(max_length: int) -> SubseqReport:
                         left -= 1
                 if not left:
                     break
-            if left or n <= longest_exceptional:
-                seen: set[Pattern] = set()
-                for base, base_hits in ((word, hits), (word[::-1], hits[:1] + hits[:0:-1])):
-                    dd = base + base
-                    for i in range(n):
-                        rep = dd[i : i + n]
-                        if rep in seen:
-                            continue
-                        seen.add(rep)
-                        checked += 1
-                        if rep in exceptional:
-                            exceptional_hits[rep] += 1
-                        elif base_hits[i] is None:
-                            violations.append(rep)
-                        else:
-                            counts[base_hits[i]] += 1
-            else:
-                b = bytes(word)
-                p = (b + b).find(b, 1)
-                copies = 1 if b[::-1] in b + b else 2
-                checked += copies * p
-                for r in hits[:p]:
+            b = bytes(word)
+            p = (b + b).find(b, 1)
+            copies = 1 if b[::-1] in b + b else 2
+            checked += copies * p
+            for r in hits[:p]:
+                if r is not None:
                     counts[r] += copies
+            if left:
+                bases = ((word, hits), (word[::-1], hits[:1] + hits[:0:-1]))
+                for base, base_hits in bases[:copies]:
+                    for i in range(p):
+                        if base_hits[i] is None:
+                            rep = base[i:] + base[:i]
+                            if rep in exceptional_hits:
+                                exceptional_hits[rep] += 1
+                            else:
+                                violations.append(rep)
     pattern_hits: dict[Pattern, int] = {p: 0 for p in NINE_PATTERNS}
     for r, count in enumerate(counts):
         pattern_hits[NINE_PATTERNS[r]] += count

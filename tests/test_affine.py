@@ -311,7 +311,7 @@ def test_classify_rejects_tiny_bound():
 
 def _clear_records():
     """Forget the sweep records and the verdicts drawn from them."""
-    affine._levels.clear()
+    affine._verdicts.clear()
     charseq._sweeps.clear()
 
 
@@ -458,3 +458,14 @@ def test_verify_cor15_on_classified_small():
     assert (1, 4) in report.periods or (1, 4) in {
         canonical_period_key(p) for p in report.periods
     }
+
+
+def test_verify_cor15_reports_a_failing_period(monkeypatch, capsys):
+    # no period holds a pattern with an entry above every m-value up to 6
+    monkeypatch.setattr(affine, "FIFTEEN_PATTERNS", ((99, 99, 99),))
+    report = verify_cor15_on_classified(6)
+    assert report.periods and report.failures == report.periods and not report.ok
+    assert cli.main(["verify-cor15", "--nmax", "6", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == [list(p) for p in report.periods]
+    with pytest.raises(RuntimeError, match="fifteen-pattern condition"):
+        classify_mu(6)

@@ -17,7 +17,7 @@ from quiddity import (
     solve_triples,
     walk,
 )
-from quiddity import affine, charseq
+from quiddity import affine, charseq, cli
 from quiddity.affine import GENERIC_ROWS
 from quiddity.charseq import (
     SHAPE_BROKEN,
@@ -335,7 +335,7 @@ def test_solve_triples_after_classify_walks_nothing(monkeypatch):
 
 def test_sweeps_walk_one_orbit_per_galois_class_of_orbits(monkeypatch):
     calls = _count_walks(monkeypatch)
-    affine._levels.clear()
+    affine._verdicts.clear()
     charseq._sweeps.clear()
     classify_mu(18)
     assert len(calls) == 2815
@@ -351,6 +351,31 @@ def test_solve_triples_rejects_negative_or_non_integer_entries(monkeypatch):
         with pytest.raises(ValueError):
             solve_triples(window, 3)
     assert calls == []  # refused before any walk
+
+
+def test_sweep_bounds_above_256_raise_before_any_walk(monkeypatch, capsys):
+    # the packed records hold levels up to 256; sweeping 1..256 first
+    # would take hours
+    def no_sweep(n):
+        raise AssertionError(f"level {n} was swept")
+
+    monkeypatch.setattr(charseq, "_sweep", no_sweep)
+    for call in (
+        lambda: classify_mu(257),
+        lambda: affine.verify_cor15_on_classified(257),
+        lambda: solve_triples((2, 2, 5), 257),
+        lambda: solve_triples((300, 1, 1), 400),  # levels 301..400 can record 300
+    ):
+        with pytest.raises(ValueError, match="256"):
+            call()
+    for argv in (
+        ["classify", "--nmax", "257"],
+        ["verify-cor15", "--nmax", "257"],
+        ["solve", "--window", "2,2,5", "--bound", "257"],
+    ):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "256" in err
 
 
 def test_solve_triples_entry_above_255_matches_nothing():
