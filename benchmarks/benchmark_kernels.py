@@ -71,11 +71,10 @@ def best_of(call, repeat, reset=None, ok=False):
 
 def cold_classify():
     """Empty the per-level sweep records, the window verdicts and the
-    period decomposition caches."""
+    period decomposition cache."""
     charseq._sweeps.clear()
     affine._verdicts.clear()
     affine.decompose_affine.cache_clear()
-    affine._block_ok.cache_clear()
 
 
 def main(argv=None):

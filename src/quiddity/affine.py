@@ -3,9 +3,10 @@
 A bi-infinite periodic integer sequence is *affine* when it can be cut
 into representatives of quiddity cycles glued end to end, each junction
 entry carrying the two boundary entries plus 2.  ``decompose_affine``
-decides this by backtracking over junction positions and splits; the
-entry-sum identity of quiddity cycles forces the number of junctions per
-window to be exactly 3*len - sum, which prunes the search to triviality.
+decides this exactly: the junctions, taken modulo the period, form a
+finite graph whose cycles are the gluings.  The entry-sum identity of
+quiddity cycles fixes each block's last entry by its length and forces
+3*len - sum junctions per period.
 
 ``classify_mu`` reads the level records of the root-of-unity sweep in
 ``charseq`` (one walk per Galois class of reflection orbits, from its
@@ -92,87 +93,85 @@ class AffineDecomposition:
         }
 
 
-#: Entries kept by the two caches below.  ``classify_mu(24)`` decomposes
-#: 670 distinct periods and tests 890 distinct blocks, so no sweep up to
-#: that bound evicts anything.
+#: Entries kept by the ``decompose_affine`` cache: ``classify_mu(24)``
+#: decomposes 670 distinct periods, so no sweep to 24 evicts any.
 _CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _block_ok(block: Pattern) -> bool:
-    return is_quiddity(block)
+def decompose_affine(period: Pattern) -> Optional[AffineDecomposition]:
+    """A gluing of the bi-infinite sequence with period ``period`` into
+    quiddity-cycle blocks, or None when none exists (an exact verdict).
 
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def decompose_affine(
-    period: Pattern, max_multiple: int = 3
-) -> Optional[AffineDecomposition]:
-    """Search for a gluing of the bi-infinite sequence with period
-    ``period`` into quiddity-cycle blocks; None when none exists with a
-    junction pattern repeating within ``max_multiple`` periods.
-
-    Every block of length r contributes entry sum 3(r-2), which forces
-    any valid window of length N to carry exactly 3N - sum(window)
-    junctions; the backtracking enforces that count exactly.
+    The junctions (j mod len(p), x), with y = p_j - 2 - x, form a finite
+    graph whose edges are the blocks (``_blocks_from``); a gluing is a
+    cycle of it, with 3*len(p) - sum(p) junctions per period (a block of
+    length r sums to 3(r-2)), so that count must lie in [1, len(p)].  A
+    depth-first search takes roots in (j, x) order and successors by
+    distance, marks exhausted junctions dead and glues along the cycle
+    its first back edge closes.
     """
-    if max_multiple < 1:
-        raise ValueError("max_multiple must be >= 1")
     p = as_pattern(period)
-    for mult in range(1, max_multiple + 1):
-        word = p * mult
-        n = len(word)
-        k_needed = 3 * n - sum(word)
-        if k_needed < 1 or k_needed > n:
+    size = len(p)
+    if not 1 <= 3 * size - sum(p) <= size:
+        return None
+    dead: set[tuple[int, int]] = set()
+    for root in ((j, x) for j in range(size) for x in range(p[j] - 1)):
+        if root in dead:
             continue
-        for j0 in range(n):
-            v0 = word[j0]
-            if v0 < 2:
-                continue
-            for x0 in range(v0 - 1):
-                y0 = v0 - 2 - x0
-                found = _chain(word, n, j0, x0, y0, j0, y0, k_needed - 1)
-                if found is not None:
-                    junctions, blocks = found
+        # the junctions on the path in order, each with its absolute
+        # position and the block into it, and their untried successors
+        path = {root: (root[0], ())}
+        todo = [(root[0], _blocks_from(p, *root))]
+        while todo:
+            i, successors = todo[-1]
+            for d, x, block in successors:
+                j = i + d
+                node = (j % size, x)
+                if node in path:
+                    cycle = list(path.items())[list(path).index(node):]
+                    start = cycle[0][1][0]
+                    n, base = j - start, start - node[0]  # base: a multiple of size
                     return AffineDecomposition(
                         period=p,
-                        period_multiple=mult,
-                        junctions=((j0, x0, y0),)
-                        + tuple((j % n, x, y) for (j, x, y) in junctions),
-                        blocks=tuple(blocks),
+                        period_multiple=n // size,
+                        junctions=tuple(
+                            ((pos - base) % n, xc, p[r] - 2 - xc)
+                            for (r, xc), (pos, _) in cycle
+                        ),
+                        blocks=tuple(b for _, (_, b) in cycle[1:]) + (block,),
                     )
+                if node not in dead:
+                    path[node] = (j, block)
+                    todo.append((j, _blocks_from(p, j, x)))
+                    break
+            else:
+                todo.pop()
+                dead.add(path.popitem()[0])
     return None
 
 
-def _chain(word, n, j0, x0, y0, prev_j, prev_y, remaining):
-    """Extend a partial gluing: place the next junction after prev_j.
+def _blocks_from(p: Pattern, j: int, x: int) -> Iterator[tuple[int, int, Pattern]]:
+    """(d, x', block) for each quiddity cycle block = (y, p_(j+1), ...,
+    p_(j+d-1), x') from the junction x + 2 + y at j to one at j + d, by d.
 
-    Returns (junctions, blocks) past the first junction, or None.
+    The block sums to 3d - 3, which fixes x'.  Its shortfall s = y + x'
+    may not pass y + max(p) - 2; s grows by 3*len(p) - sum(p) >= 1 over
+    each period and drops by at most max(p) - 3 per entry, so no later d
+    fits once s is (len(p) - 1) * (max(p) - 3) past that bound.
     """
-    limit = j0 + n
-    for j in range(prev_j + 1, limit + 1):
-        interior = tuple(word[t % n] for t in range(prev_j + 1, j))
-        if j == limit:
-            if remaining != 0:
-                return None
-            block = (prev_y,) + interior + (x0,)
-            if _block_ok(block):
-                return ((), (block,))
-            return None
-        if remaining == 0:
-            continue
-        v = word[j % n]
-        if v < 2:
-            continue
-        for x in range(v - 1):
-            y = v - 2 - x
-            block = (prev_y,) + interior + (x,)
-            if not _block_ok(block):
-                continue
-            rest = _chain(word, n, j0, x0, y0, j, y, remaining - 1)
-            if rest is not None:
-                junctions, blocks = rest
-                return (((j, x, y),) + junctions, (block,) + blocks)
-    return None
+    size, top = len(p), max(p)
+    y = p[j % size] - 2 - x
+    slack = (size - 1) * max(top - 3, 0)
+    s, d = 0, 1
+    while s - slack <= y + top - 2:
+        v = p[(j + d) % size]
+        if 0 <= s - y <= v - 2:
+            block = (y, *(p[(j + t) % size] for t in range(1, d)), s - y)
+            if is_quiddity(block):
+                yield d, s - y, block
+        s += 3 - v
+        d += 1
 
 
 def cor15_check(period: Iterable[int]) -> bool:

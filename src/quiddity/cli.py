@@ -238,7 +238,7 @@ def cmd_generic(args) -> int:
 
 def cmd_decompose(args) -> int:
     period = _ints(args.period)
-    dec = decompose_affine(period, args.max_multiple)
+    dec = decompose_affine(period)
     if dec is None:
         _emit(
             args,
@@ -323,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("decompose", cmd_decompose, help="affine gluing search for a period")
     p.add_argument("--period", required=True, help="comma-separated entries")
-    p.add_argument("--max-multiple", type=int, default=3)
 
     p = add("verify-cor15", cmd_verify_cor15, help="fifteen-pattern check on classified periods")
     p.add_argument("--nmax", type=int, required=True)

@@ -388,7 +388,7 @@ def _trie_source(patterns: Iterable[bytes]) -> bytes:
     pattern ends matches at once, so longer patterns through it are
     dropped.  Bytes are written as themselves, escaped only where ``re``
     reads them as syntax, which keeps the source short to parse.  The
-    patterns must be nonempty."""
+    patterns must be nonempty; an empty set of them matches nothing."""
     trie: dict = {}
     for p in patterns:
         node = trie
@@ -407,7 +407,7 @@ def _trie_source(patterns: Iterable[bytes]) -> bytes:
         ]
         return branches[0] if len(branches) == 1 else b"(?:" + b"|".join(branches) + b")"
 
-    return source(trie)
+    return source(trie) if trie else b"(?!)"
 
 
 def verify_cover(pair: CoverPair, max_length: int) -> CoverReport:
@@ -416,36 +416,37 @@ def verify_cover(pair: CoverPair, max_length: int) -> CoverReport:
     len(f) < len(c)).  A max_length below 2 or above
     ``DEFAULT_MAX_LENGTH`` raises before any class is enumerated.
 
-    The patterns of F shorter than a length n, and their reversals, are
-    compiled into one regular expression over bytes shaped as their
-    shared-prefix trie (as in Aho and Corasick, "Efficient string
-    matching", CACM 18, 1975), which ``re`` runs in C; this happens once
-    per call for each set of pattern lengths in use.  A class outside E is
-    checked by one search over its word followed by its first k entries,
-    k one less than the longest pattern, which holds every cyclic window
-    of a pattern's length: a pattern occurs in the word read backwards
-    iff its reversal occurs forwards.  A pattern with an entry above 255
-    is dropped, since every entry of a class of length <= 257 fits in a
-    byte."""
+    The patterns of F and their reversals are compiled once per call into
+    one regular expression over bytes shaped as their shared-prefix trie
+    (as in Aho and Corasick, "Efficient string matching", CACM 18, 1975),
+    which ``re`` runs in C.  A class of length n outside E is checked by
+    one search over its word followed by its first k entries,
+    k = min(longest pattern, n - 1) - 1, which holds every cyclic window
+    of each pattern shorter than n: a pattern occurs in the word read
+    backwards iff its reversal occurs forwards.  The trie matches the
+    shortest pattern at each start, so a match n or more long rules out
+    only its start, and the search goes on from the next one.  A pattern
+    with an entry above 255 is dropped, since every entry of a class of
+    length <= 257 fits in a byte."""
     _check_bound(max_length)
     e_canons = {e.canon for e in pair.E}
-    usable = sorted((bytes(f) for f in pair.F if max(f) < 256), key=len)
+    usable = [bytes(f) for f in pair.F if max(f) < 256]
+    longest = max(map(len, usable), default=0)
+    regex = re.compile(_trie_source(f for p in usable for f in (p, p[::-1])))
     checked = 0
     violations: list[DihedralCycle] = []
-    regex = None
-    used = k = 0
     for n in range(2, max_length + 1):
-        shorter = sum(1 for f in usable if len(f) < n)
-        if shorter != used:
-            used = shorter
-            k = len(usable[used - 1]) - 1
-            regex = re.compile(_trie_source(f for p in usable[:used] for f in (p, p[::-1])))
+        k = min(longest, n - 1) - 1
+        wide = longest >= n
         for word in _level(n):
             checked += 1
             if word in e_canons:
                 continue
             b = bytes(word)
-            if regex is None or regex.search(b + b[:k]) is None:
+            m = regex.search(b + b[:k])
+            while wide and m and m.end() - m.start() >= n:
+                m = regex.search(m.string, m.start() + 1)
+            if m is None:
                 violations.append(DihedralCycle._from_canon(word))
     return CoverReport(checked=checked, violations=violations, bound=max_length)
 

@@ -1,6 +1,7 @@
 """Affine gluing, the fifteen-pattern condition and the classification."""
 
 import json
+from itertools import product
 from math import gcd
 
 import pytest
@@ -20,7 +21,7 @@ from quiddity import (
     verify_cor15_on_classified,
     walk,
 )
-from quiddity import affine, charseq, cli
+from quiddity import affine, charseq, cli, kernels
 from quiddity.affine import (
     ClassificationReport,
     ClassifiedOrbit,
@@ -29,7 +30,9 @@ from quiddity.affine import (
     canonical_period_key,
 )
 from quiddity.charseq import SHAPE_BROKEN, SHAPE_CYCLE, _walk
+from quiddity.cycles import eta_product
 
+import backtrack_affine
 from brute_triples import root_of_unity_triples as _root_of_unity_triples
 
 
@@ -81,6 +84,66 @@ def test_decompose_soundness_reassembly():
     assert dec.reassemble() == (6, 1, 3, 1)
 
 
+def _sweep_periods(n_max):
+    windows = {w for sweep in charseq._swept(n_max) for w in sweep.windows}
+    return sorted({kernels.canonical_form(minimal_period(w)) for w in windows})
+
+
+def test_decompose_matches_the_backtracking_search():
+    periods = _sweep_periods(24)
+    assert len(periods) == 670
+    words = [w for length in range(1, 5) for w in product(range(8), repeat=length)]
+    assert len(words) == 4680
+    for period in periods + words:
+        dec, ref = decompose_affine(period), backtrack_affine.decompose_affine(period)
+        assert (dec is None) == (ref is None), period
+        if dec is not None:
+            assert dec.to_json() == ref.to_json(), period
+
+
+#: Every period of the sweep up to level 24 that passes the fifteen-pattern
+#: condition without being affine.
+COR15_NOT_AFFINE = [
+    (1, 3), (1, 3, 1, 4), (1, 3, 1, 5), (1, 3, 3, 3), (1, 3, 9, 4), (1, 2, 2, 1, 3),
+    (1, 3, 3, 1, 10), (1, 2, 2, 2, 1, 4), (1, 3, 2, 3, 1, 16), (1, 3, 7, 3, 1, 5),
+    (1, 3, 12, 3, 1, 6), (1, 4, 1, 4, 5, 4), (2, 2, 2, 2, 2, 8), (1, 2, 3, 1, 3, 2, 1, 5),
+]
+
+
+def _trace(period):
+    m = eta_product(period)
+    return m.a + m.d
+
+
+def test_decompose_rejects_cor15_periods_exactly():
+    assert sorted(
+        p for p in _sweep_periods(24) if cor15_check(p) and decompose_affine(p) is None
+    ) == sorted(COR15_NOT_AFFINE)
+    for p in COR15_NOT_AFFINE:
+        # independent certificates: an affine period has a parabolic
+        # monodromy and between 1 and len(p) junctions per period
+        certified = abs(_trace(p)) != 2 or not 2 * len(p) <= sum(p) < 3 * len(p)
+        assert certified or p in [(1, 2, 2, 2, 1, 4), (1, 2, 3, 1, 3, 2, 1, 5)], p
+    assert backtrack_affine.decompose_affine((1, 2, 3, 1, 3, 2, 1, 5), 12) is None
+
+
+def test_affine_periods_have_parabolic_monodromy():
+    affine_periods = [
+        p
+        for length in range(1, 6)
+        for p in product(range(7), repeat=length)
+        if decompose_affine(p) is not None
+    ]
+    assert len(affine_periods) > 100
+    assert all(abs(_trace(p)) == 2 for p in affine_periods)
+
+
+def test_decompose_long_periods_without_recursion():
+    dec = decompose_affine((1, 4) * 500)
+    assert dec is not None and dec.reassemble() == dec.word()
+    assert decompose_affine((2, 3) * 40 + (2, 2)) is None
+
+
 # ---------------------------------------------------------------------------
 # fifteen patterns
 
@@ -98,8 +161,6 @@ def test_cor15_on_table_periods():
 
 def test_affine_implies_cor15_small_periods():
     # necessity direction on a brute box of candidate periods
-    from itertools import product
-
     for length in range(1, 5):
         for period in product(range(7), repeat=length):
             if decompose_affine(period) is not None:
@@ -317,13 +378,11 @@ def _clear_records():
 
 def test_decomposition_caches_are_bounded_and_keep_a_sweep():
     _clear_records()
-    for cached in (affine.decompose_affine, affine._block_ok):
-        cached.cache_clear()
+    decompose_affine.cache_clear()
     classify_mu(18)
-    for cached in (affine.decompose_affine, affine._block_ok):
-        info = cached.cache_info()
-        assert info.maxsize is not None
-        assert 0 < info.misses == info.currsize < info.maxsize
+    info = decompose_affine.cache_info()
+    assert info.maxsize is not None
+    assert 0 < info.misses == info.currsize < info.maxsize
 
 
 def _cor15_periods(report):

@@ -226,9 +226,10 @@ def test_decompose_non_affine_period(capsys):
     assert "not affine" in out
 
 
-def test_decompose_rejects_max_multiple_below_one(capsys):
-    code, out, err = run(capsys, "decompose", "--period", "2,2,5", "--max-multiple", "0")
-    assert code == 2 and out == "" and "max_multiple" in err
+def test_decompose_json_of_a_cor15_period_that_is_not_affine(capsys):
+    code, out, _ = run(capsys, "decompose", "--period", "1,2,3,1,3,2,1,5", "--json")
+    assert code == 1
+    assert json.loads(out)["affine"] is False
 
 
 def test_verify_cor15(capsys):

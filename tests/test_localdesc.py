@@ -391,6 +391,23 @@ def test_verify_cover_reports_all_violations():
     assert len(report.violations) == report.checked
 
 
+SHORT_CLASSES = [(0, 0), (1, 1, 1), (1, 2, 1, 2)]  # every class below length 5
+
+
+def test_verify_cover_skips_a_long_match_before_a_short_one():
+    # in the one class of length 5, (1, 2, 2, 1, 3), the six-entry window
+    # from start 0 comes before (1, 3) at start 3; only the latter counts
+    pair = CoverPair.of(SHORT_CLASSES, [(1, 2, 2, 1, 3, 1), (1, 3)])
+    report = verify_cover(pair, 5)
+    assert report.ok and report.checked == 4
+
+
+def test_verify_cover_counts_no_pattern_as_long_as_the_class():
+    pair = CoverPair.of(SHORT_CLASSES, [(1, 2, 2, 1, 3, 1), (2, 1, 3, 1, 2), (9, 9)])
+    report = verify_cover(pair, 5)
+    assert [v.canon for v in report.violations] == [(1, 2, 2, 1, 3)]
+
+
 def test_cover_report_json_shape():
     report = verify_cover(BUILTIN_PAIRS["cor12"], 7)
     data = report.to_json()
