@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Time the kernels and the pipelines built on them.
 
-Eleven workloads: the dihedral canonical form on random words (micro),
-one ``next_level`` step into a length from the warm level below it
-(kernel), ``m_value`` on 2,000 seeded pairs of roots of unity (kernel),
+Twelve workloads: the dihedral canonical form on random words (micro),
+one ``next_level`` step into a length from the warm level below it, and
+the same step grown by ``_grow`` in this process only and sorted, which
+separates the kernel's speed from the gain of forking (kernels),
+``m_value`` on 2,000 seeded pairs of roots of unity (kernel),
 enumeration of all quiddity classes up to that length (macro), two cover verifications over that enumeration (macro) -- the
 27-pattern ``cor12`` pair and the 651-pattern pair of three refinement
 steps from ``builtin:base`` -- the interior-subsequence theorem
@@ -19,7 +21,9 @@ regular expression of its patterns, and ``verify_thm_subseqs`` ranks the
 cyclic windows of each class and counts its representatives from its
 symmetries; neither calls a kernel, and both reuse the levels that the
 enumeration row has already cached.  The first line names the Python
-version and the core count.  Run from the repository root:
+version, the CPUs the enumeration may fork onto (one where
+``next_level`` cannot fork) and the core count.  Run from the
+repository root:
 
     python3 benchmarks/benchmark_kernels.py [--length 13] [--repeat 3]
 """
@@ -102,13 +106,18 @@ def main(argv=None):
     def solve():
         return charseq.solve_triples((2, 2, 5), n)
 
-    print(f"Python {platform.python_version()}, {os.cpu_count()} cores")
+    # the processes a level of any size may grow in
+    cpus = kernels._jobs(sys.maxsize)
+    print(f"Python {platform.python_version()}, enumeration on {cpus} of {os.cpu_count()} cores")
     results = {}
     results["canonical_form x20k"] = best_of(
         lambda: deque(map(kernels.canonical_form, words), 0), repeat
     )
     parents = cycles._level(n - 1)  # built outside the timing
     results[f"next_level into {n}"] = best_of(lambda: kernels.next_level(parents), repeat)
+    results[f"next_level into {n}, one process"] = best_of(
+        lambda: sorted(kernels._tuples(kernels._grow(parents), n)), repeat
+    )
     results["m_value x2k"] = best_of(lambda: deque(starmap(m_value, pairs), 0), repeat)
     results[f"enumerate to {n}"] = best_of(
         lambda: cycles.enumerate_cycles(n), repeat, reset=cycles._levels.clear

@@ -14,10 +14,11 @@ starts with empty memos, with the peak RSS of that best process:
   ``verify_thm_subseqs(13)``, each timed after the levels it reads (and
   the refined pair) are built untimed in the same process.
 
-The record names the Python version, the core count and the kernel
-backend.  ``--src`` selects the checkout whose ``src`` is imported, so one
-copy of this script times two commits alike; give it, say, a ``git
-archive`` of another commit.  Run from the repository root:
+The record names the Python version, the core count, the CPUs the
+enumeration may fork onto (one for a checkout whose ``next_level``
+cannot fork) and the kernel backend.  ``--src`` selects the checkout
+whose ``src`` is imported, so one copy of this script times two commits
+alike; give it, say, a ``git archive`` of another commit.  Run from the repository root:
 
     python3 benchmarks/sweep_record.py [--src .] [--repeat 3]
 """
@@ -55,7 +56,9 @@ else:
     q.solve_triples((2, 2, 5), n)
 s = time.perf_counter() - t0
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-print(json.dumps({"s": s, "rss_mib": rss, "backend": q.kernels.backend()}))
+# the processes a level may grow in; one in checkouts whose next_level cannot fork
+cpus = getattr(q.kernels, "_jobs", lambda parents: 1)(sys.maxsize)
+print(json.dumps({"s": s, "rss_mib": rss, "backend": q.kernels.backend(), "cpus": cpus}))
 """
 
 
@@ -101,6 +104,7 @@ def main(argv=None):
     record = {
         "python": platform.python_version(),
         "cores": os.cpu_count(),
+        "enumeration_cpus": max(f.pop("cpus") for f in figures.values()),
         "backend": ",".join(sorted(backends)),
         "repeat": args.repeat,
         "figures": {

@@ -245,9 +245,11 @@ def _level(n: int, limit: int | None = None) -> tuple[Pattern, ...]:
 
     Built length by length from (0,0) and (1,1,1) by ear insertion:
     ``kernels.next_level`` grows each level from the one before in a
-    single call by canonical augmentation, the enumeration's inner loop.
-    Memoized per length in ``_levels``, so repeated and incremental calls
-    are cheap.  Lengths past 257 raise even under a larger ``limit``.
+    single call by canonical augmentation, the enumeration's inner loop;
+    from length 14 on it splits the parents across forked processes, one
+    per usable CPU, when no other thread is alive.  Memoized per length
+    in ``_levels``, so repeated and incremental calls are cheap.  Lengths
+    past 257 raise even under a larger ``limit``.
     """
     bound = DEFAULT_MAX_LENGTH if limit is None else limit
     if n < 2:

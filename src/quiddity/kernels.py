@@ -4,7 +4,12 @@
 level of canonical quiddity words on byte strings by canonical
 augmentation, keeping a child only when its least rotation starts at the
 inserted ear, which ``_is_least_rotation`` decides.  Every entry must
-fit in a byte, so the enumeration stops at length 257.
+fit in a byte, so the enumeration stops at length 257.  Each class has
+one parent, so a level of 2,000 parents or more grows as one fork-join:
+forked children grow interleaved slices of the parents with the same
+per-parent loop ``_grow`` and send their words back through pipes.  It
+stays in one process where ``os.fork`` is missing, on one CPU, or while
+another thread is alive, and no child outlives the call.
 ``canonical_form`` and ``insert_fanout`` serve single cycles
 (``DihedralCycle``, ``ear_insert``, ``delta_preimages``) and are the
 references that the tests check ``_is_least_rotation`` and
@@ -18,6 +23,8 @@ the class's symmetries.
 """
 
 from __future__ import annotations
+
+import os
 
 
 def backend() -> str:
@@ -117,17 +124,126 @@ def _is_least_rotation(c: bytes, r: bytes) -> bool:
     return True
 
 
+#: Parents per process when ``next_level`` forks: a level grows in
+#: ``len(words) // _PARENTS_PER_JOB`` processes at most, so it forks from
+#: 2,000 parents on, for lengths 14 and up (level 13 has 2,282 classes).
+_PARENTS_PER_JOB = 1000
+
+
 def next_level(words) -> tuple:
     """The sorted canonical words of length k + 1 grown from ``words``,
-    the canonical words of every quiddity class of length k >= 3.
+    the sorted sequence of canonical words of every quiddity class of
+    length k >= 3.
 
     Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
-    J. Algorithms 26, 1998): a child, a parent with one ear inserted, is
-    kept only if its least rotation starts at the new ear, read in
-    either direction.  Removing that ear gives one parent class, so each
-    class of length k + 1 comes from one parent only, and from two of its
-    edges only when an automorphism of the parent maps one onto the
-    other: a set per parent drops those duplicates.
+    J. Algorithms 26, 1998) gives each class of length k + 1 exactly one
+    parent class, so ``_grow`` can grow disjoint slices of the parents
+    apart and their children need no deduplication across slices.
+
+    A large level grows as one fork-join over its parents (see
+    ``_jobs``): ``jobs - 1`` forked children each grow the interleaved
+    slice ``words[j::jobs]`` and write its words back through a pipe as
+    one blob of (k + 1)-byte words, then leave by ``os._exit``, so they
+    never flush inherited stdio buffers or run atexit handlers.  This
+    process grows slice 0 itself meanwhile and turns each blob straight
+    into tuples.  A child that exits non-zero or sends a blob that is not
+    whole words makes the call raise ``RuntimeError``; whatever is
+    raised, every child is killed and reaped before the call returns.
+    Otherwise ``_grow`` runs on all parents here.  Either way the words
+    are sorted once.
+
+    Every entry must fit in a byte, so k + 1 <= 257."""
+    width = len(words[0]) + 1 if words else 0
+    jobs = _jobs(len(words))
+    if jobs == 1:
+        out = list(_tuples(_grow(words), width))
+    else:
+        out = _fork_join(words, jobs, width)
+    out.sort()
+    return tuple(out)
+
+
+def _jobs(parents: int) -> int:
+    """How many processes grow a level from ``parents`` parents: one per
+    ``_PARENTS_PER_JOB`` of them, at most one per CPU this process may
+    run on (``os.sched_getaffinity``).  One where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing, and one while a second thread
+    is alive: a forked child holds only the calling thread, and the locks
+    the others held stay locked in it."""
+    jobs = parents // _PARENTS_PER_JOB
+    if jobs < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    import threading
+
+    if threading.active_count() > 1:
+        return 1
+    return min(jobs, len(os.sched_getaffinity(0)))
+
+
+def _tuples(blob, width: int):
+    """The words of ``width`` bytes laid end to end in ``blob``, as
+    tuples of ints."""
+    return zip(*[iter(blob)] * width)
+
+
+def _fork_join(words, jobs: int, width: int) -> list:
+    """The unsorted children of ``words``: slice j of ``jobs`` grown in
+    a forked child for j >= 1, slice 0 here."""
+    import signal
+
+    live, reads = [], []  # children not yet reaped; read ends of their pipes
+    try:
+        for j in range(1, jobs):
+            r, w = os.pipe()
+            reads.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:  # the child grows slice j, sends it and exits
+                    code = 1
+                    try:
+                        with open(w, "wb") as pipe:
+                            pipe.write(_grow(words[j::jobs]))
+                        code = 0
+                    finally:
+                        os._exit(code)
+                live.append(pid)
+            finally:
+                os.close(w)
+        out = list(_tuples(_grow(words[::jobs]), width))
+        for pid, r in list(zip(live, reads)):
+            with open(r, "rb", closefd=False) as pipe:
+                blob = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            live.remove(pid)
+            if status or len(blob) % width:
+                raise RuntimeError(
+                    f"next_level: worker {pid} ended with wait status {status} "
+                    f"after sending {len(blob)} bytes of {width}-byte words"
+                )
+            out.extend(_tuples(blob, width))
+            del blob  # before the next child's blob is read
+        return out
+    finally:
+        for pid in live:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for r in reads:
+            os.close(r)
+
+
+def _grow(words) -> bytearray:
+    """The children of ``words`` that canonical augmentation keeps, as
+    one blob of (k + 1)-byte words in no particular order.  Each parent's
+    children go straight into the blob, which is returned without a copy,
+    so no object per child outlives its parent's turn and one blob is
+    all that a level adds to the peak memory before its tuples are built.
+
+    A child, a parent with one ear inserted, is kept only if its least
+    rotation starts at the new ear, read in either direction.  Removing
+    that ear gives one parent class, so each class of length k + 1 comes
+    from one parent only, and from two of its edges only when an
+    automorphism of the parent maps one onto the other: a set per parent
+    drops those duplicates.
 
     The parent's canonical word b starts at ear 0, and x0 = b[1] is the
     least neighbour of any ear.  An ear inserted between entries u and v
@@ -139,10 +255,8 @@ def next_level(words) -> tuple:
         b[0] on the two edges at ear 0): it is rejected if that is
         smaller than the new ear's least rotation r;
     (c) if y < x0, no other ear has a neighbour as small, and r is
-        least; otherwise ``_is_least_rotation`` decides.
-
-    Every entry must fit in a byte, so k + 1 <= 257."""
-    out = []
+        least; otherwise ``_is_least_rotation`` decides."""
+    out = bytearray()
     for word in words:
         b = bytes(word)
         n = len(b)
@@ -173,6 +287,6 @@ def next_level(words) -> tuple:
                 continue
             if min(u, v) + 1 < x0 or _is_least_rotation(c, r):
                 kept.add(r)
-        out.extend(map(tuple, kept))
-    out.sort()
-    return tuple(out)
+        for r in kept:
+            out += r
+    return out

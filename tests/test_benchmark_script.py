@@ -21,6 +21,8 @@ def test_benchmark_kernels_runs():
     assert lines[0].startswith("Python ") and lines[0].endswith(" cores")
     assert "canonical_form x20k" in proc.stdout
     assert "next_level into 8" in proc.stdout
+    assert "next_level into 8, one process" in proc.stdout
+    assert " enumeration on " in lines[0]
     assert "m_value x2k" in proc.stdout
     assert "enumerate to 8" in proc.stdout
     assert "cover check to 8" in proc.stdout
@@ -43,6 +45,7 @@ def test_sweep_record_runs():
     assert proc.returncode == 0, proc.stderr
     record = json.loads(proc.stdout)
     assert record["backend"] == "python" and record["repeat"] == 1
+    assert 1 <= record["enumeration_cpus"] <= record["cores"]
     assert list(record["figures"]) == [
         "classify_mu(24) cold",
         "classify_mu(40) cold",

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -291,11 +295,37 @@ def test_verify_cover_malformed_pair_file(tmp_path, capsys, text):
             "481703d5a39681114556fa60071da02bfdb42834809b9f25659b5e33cde62092",
         ),
         (["generic", "--json"], "a56d29539dbdcb1daeb2fa0ca973ae178211b799b2a58d7040e8d8cf8f2b4db5"),
+        (
+            ["enumerate", "--length", "14", "--json"],
+            "0daf33461f294bc2dd4af2e644d4fc557a44b0f1677b68b5021996ce54b868d2",
+        ),
+        (
+            ["verify-cover", "--pair", "builtin:cor12", "--max", "14", "--json"],
+            "7b10fe7decbba7c0d208debc2905f07cced5b50f20b6aeeae6aec6f4bf32b1f2",
+        ),
     ],
-    ids=["classify", "verify-cor15", "solve", "generic"],
+    ids=["classify", "verify-cor15", "solve", "generic", "enumerate", "verify-cover"],
 )
 def test_json_output_is_pinned(capsys, argv, digest):
-    # the sha256 of stdout: a refactor of the sweeps must not change a byte
+    # the sha256 of stdout: a refactor of the sweeps or of the enumeration
+    # must not change a byte
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_forked_enumeration_prints_one_json_document():
+    # level 14 grows in forked workers where two CPUs are usable; a worker
+    # that flushed the inherited stdout would print a second document
+    proc = subprocess.run(
+        [sys.executable, "-m", "quiddity.cli", "enumerate", "--length", "14", "--json"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["count"] == 7528
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "0daf33461f294bc2dd4af2e644d4fc557a44b0f1677b68b5021996ce54b868d2"
+    )

@@ -1,12 +1,21 @@
 """The pure kernels against their references: ``next_level`` against
-one ``insert_fanout`` per parent, ``_is_least_rotation`` against
-``canonical_form``, and ``canonical_form`` against a brute-force minimum
-over all rotations."""
+one ``insert_fanout`` per parent and, forked, against ``_grow`` in one
+process, ``_is_least_rotation`` against ``canonical_form``, and
+``canonical_form`` against a brute-force minimum over all rotations."""
 
+import os
 import random
+import subprocess
+import sys
+import threading
 from itertools import product
+from pathlib import Path
 
-from quiddity import kernels
+import pytest
+
+from quiddity import cycles, kernels
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def fanout_levels(max_length):
@@ -38,6 +47,133 @@ def test_next_level_grows_each_class_from_one_parent():
             assert grown.isdisjoint(children), word
             grown.update(children)
         assert grown == set(levels[k + 1]), k
+
+
+def two_cpus(monkeypatch):
+    """Let ``next_level`` fork even on a one-CPU host, and count the forks."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def one_process(parents):
+    return tuple(sorted(kernels._tuples(kernels._grow(parents), len(parents[0]) + 1)))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("k", [13, 14])
+def test_forked_next_level_matches_one_process(monkeypatch, k):
+    parents = cycles._level(k)
+    forks = two_cpus(monkeypatch)
+    grown = kernels.next_level(parents)
+    assert forks, "the level did not fork"
+    assert grown == one_process(parents)
+    assert len(set(grown)) == len(grown) == (7528 if k == 13 else 24834)
+    assert_no_child_left()
+
+
+def test_next_level_forks_from_two_thousand_parents(monkeypatch):
+    forks = two_cpus(monkeypatch)
+    kernels.next_level(cycles._level(12))  # 733 parents
+    assert not forks
+    kernels.next_level(cycles._level(13))  # 2,282 parents
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("fault", ["raise", "truncate"])
+def test_a_failing_worker_raises_and_leaves_no_child(monkeypatch, fault):
+    parents = cycles._level(13)
+    grow = kernels._grow
+
+    def failing(words):
+        # slice 0, grown by the calling process, holds parents[0]
+        if parents[0] in words:
+            return grow(words)
+        if fault == "raise":
+            raise ValueError("worker fails")
+        return grow(words)[:-1]
+
+    two_cpus(monkeypatch)
+    monkeypatch.setattr(kernels, "_grow", failing)
+    with pytest.raises(RuntimeError, match="worker"):
+        kernels.next_level(parents)
+    assert_no_child_left()
+
+
+def test_an_interrupted_parent_kills_its_workers(monkeypatch):
+    parents = cycles._level(13)
+    grow = kernels._grow
+
+    def interrupted(words):
+        if parents[0] in words:
+            raise KeyboardInterrupt
+        return grow(words)
+
+    two_cpus(monkeypatch)
+    monkeypatch.setattr(kernels, "_grow", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        kernels.next_level(parents)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("setting", ["one CPU", "no fork", "second thread"])
+def test_next_level_stays_in_one_process(monkeypatch, setting):
+    parents = cycles._level(13)
+
+    def no_fork():
+        raise AssertionError("next_level forked")
+
+    cpus = {0} if setting == "one CPU" else {0, 1}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    if setting == "no fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", no_fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if setting == "second thread":
+        thread.start()
+    try:
+        assert kernels.next_level(parents) == cycles._level(14)
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_workers_flush_no_buffered_output_and_run_no_atexit():
+    # stdout is a pipe, so "before" sits in the buffer when next_level forks
+    code = (
+        "import atexit, os\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from quiddity import cycles\n"
+        "atexit.register(print, 'atexit')\n"
+        "print('before', end=' ')\n"
+        "print(len(cycles._level(15)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "before 24834\natexit\n"
+    assert proc.stderr == ""
 
 
 def ear_rotations(rep):
