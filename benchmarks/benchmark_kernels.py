@@ -1,152 +1,183 @@
 #!/usr/bin/env python3
-"""Time the kernels and the pipelines built on them.
+"""Time the kernels and the pipelines of a source checkout and print one
+JSON record.
 
-Twelve workloads: the dihedral canonical form on random words (micro),
-one ``next_level`` step into a length from the warm level below it, and
-the same step grown by ``_grow`` in this process only and sorted, which
-separates the kernel's speed from the gain of forking (kernels),
-``m_value`` on 2,000 seeded pairs of roots of unity (kernel),
-enumeration of all quiddity classes up to that length (macro), two cover verifications over that enumeration (macro) -- the
-27-pattern ``cor12`` pair and the 651-pattern pair of three refinement
-steps from ``builtin:base`` -- the interior-subsequence theorem
-``verify_thm_subseqs`` to the same length (pipeline), the affine
-classification ``classify_mu`` with n up to that length and the
-reconstruction ``solve_triples`` of the window (2,2,5) to the same bound,
-both cold (pipelines), ``solve_triples`` again over the sweep records the
-classification left (pipeline), and the check of the three one-parameter
-rows ``check_generic_rows`` at its default order 48 (pipeline).
+Every row runs the same way: its set-up runs untimed in a fresh
+interpreter, then one call is timed in that interpreter.  A row's figure
+is the best of ``--repeat`` such processes: the call's seconds ``s``,
+the process's peak RSS ``peak_rss_mib``, and ``children_peak_rss_mib``,
+the peak RSS of the largest child it reaped: the processes that
+``next_level`` forks to grow a large level, in the set-up or the call (0
+when it forked none).  A call whose result has ``ok`` must return an ok
+one.
 
-``verify_cover`` searches each class with one compiled byte-trie
-regular expression of its patterns, and ``verify_thm_subseqs`` ranks the
-cyclic windows of each class and counts its representatives from its
-symmetries; neither calls a kernel, and both reuse the levels that the
-enumeration row has already cached.  The first line names the Python
-version, the CPUs the enumeration may fork onto (one where
-``next_level`` cannot fork) and the core count.  Run from the
-repository root:
+The rows at the length L of ``--length`` come first:
 
-    python3 benchmarks/benchmark_kernels.py [--length 13] [--repeat 3]
+- the dihedral canonical form of 20,000 seeded random words;
+- one ``next_level`` step into L from the level below it, and the same
+  step grown by ``_grow`` in one process and sorted, which separates the
+  kernel's speed from the gain of forking;
+- ``m_value`` on 2,000 seeded pairs of roots of unity;
+- the enumeration of every length up to L, cold;
+- ``verify_cover`` to L of the 27-pattern ``cor12`` pair and of the
+  651-pattern pair of three refinement steps from ``builtin:base``, and
+  ``verify_thm_subseqs(L)``, each over levels (and a pair) built in the
+  set-up;
+- ``classify_mu(L)`` and ``solve_triples((2,2,5), L)`` cold, that
+  ``solve_triples`` again after ``classify_mu(L)``, and
+  ``check_generic_rows(48)``.
+
+The fixed rows follow, so that records at any length share them: cold
+``classify_mu`` at 24, 40 and 48, ``solve_triples((2,2,5), M)`` cold and
+after ``classify_mu(M)`` at M = 12 and 24, both covers to 15 and
+``verify_thm_subseqs(13)``.  A row of both kinds runs once.
+
+The record names the Python version, the core count, the CPUs the
+enumeration may fork onto, the kernel backend, the length and the
+repeat count.  ``--src`` selects the checkout whose ``src`` is imported,
+so one copy of this script times two commits alike; give it, say, a
+``git archive`` of another commit.  Run from the repository root:
+
+    python3 benchmarks/benchmark_kernels.py [--src .] [--length 13] [--repeat 3]
 """
 
 import argparse
+import json
 import os
 import platform
-import random
+import subprocess
 import sys
-import time
-from collections import deque
-from itertools import starmap
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+#: Runs the set-up in argv[1], times the call in argv[2] and prints its figure.
+CHILD = """
+import json, random, resource, sys, time
+from collections import deque
+from itertools import starmap
+from quiddity import *
+from quiddity import cycles, kernels
+exec(sys.argv[1])
+t0 = time.perf_counter()
+result = eval(sys.argv[2])
+s = time.perf_counter() - t0
+assert getattr(result, "ok", True), sys.argv[2]
+mib = lambda who: round(resource.getrusage(who).ru_maxrss / 1024.0, 1)
+print(json.dumps({
+    "figure": {
+        "s": round(s, 4),
+        "peak_rss_mib": mib(resource.RUSAGE_SELF),
+        "children_peak_rss_mib": mib(resource.RUSAGE_CHILDREN),
+    },
+    "backend": kernels.backend(),
+    "enumeration_cpus": kernels._jobs(sys.maxsize),
+}))
+"""
 
-from quiddity import (  # noqa: E402
-    Scalar,
-    affine,
-    charseq,
-    check_generic_rows,
-    cycles,
-    kernels,
-    m_value,
-)
-from quiddity.localdesc import (  # noqa: E402
-    BUILTIN_PAIRS,
-    theorem_step,
-    verify_cover,
-    verify_thm_subseqs,
-)
+#: 20,000 words of length 4-16 and 2,000 pairs of roots of unity of order
+#: up to 48, from one seeded generator.
+SEEDED = """
+rng = random.Random(12345)
+words = [tuple(rng.randint(0, 8) for _ in range(rng.randint(4, 16))) for _ in range(20000)]
+def root():
+    k = rng.randint(1, 48)
+    return Scalar.root_of_unity(k, rng.randrange(k))
+pairs = [(root(), root()) for _ in range(2000)]
+"""
+
+REFINED = """
+pair = BUILTIN_PAIRS["base"]
+for _ in range(3):
+    pair = theorem_step(pair)
+"""
 
 
-def best_of(call, repeat, reset=None, ok=False):
-    """The least wall time of ``repeat`` runs of ``call()``, each after an
-    untimed ``reset()`` when one is given; with ``ok``, every run's
-    report must be ok."""
-    best = float("inf")
-    for _ in range(repeat):
-        if reset is not None:
-            reset()
-        t0 = time.perf_counter()
-        report = call()
-        best = min(best, time.perf_counter() - t0)
-        if ok:
-            assert report.ok
-    return best
+def covers(n):
+    levels = f"cycles._level({n})"
+    return {
+        f"verify_cover(cor12, {n})": (levels, f"verify_cover(BUILTIN_PAIRS['cor12'], {n})"),
+        f"verify_cover(depth-3 refined, {n})": (levels + REFINED, f"verify_cover(pair, {n})"),
+    }
 
 
-def cold_classify():
-    """Empty the per-level sweep records, the window verdicts and the
-    period decomposition cache."""
-    charseq._sweeps.clear()
-    affine._verdicts.clear()
-    affine.decompose_affine.cache_clear()
+def thm(n):
+    return {f"verify_thm_subseqs({n})": (f"cycles._level({n})", f"verify_thm_subseqs({n})")}
+
+
+def classify(n):
+    return {f"classify_mu({n}) cold": ("", f"classify_mu({n})")}
+
+
+def solve(n):
+    call = f"solve_triples((2, 2, 5), {n})"
+    return {
+        f"solve_triples((2,2,5), {n}) cold": ("", call),
+        f"solve_triples((2,2,5), {n}) after classify_mu({n})": (f"classify_mu({n})", call),
+    }
+
+
+def rows(n):
+    """Name -> (untimed set-up, timed call) of every row: those at length
+    n first, then the fixed ones."""
+    parents = f"parents = cycles._level({n - 1})"
+    at_n = {
+        "canonical_form(w) x20k": (SEEDED, "deque(map(kernels.canonical_form, words), 0)"),
+        f"next_level(_level({n - 1}))": (parents, "kernels.next_level(parents)"),
+        f"sorted(_grow(_level({n - 1})))": (
+            parents, f"sorted(kernels._tuples(kernels._grow(parents), {n}))"
+        ),
+        "m_value(a, b) x2k": (SEEDED, "deque(starmap(m_value, pairs), 0)"),
+        f"enumerate_cycles({n}) cold": ("", f"enumerate_cycles({n})"),
+        **covers(n),
+        **thm(n),
+        **classify(n),
+        **solve(n),
+        "check_generic_rows(48)": ("", "check_generic_rows(48)"),
+    }
+    fixed = classify(24) | classify(40) | classify(48) | solve(12) | solve(24)
+    return at_n | fixed | covers(15) | thm(13)
+
+
+def run_child(src: Path, setup: str, call: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src.resolve() / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, setup, call],
+        env=env,
+        stdout=subprocess.PIPE,
+        text=True,
+        check=True,
+        timeout=600,
+    )
+    return json.loads(proc.stdout)
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--src", type=Path, default=Path("."), help="checkout to time")
     parser.add_argument(
         "--length", type=int, default=13, help="enumeration length and root-of-unity sweep bound"
     )
-    parser.add_argument("--repeat", type=int, default=3, help="best of N runs")
+    parser.add_argument("--repeat", type=int, default=3, help="best of N processes")
     args = parser.parse_args(argv)
     if args.length < 4:
         parser.error("--length must be >= 4: next_level grows from length 3")
-    n, repeat = args.length, args.repeat
+    if args.repeat < 1:
+        parser.error("--repeat must be >= 1")
 
-    rng = random.Random(12345)
-    words = [
-        tuple(rng.randint(0, 8) for _ in range(rng.randint(4, 16))) for _ in range(20000)
-    ]
-
-    def root():
-        k = rng.randint(1, 48)
-        return Scalar.root_of_unity(k, rng.randrange(k))
-
-    pairs = [(root(), root()) for _ in range(2000)]
-
-    def solve():
-        return charseq.solve_triples((2, 2, 5), n)
-
-    # the processes a level of any size may grow in
-    cpus = kernels._jobs(sys.maxsize)
-    print(f"Python {platform.python_version()}, enumeration on {cpus} of {os.cpu_count()} cores")
-    results = {}
-    results["canonical_form x20k"] = best_of(
-        lambda: deque(map(kernels.canonical_form, words), 0), repeat
-    )
-    parents = cycles._level(n - 1)  # built outside the timing
-    results[f"next_level into {n}"] = best_of(lambda: kernels.next_level(parents), repeat)
-    results[f"next_level into {n}, one process"] = best_of(
-        lambda: sorted(kernels._tuples(kernels._grow(parents), n)), repeat
-    )
-    results["m_value x2k"] = best_of(lambda: deque(starmap(m_value, pairs), 0), repeat)
-    results[f"enumerate to {n}"] = best_of(
-        lambda: cycles.enumerate_cycles(n), repeat, reset=cycles._levels.clear
-    )
-    results[f"cover check to {n}"] = best_of(
-        lambda: verify_cover(BUILTIN_PAIRS["cor12"], n), repeat, ok=True
-    )
-    refined = BUILTIN_PAIRS["base"]
-    for _ in range(3):
-        refined = theorem_step(refined)
-    results[f"depth-3 cover to {n}"] = best_of(lambda: verify_cover(refined, n), repeat, ok=True)
-    results[f"verify_thm_subseqs({n})"] = best_of(lambda: verify_thm_subseqs(n), repeat, ok=True)
-    results[f"classify_mu({n})"] = best_of(
-        lambda: affine.classify_mu(n), repeat, reset=cold_classify, ok=True
-    )
-    results[f"solve_triples((2,2,5), {n})"] = best_of(solve, repeat, reset=charseq._sweeps.clear)
-    affine.classify_mu(n)  # the records the next row reads
-    results[f"solve_triples((2,2,5), {n}) after classify_mu({n})"] = best_of(solve, repeat)
-    results["check_generic_rows(48)"] = best_of(
-        lambda: check_generic_rows(48), repeat, ok=True
-    )
-
-    width = max(len(w) for w in results) + 2
-    header = f"{'workload':<{width}}{'best':>12}"
-    print()
-    print(header)
-    print("-" * len(header))
-    for w, seconds in results.items():
-        print(f"{w:<{width}}{seconds:>11.3f}s")
+    figures = {}
+    for name, (setup, call) in rows(args.length).items():
+        runs = [run_child(args.src, setup, call) for _ in range(args.repeat)]
+        figures[name] = min((r["figure"] for r in runs), key=lambda f: f["s"])
+    # every process of one checkout reports the same backend and CPUs
+    record = {
+        "python": platform.python_version(),
+        "cores": os.cpu_count(),
+        "enumeration_cpus": runs[0]["enumeration_cpus"],
+        "backend": runs[0]["backend"],
+        "length": args.length,
+        "repeat": args.repeat,
+        "figures": figures,
+    }
+    print(json.dumps(record, indent=2))
     return 0
 
 

@@ -8,9 +8,9 @@ integer sequence (the recorded m-values).  For root-of-unity triples the
 state space is finite and the walk is reversible, so the sequence is
 purely periodic unless some m-value is undefined (a broken triple).
 
-``sigma1``/``sigma2`` act on ``Scalar`` triples one step at a time.  The
-walk and the sweep over root-of-unity triples run on integer exponents
-instead (``_walk``): ``Triple``s are built only for what they return.
+Every reflection runs on integer exponents (``_reflect``): the walk, the
+sweep over root-of-unity triples and the CLI's arrow diagram all step
+through it, and ``Triple``s are built only for what they return.
 
 A unit u mod n acts on the triples of level n by zeta -> zeta^u, i.e. by
 multiplying all three exponents by u.  The walk commutes with this
@@ -31,7 +31,7 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Optional
 
 from .cycles import Pattern, as_pattern
-from .scalars import Scalar, _m_rule, m_value
+from .scalars import Scalar, _m_rule
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,43 +146,6 @@ def _galois_keys(n: int, table: _GaloisTable) -> Iterator[tuple[int, int, int]]:
                     yield a, b, c
 
 
-def sigma1(t: Triple) -> Optional[tuple[Triple, int]]:
-    """Left reflection; None when the m-value is undefined (broken).
-
-    Returns the image triple and the recorded value c = m1.  When the
-    power condition fires at the minimum, the image equals the input (an
-    end of the sequence).
-    """
-    mv = m_value(t.q1, t.q)
-    if mv is None:
-        return None
-    m = mv.m
-    return (
-        Triple(
-            t.q1,
-            (t.q1 ** (-2 * m)) * t.q.inverse(),
-            (t.q1 ** (m * m)) * (t.q ** m) * t.q2,
-        ),
-        m,
-    )
-
-
-def sigma2(t: Triple) -> Optional[tuple[Triple, int]]:
-    """Right reflection, mirror of ``sigma1``."""
-    mv = m_value(t.q2, t.q)
-    if mv is None:
-        return None
-    m = mv.m
-    return (
-        Triple(
-            t.q1 * (t.q ** m) * (t.q2 ** (m * m)),
-            (t.q2 ** (-2 * m)) * t.q.inverse(),
-            t.q2,
-        ),
-        m,
-    )
-
-
 SHAPE_CYCLE = "cycle"
 SHAPE_CHAIN = "chain"
 SHAPE_BROKEN = "broken"
@@ -286,7 +249,10 @@ def _reflected(n: int, s: _State, left: bool, m: int) -> _State:
 
 
 def _reflect(n: int, s: _State, left: bool) -> Optional[tuple[_State, int]]:
-    """``sigma1`` (``left``) or ``sigma2`` on a walk state at level n."""
+    """The left (``left``) or right reflection of a walk state at level n,
+    with its m-value; None when the m-value is undefined (broken).  When
+    the power condition fires at the minimum, the image is the state
+    itself (an end of the sequence)."""
     mv = _m_rule(n, s[0], s[3], s[1], s[4]) if left else _m_rule(n, s[2], s[5], s[1], s[4])
     if mv is None:
         return None

@@ -21,7 +21,7 @@ from .affine import (
     decompose_affine,
     verify_cor15_on_classified,
 )
-from .charseq import Triple, solve_triples, walk
+from .charseq import Triple, _exponents, _reflect, _triple, solve_triples, walk
 from .cycles import _level, canonicalize, is_quiddity
 from .localdesc import (
     BUILTIN_PAIRS,
@@ -75,7 +75,7 @@ def _triple_from_args(args) -> tuple[Triple, int | None]:
 
 
 def cmd_enumerate(args) -> int:
-    words = _level(args.length, args.limit)
+    words = _level(args.length)
     _emit(
         args,
         {"length": args.length, "count": len(words), "cycles": [list(w) for w in words]},
@@ -149,20 +149,19 @@ def cmd_verify_thm16(args) -> int:
 
 
 def _diagram_lines(start: Triple, zeta_order, max_arrows: int = 8) -> list[str]:
-    """Plain-text arrow diagram of the forward walk from ``start``."""
-    from .charseq import sigma1, sigma2
-
+    """Plain-text arrow diagram of the forward walk from ``start``: the
+    reflections of ``walk`` replayed on its exponents."""
+    n = start.level()
+    s = _exponents(start, n)
     pieces = [start.render(zeta_order)]
-    t = start
     for i in range(max_arrows):
-        res = (sigma1 if i % 2 == 0 else sigma2)(t)
+        res = _reflect(n, s, i % 2 == 0)
         if res is None:
             pieces.append("<--?--|")
             break
-        nxt, c = res
+        s, c = res
         pieces.append(f"<--{c}-->")
-        pieces.append(nxt.render(zeta_order))
-        t = nxt
+        pieces.append(_triple(n, s).render(zeta_order))
     return ["  ".join(pieces)]
 
 
@@ -288,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("enumerate", cmd_enumerate, help="all quiddity classes of one length")
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--limit", type=int, default=None, help="enumeration bound override")
 
     p = add("check", cmd_check, help="membership test for one cycle")
     p.add_argument("--cycle", required=True, help="comma-separated entries")

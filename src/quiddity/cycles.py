@@ -22,9 +22,11 @@ Pattern = tuple[int, ...]
 #: cross-checked against the matrix-product invariant.
 _SELF_CHECK = os.environ.get("QUIDDITY_SELF_CHECK") == "1"
 
-#: Largest cycle length ``enumerate_cycles`` accepts by default; the class
-#: counts grow roughly by x3.4 per step, so this is a memory guard, not a
-#: hard algorithmic limit.
+#: Largest cycle length that ``enumerate_cycles`` and the cover checks
+#: accept.  The class counts grow by about x3.4 per length, to about
+#: 1.9e9 classes at 24, so this bound guards time and memory; it sits far
+#: below 257, the longest cycle whose entries (up to n - 2) fit the
+#: byte strings of ``kernels.next_level``.
 DEFAULT_MAX_LENGTH = 24
 
 
@@ -235,12 +237,8 @@ _levels: dict[int, tuple[Pattern, ...]] = {}
 #: of length >= 3, whose children have no two adjacent 1s.
 _SEED_LEVELS: dict[int, tuple[Pattern, ...]] = {2: ((0, 0),), 3: ((1, 1, 1),)}
 
-#: Longest cycle the byte-string enumeration kernel can hold: a quiddity
-#: cycle of length n has entries up to n - 2, and a byte holds up to 255.
-_MAX_BYTE_LENGTH = 257
 
-
-def _level(n: int, limit: int | None = None) -> tuple[Pattern, ...]:
+def _level(n: int) -> tuple[Pattern, ...]:
     """The sorted canonical words of the quiddity classes of length ``n``.
 
     Built length by length from (0,0) and (1,1,1) by ear insertion:
@@ -249,31 +247,26 @@ def _level(n: int, limit: int | None = None) -> tuple[Pattern, ...]:
     from length 14 on it splits the parents across forked processes, one
     per usable CPU, when no other thread is alive.  Memoized per length
     in ``_levels``, so repeated and incremental calls are cheap.  Lengths
-    past 257 raise even under a larger ``limit``.
+    past ``DEFAULT_MAX_LENGTH`` raise before any level is built.
     """
-    bound = DEFAULT_MAX_LENGTH if limit is None else limit
     if n < 2:
         raise ValueError("cycle length starts at 2")
-    if n > bound:
-        raise ValueError(f"length {n} exceeds the enumeration bound {bound}")
-    if n > _MAX_BYTE_LENGTH:
-        raise ValueError(
-            f"length {n} exceeds {_MAX_BYTE_LENGTH}: its entries do not fit in a byte"
-        )
+    if n > DEFAULT_MAX_LENGTH:
+        raise ValueError(f"length {n} exceeds the enumeration bound {DEFAULT_MAX_LENGTH}")
     for k in range(len(_levels) + 2, n + 1):
         _levels[k] = _SEED_LEVELS.get(k) or kernels.next_level(_levels[k - 1])
     return _levels[n]
 
 
-def enumerate_cycles(n: int, *, limit: int | None = None) -> frozenset[DihedralCycle]:
-    """All dihedral classes of quiddity cycles of length ``n``.
+def enumerate_cycles(n: int) -> frozenset[DihedralCycle]:
+    """All dihedral classes of quiddity cycles of length ``n``, for
+    2 <= n <= ``DEFAULT_MAX_LENGTH``.
 
     The memo holds each length's sorted canonical words, not cycles:
     every call wraps the classes of its level afresh, without
-    canonicalizing them a second time.  ``limit`` overrides
-    ``DEFAULT_MAX_LENGTH``.
+    canonicalizing them a second time.
     """
-    return frozenset(map(DihedralCycle._from_canon, _level(n, limit)))
+    return frozenset(map(DihedralCycle._from_canon, _level(n)))
 
 
 def contains_cyclic(c: DihedralCycle | Iterable[int], d: Iterable[int]) -> bool:

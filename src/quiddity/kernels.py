@@ -4,9 +4,10 @@
 level of canonical quiddity words on byte strings by canonical
 augmentation, keeping a child only when its least rotation starts at the
 inserted ear, which ``_is_least_rotation`` decides.  Every entry must
-fit in a byte, so the enumeration stops at length 257.  Each class has
-one parent, so a level of 2,000 parents or more grows as one fork-join:
-forked children grow interleaved slices of the parents with the same
+fit in a byte, which holds up to length 257, far past the enumeration
+bound ``cycles.DEFAULT_MAX_LENGTH``.  Each class has one parent, so a
+level of 2,000 parents or more grows as one fork-join: forked children
+grow interleaved slices of the parents with the same
 per-parent loop ``_grow`` and send their words back through pipes.  It
 stays in one process where ``os.fork`` is missing, on one CPU, or while
 another thread is alive, and no child outlives the call.

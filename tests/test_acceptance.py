@@ -25,8 +25,6 @@ from quiddity import (
     enumerate_cycles,
     m_value,
     rho,
-    sigma1,
-    sigma2,
     solve_triples,
     theorem_step,
     verify_cor15_on_classified,
@@ -38,6 +36,7 @@ from quiddity.affine import canonical_period_key
 from quiddity.charseq import SHAPE_CYCLE
 
 from brute_triples import root_of_unity_triples as _root_of_unity_triples
+from scalar_reflections import sigma1, sigma2
 
 
 class Criterion:

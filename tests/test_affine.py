@@ -16,8 +16,6 @@ from quiddity import (
     decompose_affine,
     is_quiddity,
     minimal_period,
-    sigma1,
-    sigma2,
     verify_cor15_on_classified,
     walk,
 )
@@ -34,6 +32,7 @@ from quiddity.cycles import eta_product
 
 import backtrack_affine
 from brute_triples import root_of_unity_triples as _root_of_unity_triples
+from scalar_reflections import sigma1, sigma2
 
 
 def mu(n, e1, e, e2):

@@ -1,52 +1,43 @@
 """Smoke test of the kernel and pipeline timing script."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
-SCRIPT = BENCHMARKS / "benchmark_kernels.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "benchmarks" / "benchmark_kernels.py"
 
 
 def test_benchmark_kernels_runs():
     proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--length", "8", "--repeat", "1"],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0].startswith("Python ") and lines[0].endswith(" cores")
-    assert "canonical_form x20k" in proc.stdout
-    assert "next_level into 8" in proc.stdout
-    assert "next_level into 8, one process" in proc.stdout
-    assert " enumeration on " in lines[0]
-    assert "m_value x2k" in proc.stdout
-    assert "enumerate to 8" in proc.stdout
-    assert "cover check to 8" in proc.stdout
-    assert "depth-3 cover to 8" in proc.stdout
-    assert "verify_thm_subseqs(8)" in proc.stdout
-    assert "classify_mu(8)" in proc.stdout
-    assert "solve_triples((2,2,5), 8)" in proc.stdout
-    assert "solve_triples((2,2,5), 8) after classify_mu(8)" in proc.stdout
-    assert "check_generic_rows(48)" in proc.stdout
-
-
-def test_sweep_record_runs():
-    proc = subprocess.run(
-        [sys.executable, str(BENCHMARKS / "sweep_record.py"), "--src", str(BENCHMARKS.parent),
-         "--repeat", "1"],
+        [sys.executable, str(SCRIPT), "--src", str(ROOT), "--length", "8", "--repeat", "1"],
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     record = json.loads(proc.stdout)
-    assert record["backend"] == "python" and record["repeat"] == 1
+    assert list(record) == [
+        "python", "cores", "enumeration_cpus", "backend", "length", "repeat", "figures",
+    ]
+    assert record["backend"] == "python"
+    assert record["length"] == 8 and record["repeat"] == 1
     assert 1 <= record["enumeration_cpus"] <= record["cores"]
     assert list(record["figures"]) == [
+        "canonical_form(w) x20k",
+        "next_level(_level(7))",
+        "sorted(_grow(_level(7)))",
+        "m_value(a, b) x2k",
+        "enumerate_cycles(8) cold",
+        "verify_cover(cor12, 8)",
+        "verify_cover(depth-3 refined, 8)",
+        "verify_thm_subseqs(8)",
+        "classify_mu(8) cold",
+        "solve_triples((2,2,5), 8) cold",
+        "solve_triples((2,2,5), 8) after classify_mu(8)",
+        "check_generic_rows(48)",
         "classify_mu(24) cold",
         "classify_mu(40) cold",
         "classify_mu(48) cold",
@@ -58,4 +49,17 @@ def test_sweep_record_runs():
         "verify_cover(depth-3 refined, 15)",
         "verify_thm_subseqs(13)",
     ]
-    assert all(f["s"] >= 0 and f["peak_rss_mib"] > 0 for f in record["figures"].values())
+    for f in record["figures"].values():
+        assert list(f) == ["s", "peak_rss_mib", "children_peak_rss_mib"]
+        assert f["s"] >= 0 and f["peak_rss_mib"] > 0 and f["children_peak_rss_mib"] >= 0
+
+
+def test_rows_of_both_kinds_run_once():
+    spec = importlib.util.spec_from_file_location("benchmark_kernels", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert len(script.rows(8)) == 22
+    assert len(script.rows(15)) == 20  # both covers to 15
+    assert len(script.rows(24)) == 19  # classify_mu(24) and both solve_triples at 24
+    # a row of both kinds keeps its place among the length rows
+    assert list(script.rows(13)).index("verify_thm_subseqs(13)") == 7

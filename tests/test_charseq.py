@@ -12,8 +12,6 @@ from quiddity import (
     Triple,
     classify_mu,
     minimal_period,
-    sigma1,
-    sigma2,
     solve_triples,
     walk,
 )
@@ -38,6 +36,7 @@ from quiddity.charseq import (
 from brute_triples import level_triples
 from brute_triples import root_of_unity_triples as _root_of_unity_triples
 from brute_triples import window_matches as _window_matches
+from scalar_reflections import sigma1, sigma2
 
 REPORT_FIELDS = (
     "shape", "period", "ends", "orbit", "window", "window_origin", "state_period", "steps",
@@ -478,8 +477,8 @@ def test_root_of_unity_triples_follow_the_exponent_loops():
 
 
 def reference_walk(start, max_steps):
-    """The reflection walk built from the public one-step reflections on
-    Scalars: alternate sigma1 and sigma2 until the start state (triple,
+    """The reflection walk built from the one-step reflections on Scalars
+    of ``scalar_reflections``: alternate sigma1 and sigma2 until the start state (triple,
     parity) recurs; a broken walk also runs backward from the start."""
     seen, orbit, window, ends = {}, {}, [], []
     state, step, shape = (start, 1), 0, SHAPE_UNRESOLVED

@@ -5,11 +5,15 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from quiddity.cli import main
+from quiddity import Triple, parse_scalar
+from quiddity.cli import _diagram_lines, main
+
+from scalar_reflections import sigma1, sigma2
 
 
 def run(capsys, *argv):
@@ -121,6 +125,14 @@ def test_verifiers_refuse_a_bound_past_the_enumeration_bound_before_enumerating(
     assert code == 2 and out == "" and "exceeds the enumeration bound 24" in err
 
 
+def test_enumerate_refuses_a_length_past_the_bound_before_enumerating(capsys, monkeypatch):
+    import quiddity.cycles as cycles
+
+    monkeypatch.setattr(cycles.kernels, "next_level", None)  # any level grown would fail
+    code, out, err = run(capsys, "enumerate", "--length", "25")
+    assert code == 2 and out == "" and "exceeds the enumeration bound 24" in err
+
+
 def test_cover_step_rejects_an_empty_pattern_set(tmp_path, capsys):
     path = tmp_path / "pair.json"
     path.write_text('{"E": [[0, 0], [1, 1, 1]], "F": []}')
@@ -142,6 +154,33 @@ def test_charseq_generic_triple(capsys):
     code, out, _ = run(capsys, "charseq", "--triple", "q^1,q^-4,q^4")
     assert code == 0
     assert "(1,4)" in out and "chain" in out
+
+
+def scalar_diagram(start, zeta_order, max_arrows=8):
+    """The arrow diagram of the forward walk drawn with the Scalar
+    reflections of ``scalar_reflections``."""
+    pieces, t = [start.render(zeta_order)], start
+    for i in range(max_arrows):
+        res = (sigma1 if i % 2 == 0 else sigma2)(t)
+        if res is None:
+            pieces.append("<--?--|")
+            break
+        t, c = res
+        pieces += [f"<--{c}-->", t.render(zeta_order)]
+    return ["  ".join(pieces)]
+
+
+def test_diagram_matches_the_scalar_reflections():
+    # every exponent triple in (Z/n)^3 for n <= 12, drawn with n as the root
+    # order as ``--zeta n`` draws it, and every triple of nine generic literals
+    literals = [parse_scalar(x) for x in ("1", "-1", "q", "-q", "q^2", "q^-2", "-q^3", "q^4", "q^-4")]
+    starts = [
+        (Triple.from_exponents(n, *e), n) for n in range(1, 13) for e in product(range(n), repeat=3)
+    ]
+    starts += [(Triple(*t), None) for t in product(literals, repeat=3)]
+    assert len(starts) == 6813
+    for start, zeta_order in starts:
+        assert _diagram_lines(start, zeta_order) == scalar_diagram(start, zeta_order), start
 
 
 def test_charseq_needs_arguments(capsys):

@@ -187,14 +187,16 @@ def test_levels_are_sorted_canonical_words():
 def test_enumerate_bounds():
     with pytest.raises(ValueError):
         enumerate_cycles(1)
-    with pytest.raises(ValueError):
-        enumerate_cycles(9, limit=8)
+    with pytest.raises(ValueError, match="enumeration bound 24"):
+        enumerate_cycles(25)
 
 
 def test_enumerate_refuses_entries_past_a_byte():
+    # length 258 has entries up to 256, which no byte holds; the bound
+    # refuses it before any level is built
     built = dict(cycles._levels)
-    with pytest.raises(ValueError, match="byte"):
-        enumerate_cycles(258, limit=300)
+    with pytest.raises(ValueError, match="enumeration bound"):
+        enumerate_cycles(258)
     assert cycles._levels == built
 
 
