@@ -6,11 +6,30 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "benchmarks" / "benchmark_kernels.py"
 
+#: The rows of the former benchmarks/sweep_record.py, which every record
+#: ends with whatever its --length.
+SWEEP_ROWS = [
+    "classify_mu(24) cold",
+    "classify_mu(40) cold",
+    "classify_mu(48) cold",
+    "solve_triples((2,2,5), 12) cold",
+    "solve_triples((2,2,5), 12) after classify_mu(12)",
+    "solve_triples((2,2,5), 24) cold",
+    "solve_triples((2,2,5), 24) after classify_mu(24)",
+    "verify_cover(cor12, 15)",
+    "verify_cover(depth-3 refined, 15)",
+    "verify_thm_subseqs(13)",
+]
 
-def test_benchmark_kernels_runs():
+
+@pytest.fixture(scope="module")
+def record():
+    """One run of the script at --length 8, shared by the tests below."""
     proc = subprocess.run(
         [sys.executable, str(SCRIPT), "--src", str(ROOT), "--length", "8", "--repeat", "1"],
         capture_output=True,
@@ -18,7 +37,10 @@ def test_benchmark_kernels_runs():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    record = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_benchmark_kernels_runs(record):
     assert list(record) == [
         "python", "cores", "enumeration_cpus", "backend", "length", "repeat", "figures",
     ]
@@ -52,6 +74,14 @@ def test_benchmark_kernels_runs():
     for f in record["figures"].values():
         assert list(f) == ["s", "peak_rss_mib", "children_peak_rss_mib"]
         assert f["s"] >= 0 and f["peak_rss_mib"] > 0 and f["children_peak_rss_mib"] >= 0
+
+
+def test_sweep_record_runs(record):
+    assert record["backend"] == "python" and record["repeat"] == 1
+    assert 1 <= record["enumeration_cpus"] <= record["cores"]
+    assert list(record["figures"])[-len(SWEEP_ROWS):] == SWEEP_ROWS
+    assert all(record["figures"][name]["s"] >= 0 for name in SWEEP_ROWS)
+    assert all(record["figures"][name]["peak_rss_mib"] > 0 for name in SWEEP_ROWS)
 
 
 def test_rows_of_both_kinds_run_once():
