@@ -36,7 +36,7 @@ from .charseq import (
     minimal_period,
     walk,
 )
-from .cycles import Pattern, as_pattern, is_quiddity
+from .cycles import Pattern, _Result, as_pattern, is_quiddity
 from .localdesc import NINE_PATTERNS
 from .scalars import Scalar
 
@@ -49,7 +49,7 @@ FIFTEEN_PATTERNS: tuple[Pattern, ...] = NINE_PATTERNS + (
 
 
 @dataclass(frozen=True)
-class AffineDecomposition:
+class AffineDecomposition(_Result):
     """A gluing of one junction-period of the sequence.
 
     ``blocks[t]`` sits between junction ``t`` and junction ``t+1``
@@ -83,14 +83,6 @@ class AffineDecomposition:
         if any(v is None for v in out):
             raise ValueError("gaps between blocks")
         return tuple(out)  # type: ignore[arg-type]
-
-    def to_json(self) -> dict:
-        return {
-            "period": list(self.period),
-            "period_multiple": self.period_multiple,
-            "junctions": [list(j) for j in self.junctions],
-            "blocks": [list(b) for b in self.blocks],
-        }
 
 
 #: Entries kept by the ``decompose_affine`` cache: ``classify_mu(24)``
@@ -250,7 +242,7 @@ def canonical_period_key(period: Iterable[int]) -> Pattern:
 
 
 @dataclass
-class ClassifiedOrbit:
+class ClassifiedOrbit(_Result):
     """One affine reflection orbit with its table match."""
 
     row_matched: Optional[int]
@@ -260,18 +252,11 @@ class ClassifiedOrbit:
     orbit_size: int
     level: int
 
-    def to_json(self) -> dict:
-        return {
-            "row_matched": self.row_matched,
-            "diagrams": [t.to_json() for t in self.diagrams],
-            "parameter": self.parameter,
-            "period": list(self.period),
-            "orbit_size": self.orbit_size,
-        }
+    _json_fields = ("row_matched", "diagrams", "parameter", "period", "orbit_size")
 
 
 @dataclass
-class ClassificationReport:
+class ClassificationReport(_Result):
     """The sweep's affine orbits and table checks.  ``triples_checked``
     counts reflection orbits, each once, not triples: it is the sum of
     ``broken``, ``non_affine`` and the number of affine ``orbits``."""
@@ -287,17 +272,6 @@ class ClassificationReport:
     @property
     def ok(self) -> bool:
         return not self.missing and not self.unmatched
-
-    def to_json(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "orbits": [o.to_json() for o in self.orbits],
-            "missing": list(self.missing),
-            "unmatched": [o.to_json() for o in self.unmatched],
-            "triples_checked": self.triples_checked,
-            "broken": self.broken,
-            "non_affine": self.non_affine,
-        }
 
 
 def _instance_orbits(n_max: int) -> Iterator[tuple[str, tuple[int, str, Pattern], tuple]]:
@@ -426,23 +400,15 @@ def classify_mu(n_max: int) -> ClassificationReport:
 
 
 @dataclass
-class SpecializationResult:
+class SpecializationResult(_Result):
     row: int
     order: int
     exponent: int
     status: str  # "match", "degenerate", "broken"
 
-    def to_json(self) -> dict:
-        return {
-            "row": self.row,
-            "order": self.order,
-            "exponent": self.exponent,
-            "status": self.status,
-        }
-
 
 @dataclass
-class GenericRowsReport:
+class GenericRowsReport(_Result):
     """Symbolic verification of the three one-parameter families plus the
     exactness of their stated exclusions under specialization."""
 
@@ -453,15 +419,6 @@ class GenericRowsReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_json(self) -> dict:
-        return {
-            "rows": {
-                k: {**row, "period": list(row["period"])} for k, row in self.rows.items()
-            },
-            "specializations": [s.to_json() for s in self.specializations],
-            "violations": list(self.violations),
-        }
 
 
 def check_generic_rows(max_order: int = 48) -> GenericRowsReport:
@@ -523,7 +480,7 @@ def check_generic_rows(max_order: int = 48) -> GenericRowsReport:
 
 
 @dataclass
-class Cor15Report:
+class Cor15Report(_Result):
     n_max: int
     periods: list[Pattern]
     failures: list[Pattern]
@@ -531,13 +488,6 @@ class Cor15Report:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def to_json(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "periods": [list(p) for p in self.periods],
-            "failures": [list(p) for p in self.failures],
-        }
 
 
 def verify_cor15_on_classified(n_max: int) -> Cor15Report:

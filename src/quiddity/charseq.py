@@ -30,7 +30,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional
 
-from .cycles import Pattern, as_pattern
+from .cycles import Pattern, _Result, as_pattern
 from .scalars import Scalar, _m_rule
 
 
@@ -153,7 +153,7 @@ SHAPE_UNRESOLVED = "unresolved(bound)"
 
 
 @dataclass
-class CharSeqReport:
+class CharSeqReport(_Result):
     """Walk outcome.
 
     ``window`` holds recorded values with ``window[i]`` the value at
@@ -174,6 +174,8 @@ class CharSeqReport:
     state_period: Optional[int] = None
     steps: int = 0
 
+    _json_fields = ("shape", "period", "ends", "orbit", "window", "window_origin")
+
     @property
     def ok(self) -> bool:
         return self.shape in (SHAPE_CYCLE, SHAPE_CHAIN)
@@ -183,16 +185,6 @@ class CharSeqReport:
         if not self.state_period:
             return frozenset(self.ends)
         return frozenset(e % self.state_period for e in self.ends)
-
-    def to_json(self) -> dict:
-        return {
-            "shape": self.shape,
-            "period": list(self.period),
-            "ends": list(self.ends),
-            "orbit": [t.to_json() for t in self.orbit],
-            "window": list(self.window),
-            "window_origin": self.window_origin,
-        }
 
 
 def minimal_period(window: Iterable[int]) -> Pattern:
@@ -437,12 +429,17 @@ def _sweep(n: int) -> _Sweep:
     return _Sweep(broken, bytes(classes), tuple(windows), tuple(ends))
 
 
-def _swept(n_max: int) -> list[_Sweep]:
-    """The records of levels 1..n_max, sweeping the levels not yet swept.
-    Raises before any walk when n_max is above 256, the last level whose
-    record fits bytes (see ``_Sweep``)."""
+def _check_sweep_bound(n_max: int) -> None:
+    """Refuse a bound above 256, the last level whose record fits bytes
+    (see ``_Sweep``)."""
     if n_max > 256:
         raise ValueError(f"bound {n_max} is above 256, the largest level the sweep records hold")
+
+
+def _swept(n_max: int) -> list[_Sweep]:
+    """The records of levels 1..n_max, sweeping the levels not yet swept.
+    Raises before any walk when n_max is above 256."""
+    _check_sweep_bound(n_max)
     for n in range(len(_sweeps) + 1, n_max + 1):
         _sweeps[n] = _sweep(n)
     return [_sweeps[n] for n in range(1, n_max + 1)]
@@ -461,7 +458,7 @@ def _first_steps(n: int, key: tuple[int, int, int], window: bytes) -> dict[tuple
 
 
 @dataclass(frozen=True, slots=True)
-class SolveMatch:
+class SolveMatch(_Result):
     """One alignment of the searched window inside a triple's sequence."""
 
     triple: Triple
@@ -470,7 +467,7 @@ class SolveMatch:
 
 
 @dataclass
-class SolveReport:
+class SolveReport(_Result):
     """Triples whose characteristic sequence contains the window.
 
     ``ambiguous`` is set when matches disagree about which window
@@ -483,20 +480,7 @@ class SolveReport:
     triples: list[Triple]
     ambiguous: bool
 
-    def to_json(self) -> dict:
-        return {
-            "window": list(self.window),
-            "bound": self.bound,
-            "ambiguous": self.ambiguous,
-            "matches": [
-                {
-                    "triple": m.triple.to_json(),
-                    "offset": m.offset,
-                    "end_offsets": list(m.end_offsets),
-                }
-                for m in self.matches
-            ],
-        }
+    _json_fields = ("window", "bound", "ambiguous", "matches")
 
 
 def _hits(window: bytes, target: bytes, ends: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
@@ -536,10 +520,11 @@ def solve_triples(window: Iterable[int], modulus_bound: int) -> SolveReport:
         raise ValueError("window must have length >= 3")
     if modulus_bound < 1:
         raise ValueError("modulus_bound must be >= 1")
+    _check_sweep_bound(modulus_bound)
     if max(target) >= modulus_bound:
         # an m-value at level n is below n, so no level up to the bound
         # has a sequence with such an entry; past here every entry is
-        # below a bound that ``_swept`` holds to 256, so it fits a byte
+        # below the bound, at most 256, so it fits a byte
         return SolveReport(window=target, bound=modulus_bound, matches=[], triples=[], ambiguous=False)
     k, pattern, reversed_pattern = len(target), bytes(target), bytes(target[::-1])
     matches: list[SolveMatch] = []

@@ -11,16 +11,13 @@ and the cyclic/linear containment tests used by the cover machinery.
 
 from __future__ import annotations
 
-import os
+from dataclasses import fields
+from functools import cache
 from typing import Iterable, Iterator, NamedTuple
 
 from . import kernels
 
 Pattern = tuple[int, ...]
-
-#: When set (QUIDDITY_SELF_CHECK=1), every positive membership result is
-#: cross-checked against the matrix-product invariant.
-_SELF_CHECK = os.environ.get("QUIDDITY_SELF_CHECK") == "1"
 
 #: Largest cycle length that ``enumerate_cycles`` and the cover checks
 #: accept.  The class counts grow by about x3.4 per length, to about
@@ -42,6 +39,45 @@ def as_pattern(entries: Iterable[int]) -> Pattern:
         if not isinstance(e, int) or isinstance(e, bool) or e < 0:
             raise ValueError(f"pattern entries must be integers >= 0, got {e!r}")
     return seq
+
+
+class _Result:
+    """Base of the library's result dataclasses.
+
+    ``to_json`` writes the fields in declaration order, or the names in
+    ``_json_fields`` where a class sets them, as a fresh document that
+    shares nothing with the result: a list or tuple becomes a new list, a
+    dict a new dict whose tuple keys are joined with commas, and any
+    other value that is not a plain int, string or None uses its own
+    ``to_json``."""
+
+    __slots__ = ()
+    _json_fields: tuple[str, ...] = ()
+
+    def to_json(self) -> dict:
+        return {name: _json_value(getattr(self, name)) for name in _json_names(type(self))}
+
+
+@cache
+def _json_names(cls: type) -> tuple[str, ...]:
+    """The names ``_Result.to_json`` writes for ``cls``, read once."""
+    return cls._json_fields or tuple(f.name for f in fields(cls))
+
+
+_PLAIN = frozenset({int, str, bool, type(None)})
+
+
+def _json_value(value):
+    if type(value) in _PLAIN:
+        return value
+    if isinstance(value, (list, tuple)):
+        return [v if type(v) in _PLAIN else _json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {
+            ",".join(map(str, k)) if isinstance(k, tuple) else k: _json_value(v)
+            for k, v in value.items()
+        }
+    return value.to_json()
 
 
 class DihedralCycle:
@@ -210,11 +246,7 @@ def is_quiddity(c: DihedralCycle | Iterable[int]) -> bool:
     Runs ear reduction on the validated entries without canonicalizing
     them first: the verdict is the same for every representative.
     """
-    word = _cycle_word(c)
-    ok = _ear_reduces(word)
-    if _SELF_CHECK and ok:
-        assert eta_product(word) == MINUS_IDENTITY, word
-    return ok
+    return _ear_reduces(_cycle_word(c))
 
 
 def ear_insert(c: DihedralCycle | Iterable[int], position: int) -> DihedralCycle:

@@ -27,6 +27,7 @@ from .cycles import (
     DEFAULT_MAX_LENGTH,
     DihedralCycle,
     Pattern,
+    _Result,
     _level,
     as_pattern,
     canonicalize,
@@ -178,16 +179,16 @@ def in_a_prime(c: DihedralCycle) -> bool:
 
 def psi_bar_inv(c: DihedralCycle | Iterable[int]) -> DihedralCycle:
     """Inverse of ``psi_bar``: remove all ears at once (drop the 1s,
-    subtract 2 from the survivors)."""
+    subtract 2 from the survivors).
+
+    No two ears of a quiddity cycle longer than 3 are adjacent, so in a
+    class of the image, half of whose entries are 1, the 1s alternate
+    with the other entries, and the canonical word reads (1, x1, 1, x2,
+    ...)."""
     cyc = canonicalize(c)
     if not in_a_prime(cyc):
         raise ValueError(f"not in the ear-doubled image: {cyc}")
-    for rep in cyc.representatives():
-        if all(rep[i] == 1 for i in range(1, len(rep), 2)) and all(
-            rep[i] >= 2 for i in range(0, len(rep), 2)
-        ):
-            return DihedralCycle(tuple(rep[i] - 2 for i in range(0, len(rep), 2)))
-    raise ValueError(f"no alternating representative found: {cyc}")
+    return DihedralCycle(x - 2 for x in cyc.canon[1::2])
 
 
 def iota(seq: Iterable[int]) -> Pattern:
@@ -233,8 +234,9 @@ def rho_preimages(target: Iterable[int]) -> frozenset[Pattern]:
     Breadth-first reverse rewriting: collapse (x,1,y) with x,y >= 3 to
     (x-1,y-1), strip a leading (1,x) with x >= 3 to (x-1), strip a
     trailing (x,1) with x >= 3 to (x-1).  Every reverse step shortens the
-    sequence, so the search is finite; every candidate is confirmed by a
-    forward ``rho`` call.
+    sequence, so the search is finite.  Each one undoes a forward rule
+    whose precondition holds, since x-1 >= 2, and the rules are confluent,
+    so every sequence reached normalizes to ``target``.
     """
     t = as_pattern(target)
     if rho(t) != t:
@@ -255,7 +257,7 @@ def rho_preimages(target: Iterable[int]) -> frozenset[Pattern]:
             if p not in seen:
                 seen.add(p)
                 queue.append(p)
-    return frozenset(s for s in seen if rho(s) == t)
+    return frozenset(seen)
 
 
 _DELTA_EXCLUDED = frozenset({ZERO_ZERO.canon, TRIANGLE.canon})
@@ -292,7 +294,8 @@ def delta_preimages(target: DihedralCycle | Iterable[int]) -> frozenset[Dihedral
 
     Reverse rewriting collapses any cyclic window (x,1,y) with x,y >= 3 to
     (x-1,y-1); windows may wrap, which also inverts the boundary rule.
-    Candidates are confirmed by a forward ``delta`` call.
+    As for ``rho_preimages``, each step undoes a forward split and the
+    splits are confluent, so every class reached normalizes to ``target``.
     """
     tgt = canonicalize(target)
     if not in_a_prime(tgt):
@@ -311,11 +314,7 @@ def delta_preimages(target: DihedralCycle | Iterable[int]) -> frozenset[Dihedral
                 if p not in seen:
                     seen.add(p)
                     queue.append(p)
-    return frozenset(
-        DihedralCycle._from_canon(s)
-        for s in seen
-        if s not in _DELTA_EXCLUDED and _delta_word(s) == tgt.canon
-    )
+    return frozenset(DihedralCycle._from_canon(s) for s in seen if s not in _DELTA_EXCLUDED)
 
 
 def theorem_step(pair: CoverPair) -> CoverPair:
@@ -352,7 +351,7 @@ def theorem_step(pair: CoverPair) -> CoverPair:
 
 
 @dataclass
-class CoverReport:
+class CoverReport(_Result):
     """Outcome of checking a cover pair against an enumeration."""
 
     checked: int
@@ -362,13 +361,6 @@ class CoverReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_json(self) -> dict:
-        return {
-            "checked": self.checked,
-            "violations": [list(w) for w in sorted((v.canon for v in self.violations), key=_by_length)],
-            "bound": self.bound,
-        }
 
 
 def _check_bound(max_length: int) -> None:
@@ -452,7 +444,7 @@ def verify_cover(pair: CoverPair, max_length: int) -> CoverReport:
 
 
 @dataclass
-class SubseqReport:
+class SubseqReport(_Result):
     """Outcome of the interior-subsequence check over all representatives."""
 
     checked: int
@@ -464,17 +456,6 @@ class SubseqReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_json(self) -> dict:
-        return {
-            "checked": self.checked,
-            "violations": [list(v) for v in self.violations],
-            "bound": self.bound,
-            "pattern_hits": {",".join(map(str, k)): v for k, v in self.pattern_hits.items()},
-            "exceptional_hits": {
-                ",".join(map(str, k)): v for k, v in self.exceptional_hits.items()
-            },
-        }
 
 
 def verify_thm_subseqs(max_length: int) -> SubseqReport:

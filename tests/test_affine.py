@@ -8,6 +8,7 @@ import pytest
 
 from quiddity import (
     KNOWN_ROWS,
+    CoverPair,
     Scalar,
     Triple,
     check_generic_rows,
@@ -16,7 +17,10 @@ from quiddity import (
     decompose_affine,
     is_quiddity,
     minimal_period,
+    solve_triples,
     verify_cor15_on_classified,
+    verify_cover,
+    verify_thm_subseqs,
     walk,
 )
 from quiddity import affine, charseq, cli, kernels
@@ -263,6 +267,33 @@ def test_report_json_does_not_alias_the_report():
     doc["specializations"].clear()
     assert generic.ok and generic.rows[12]["period"] == [2]
     assert json.dumps(generic.to_json()) == before
+
+    # every other result class, editing each list and dict in its document
+    for report in (
+        verify_cover(CoverPair.of([(0, 0), (1, 1, 1)], [(1, 3, 1, 3)]), 7),  # violations
+        verify_thm_subseqs(7),
+        walk(mu(9, 6, 8, 6)),  # periodic
+        walk(mu(5, 0, 1, 1)),  # broken
+        solve_triples((2, 2, 5), 12),
+        decompose_affine((6, 1, 3, 1)),
+        verify_cor15_on_classified(12),
+    ):
+        before = json.dumps(report.to_json())
+        assert _edit_every_container(report.to_json()) > 2, report
+        assert json.dumps(report.to_json()) == before, report
+
+
+def _edit_every_container(doc):
+    """Append to every list and add a key to every dict of a JSON
+    document, innermost first; returns how many it edited."""
+    edited = 0
+    if isinstance(doc, list):
+        edited = sum(_edit_every_container(x) for x in doc) + 1
+        doc.append("edited")
+    elif isinstance(doc, dict):
+        edited = sum(_edit_every_container(x) for x in doc.values()) + 1
+        doc["edited"] = True
+    return edited
 
 
 def reference_classify_mu(n_max, max_steps=100000):

@@ -364,6 +364,7 @@ def test_sweep_bounds_above_256_raise_before_any_walk(monkeypatch, capsys):
         lambda: affine.verify_cor15_on_classified(257),
         lambda: solve_triples((2, 2, 5), 257),
         lambda: solve_triples((300, 1, 1), 400),  # levels 301..400 can record 300
+        lambda: solve_triples((300, 1, 1), 300),  # no entry fits, yet the bound is refused
     ):
         with pytest.raises(ValueError, match="256"):
             call()
@@ -371,6 +372,7 @@ def test_sweep_bounds_above_256_raise_before_any_walk(monkeypatch, capsys):
         ["classify", "--nmax", "257"],
         ["verify-cor15", "--nmax", "257"],
         ["solve", "--window", "2,2,5", "--bound", "257"],
+        ["solve", "--window", "300,1,1", "--bound", "300"],
     ):
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()

@@ -121,6 +121,40 @@ def test_is_quiddity_matches_enumeration():
             assert not is_quiddity(bumped)
 
 
+@st.composite
+def ear_grown_words(draw):
+    """A quiddity word grown from (0, 0) by ear insertions at drawn
+    positions of the word as it stands, never canonicalized."""
+    word = [0, 0]
+    for _ in range(draw(st.integers(min_value=0, max_value=14))):
+        i = draw(st.integers(min_value=0, max_value=len(word) - 1))
+        word[i] += 1
+        word[(i + 1) % len(word)] += 1
+        word.insert(i + 1, 1)
+    return tuple(word)
+
+
+@given(ear_grown_words(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_members_multiply_to_minus_identity(word, data):
+    # the matrix invariant of membership, on grown words and on their
+    # rotations and reversals with one unit moved from one entry to
+    # another (the same entry, at times) and up to two units added
+    assert is_quiddity(word) and eta_product(word) == MINUS_IDENTITY
+    index = st.integers(min_value=0, max_value=len(word) - 1)
+    k = data.draw(index)
+    perturbed = list(word[k:] + word[:k])
+    if data.draw(st.booleans()):
+        perturbed.reverse()
+    i, j = data.draw(index), data.draw(index)
+    if perturbed[i]:
+        perturbed[i] -= 1
+        perturbed[j] += 1
+    perturbed[data.draw(index)] += data.draw(st.integers(min_value=0, max_value=2))
+    if is_quiddity(perturbed):
+        assert eta_product(perturbed) == MINUS_IDENTITY
+
+
 def test_entry_sum_is_three_triangles():
     for n in range(3, 13):
         for cyc in enumerate_cycles(n):

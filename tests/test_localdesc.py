@@ -449,6 +449,21 @@ def test_delta_preimages_of_doubled_members_are_quiddity_cycles():
     assert preimages > len(pair.E)
 
 
+def test_preimages_of_three_steps_map_forward_to_their_targets():
+    # the preimage searches keep every word they reach, unchecked: each
+    # reverse step undoes a forward rule, and both systems are confluent
+    pair = base_pair()
+    for _ in range(3):
+        for e in pair.E:
+            target = psi_bar(e)
+            assert all(delta(p) == target for p in delta_preimages(target))
+        for f in pair.F:
+            target = iota(psi(f))
+            assert all(rho(p) == target for p in rho_preimages(target))
+        pair = theorem_step(pair)
+    assert (len(pair.E), len(pair.F)) == (2867, 651)
+
+
 def test_verify_cover_violations_by_length_then_word():
     report = verify_cover(CoverPair.of([(0, 0), (1, 1, 1)], [(1, 3, 1, 3)]), 11)
     assert len(report.violations) > 100
