@@ -3,7 +3,12 @@
 ``next_level`` is the inner loop of the enumeration: it grows a whole
 level of canonical quiddity words on byte strings by canonical
 augmentation, keeping a child only when its least rotation starts at the
-inserted ear, which ``_is_least_rotation`` decides.  Every entry must
+inserted ear.  ``_grow`` reads the new ear's least reading r straight
+off the parent's canonical word b and decides most children by two
+rules: r < b keeps the child, since every old ear then reads greater
+than b; for an edge away from ear 0, r not starting with the prefix of
+b that ear 0 still reads, or that reading smaller than r, rejects it.
+The rest go to the rotation scan ``_is_least_rotation``.  Every entry must
 fit in a byte, which holds up to length 257, far past the enumeration
 bound ``cycles.DEFAULT_MAX_LENGTH``.  Each class has one parent, so a
 level of 2,000 parents or more grows as one fork-join: forked children
@@ -101,17 +106,18 @@ def insert_fanout(rep: tuple) -> list:
     return out
 
 
-def _is_least_rotation(c: bytes, r: bytes) -> bool:
-    """True iff ``r`` is the ``canonical_form`` of the quiddity word ``c``.
+def _is_least_rotation(r: bytes) -> bool:
+    """True iff the reading ``r`` of a quiddity word is its
+    ``canonical_form``.
 
-    ``c`` has length >= 4, so its least entry is 1 and no two 1s are
-    adjacent, and ``r`` is a rotation of ``c`` or of its reversal that
-    starts at an ear: r = (1, y, ...).  Every rotation that starts with
-    (1, x), x < y, is smaller than ``r``; of those that start with
-    (1, y), each is found by ``bytes.find`` and the scan stops at the
-    first one smaller than ``r``."""
-    m = len(c)
-    d = c + c
+    ``r`` has length >= 4, so its least entry is 1 and no two 1s are
+    adjacent, and it starts at an ear: r = (1, y, ...).  Every rotation
+    of ``r`` or of its reversal that starts with (1, x), x < y, is
+    smaller than ``r``; of those that start with (1, y), each is found
+    by ``bytes.find`` and the scan stops at the first one smaller than
+    ``r``."""
+    m = len(r)
+    d = r + r
     for x in range(2, r[1]):
         if bytes((1, x)) in d or bytes((x, 1)) in d:
             return False
@@ -239,54 +245,71 @@ def _grow(words) -> bytearray:
     so no object per child outlives its parent's turn and one blob is
     all that a level adds to the peak memory before its tuples are built.
 
-    A child, a parent with one ear inserted, is kept only if its least
-    rotation starts at the new ear, read in either direction.  Removing
-    that ear gives one parent class, so each class of length k + 1 comes
-    from one parent only, and from two of its edges only when an
-    automorphism of the parent maps one onto the other: a set per parent
-    drops those duplicates.
+    A child, a parent with one ear inserted on its edge (i, i + 1), is
+    kept only if its least rotation starts at the new ear, read in either
+    direction.  Removing that ear gives one parent class, so each class
+    of length k + 1 comes from one parent only, and from two of its edges
+    only when an automorphism of the parent maps one onto the other: a
+    set per parent drops those duplicates.
 
-    The parent's canonical word b starts at ear 0, and x0 = b[1] is the
-    least neighbour of any ear.  An ear inserted between entries u and v
-    has least neighbour y = min(u, v) + 1.  Cheapest test first:
+    The parent's canonical word b = (1, x0, ...) is its least reading.
+    The new ear between entries u and v reads r = (1, min(u, v) + 1, ...)
+    from the parent alone: the incremented smaller neighbour, the other
+    k - 2 entries of b read away from it, the other incremented
+    neighbour; on a tie the lesser of the two directions.  Most children
+    are decided by comparing r with b:
 
-    (a) on an edge with u, v >= x0 that leaves ear 0 and b[1] untouched,
-        ear 0 keeps its neighbour x0 < y: the child is rejected unbuilt;
-    (b) the child as built reads from ear 0 (or from the incremented
-        b[0] on the two edges at ear 0): it is rejected if that is
-        smaller than the new ear's least rotation r;
-    (c) if y < x0, no other ear has a neighbour as small, and r is
-        least; otherwise ``_is_least_rotation`` decides."""
+    (1) r < b keeps the child unbuilt, since r is then its least
+        reading.  An old ear reads as in the parent up to the first end
+        of edge i it meets, where the child's entry is one larger, so it
+        reads greater than its parent reading, which is at least b; the
+        new ear's other direction starts (1, max(u, v) + 1), and every
+        other reading starts with an entry >= 2.
+    (2) Otherwise, for 0 < i < k - 1, ear 0 survives and the child read
+        from it is b[:i] + (u + 1, 1, v + 1) + b[i + 2:].  The child is
+        rejected if r does not start with b[:i], for then it is greater
+        than that reading; this rejects it unbuilt when u, v >= x0 and
+        i > 1, as r[1] > x0 = b[1].  Else it is rejected if that reading
+        is smaller than r.
+
+    The children left go to the rotation scan ``_is_least_rotation``:
+    those on the two edges at ear 0, and those whose r starts with b[:i]
+    and is at most the reading from ear 0.  Of the 105,392 children of
+    the 7,528 classes of length 14, rule (1) keeps 21,588, rule (2)
+    rejects 73,464 (38,195 of them unbuilt) and the scan decides 10,340."""
     out = bytearray()
+    # head[x] = bytes((1, x)) and byte[x] = bytes((x,)) join each reading
+    # from three pieces without a call per piece; built per call, so that
+    # importing the module allocates none of them
+    head = [bytes((1, x)) for x in range(256)]
+    byte = [bytes((x,)) for x in range(256)]
     for word in words:
         b = bytes(word)
         n = len(b)
+        bb = b + b
         x0 = b[1]
         kept = set()
         for i in range(n):
             u = b[i]
-            v = b[i + 1] if i < n - 1 else b[0]
+            v = bb[i + 1]
             if u >= x0 and v >= x0 and 1 < i < n - 1:
                 continue
-            if i < n - 1:
-                c = b[:i] + bytes((u + 1, 1, v + 1)) + b[i + 2 :]
-                p = i + 1
-            else:
-                # the wraparound edge, between the last and first entries:
-                # some classes have it as their only augmenting edge (at
-                # length 15, 7,330 of the 24,834)
-                c = bytes((v + 1,)) + b[1 : n - 1] + bytes((u + 1, 1))
-                p = n
-            # the new ear reads (1, v + 1, ...) forwards, (1, u + 1, ...) backwards
+            mid = bb[i + 2 : i + n]  # the k - 2 entries after v, up to u
             if u > v:
-                r = c[p:] + c[:p]
+                r = head[v + 1] + mid + byte[u + 1]
             else:
-                r = c[p::-1] + c[:p:-1]
+                r = head[u + 1] + mid[::-1] + byte[v + 1]
                 if u == v:
-                    r = min(r, c[p:] + c[:p])
-            if c < r:
+                    r = min(r, head[v + 1] + mid + byte[u + 1])
+            if r < b:
+                kept.add(r)
                 continue
-            if min(u, v) + 1 < x0 or _is_least_rotation(c, r):
+            if 0 < i < n - 1:
+                if not r.startswith(b[:i]):
+                    continue
+                if b[:i] + bytes((u + 1, 1, v + 1)) + b[i + 2 :] < r:
+                    continue
+            if _is_least_rotation(r):
                 kept.add(r)
         for r in kept:
             out += r

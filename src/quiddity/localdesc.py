@@ -296,6 +296,8 @@ def delta_preimages(target: DihedralCycle | Iterable[int]) -> frozenset[Dihedral
     (x-1,y-1); windows may wrap, which also inverts the boundary rule.
     As for ``rho_preimages``, each step undoes a forward split and the
     splits are confluent, so every class reached normalizes to ``target``.
+    None is <0,0> or <1,1,1>, where ``delta`` is not defined: the target
+    has even length >= 4, and each step leaves two entries >= 2.
     """
     tgt = canonicalize(target)
     if not in_a_prime(tgt):
@@ -314,7 +316,7 @@ def delta_preimages(target: DihedralCycle | Iterable[int]) -> frozenset[Dihedral
                 if p not in seen:
                     seen.add(p)
                     queue.append(p)
-    return frozenset(DihedralCycle._from_canon(s) for s in seen if s not in _DELTA_EXCLUDED)
+    return frozenset(map(DihedralCycle._from_canon, seen))
 
 
 def theorem_step(pair: CoverPair) -> CoverPair:

@@ -1,8 +1,11 @@
 """The pure kernels against their references: ``next_level`` against
-one ``insert_fanout`` per parent and, forked, against ``_grow`` in one
-process, ``_is_least_rotation`` against ``canonical_form``, and
+one ``insert_fanout`` per parent, against a digest of levels 2..16 and,
+forked, against ``_grow`` in one process; the rules of ``_grow`` against
+the children as built and read by ``canonical_form``;
+``_is_least_rotation`` against ``canonical_form``, and
 ``canonical_form`` against a brute-force minimum over all rotations."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -34,6 +37,72 @@ def test_next_level_matches_insert_fanout_reference():
     levels = fanout_levels(13)
     for k in range(3, 13):
         assert kernels.next_level(levels[k]) == levels[k + 1], k
+
+
+def test_levels_to_16_match_their_digest():
+    # every level 2..16 word for word: a change to the kernel that moves
+    # one class changes the digest
+    levels = repr([cycles._level(n) for n in range(2, 17)])
+    assert hashlib.sha256(levels.encode()).hexdigest() == (
+        "fa4c48481d4da67ea18b77a991d821fd63041ccbf54163a32c053ee9cd353635"
+    )
+
+
+def grow_paths(parent):
+    """The path ``_grow`` takes on each edge i of ``parent``, with the
+    new ear's least reading r, both found from the child as built by
+    insertion, which reads from ear 0 for 0 < i < n - 1."""
+    b = tuple(parent)
+    n = len(b)
+    for i in range(n):
+        if i < n - 1:
+            child = b[:i] + (b[i] + 1, 1, b[i + 1] + 1) + b[i + 2 :]
+            p = i + 1
+        else:
+            child = (b[0] + 1,) + b[1 : n - 1] + (b[n - 1] + 1, 1)
+            p = n
+        forward = child[p:] + child[:p]
+        r = min(forward, forward[:1] + forward[:0:-1])
+        if r < b:
+            path = "kept: r < b"
+        elif 0 < i < n - 1 and r[:i] != b[:i]:
+            path = "rejected: ear 0 prefix"
+        elif 0 < i < n - 1 and child < r:
+            path = "rejected: ear 0 reading"
+        elif r == kernels.canonical_form(child):
+            path = "kept: scan"
+        else:
+            path = "rejected: scan"
+        yield path, bytes(r)
+
+
+def test_grow_takes_every_path(monkeypatch):
+    # the children each rule decides, and the ones left to the scan
+    scanned = []
+    scan = kernels._is_least_rotation
+
+    def spy(r):
+        scanned.append(r)
+        return scan(r)
+
+    monkeypatch.setattr(kernels, "_is_least_rotation", spy)
+    taken = set()
+    for k in range(4, 14):
+        for parent in cycles._level(k):
+            scanned.clear()
+            grown = set(kernels._tuples(kernels._grow((parent,)), k + 1))
+            paths = list(grow_paths(parent))
+            taken.update(path for path, _ in paths)
+            kept = {tuple(r) for path, r in paths if path.startswith("kept")}
+            assert grown == kept, parent
+            assert sorted(scanned) == sorted(r for path, r in paths if "scan" in path), parent
+    assert taken == {
+        "kept: r < b",
+        "rejected: ear 0 prefix",
+        "rejected: ear 0 reading",
+        "kept: scan",
+        "rejected: scan",
+    }
 
 
 def test_next_level_grows_each_class_from_one_parent():
@@ -199,7 +268,7 @@ def test_is_least_rotation_matches_canonical_form():
                 reps += 1
                 least += bytes(rep) == canon
                 for r in ear_rotations(rep):
-                    verdict = kernels._is_least_rotation(bytes(rep), bytes(r))
+                    verdict = kernels._is_least_rotation(bytes(r))
                     assert verdict == (bytes(r) == canon), (rep, r)
                     verdicts.add(verdict)
     # representatives that are their own least rotation, and others

@@ -299,6 +299,18 @@ def test_delta_preimages_complete_by_brute_force():
     assert brute == set(delta_preimages(target))
 
 
+def test_delta_preimages_never_reach_the_excluded_classes():
+    # delta is not defined on <0,0> and <1,1,1>, and the search needs no
+    # filter for them: every reverse step leaves two entries >= 2
+    excluded = {DihedralCycle((0, 0)), DihedralCycle((1, 1, 1))}
+    searches = 0
+    for n in range(2, 9):
+        for cyc in enumerate_cycles(n):
+            assert excluded.isdisjoint(delta_preimages(psi_bar(cyc))), cyc
+            searches += 1
+    assert searches == 23  # 1, 1, 1, 1, 3, 4, 12 classes of lengths 2..8
+
+
 # ---------------------------------------------------------------------------
 # theorem step
 
