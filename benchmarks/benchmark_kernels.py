@@ -25,7 +25,11 @@ The rows at the length L of ``--length`` come first:
   set-up;
 - ``classify_mu(L)`` and ``solve_triples((2,2,5), L)`` cold, that
   ``solve_triples`` again after ``classify_mu(L)``, and
-  ``check_generic_rows(48)``.
+  ``check_generic_rows(48)``;
+- two CLI commands run in process by ``cli.main`` with stdout sent to
+  ``os.devnull``: ``enumerate --length L --json`` over the level built in
+  the set-up, and the third ``cover-step --json`` from ``builtin:base``,
+  whose first two steps write their pair files in the set-up.
 
 The fixed rows follow, so that records at any length share them: cold
 ``classify_mu`` at 24, 40 and 48, ``solve_triples((2,2,5), M)`` cold and
@@ -90,6 +94,24 @@ for _ in range(3):
     pair = theorem_step(pair)
 """
 
+#: ``quiet(*argv)`` runs one CLI command with stdout sent to os.devnull
+#: and asserts that it exits 0; ``pair(k)`` names the pair file of step k.
+CLI = """
+import contextlib, os, tempfile
+from quiddity import cli
+workdir = tempfile.TemporaryDirectory()
+pair = lambda k: os.path.join(workdir.name, f"pair{k}.json")
+def quiet(*argv):
+    with open(os.devnull, "w") as out, contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    assert code == 0, (argv, code)
+"""
+
+STEPS = CLI + """
+quiet("cover-step", "--in", "builtin:base", "--out", pair(1))
+quiet("cover-step", "--in", pair(1), "--out", pair(2))
+"""
+
 
 def covers(n):
     levels = f"cycles._level({n})"
@@ -132,6 +154,12 @@ def rows(n):
         **classify(n),
         **solve(n),
         "check_generic_rows(48)": ("", "check_generic_rows(48)"),
+        f"cli enumerate --length {n} --json": (
+            CLI + f"cycles._level({n})", f"quiet('enumerate', '--length', '{n}', '--json')"
+        ),
+        "cli cover-step 3 from builtin:base --json": (
+            STEPS, "quiet('cover-step', '--in', pair(2), '--out', pair(3), '--json')"
+        ),
     }
     fixed = classify(24) | classify(40) | classify(48) | solve(12) | solve(24)
     return at_n | fixed | covers(15) | thm(13)

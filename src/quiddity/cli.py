@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Every pipeline is exposed as a batch subcommand with deterministic output
-and, under --json, a single JSON document on stdout.
+and, under --json, a single JSON document on stdout: the text that
+``json.dumps(doc, indent=2)`` writes, byte for byte, produced by
+``_json_text``.
 
 Exit codes: 0 = success / verified, 1 = verification found violations or
 a negative answer, 2 = usage error.
@@ -11,7 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
 from .affine import (
@@ -43,11 +48,103 @@ def _ints(text: str) -> tuple[int, ...]:
 
 
 def _emit(args, payload: dict, human: Iterable[str]) -> None:
+    """Write ``payload`` as JSON under --json, else the lines of ``human``,
+    in one write either way; ``human`` may be lazy, as --json never reads
+    it."""
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=False))
+        sys.stdout.write(_json_text(payload))
     else:
-        for line in human:
-            print(line)
+        sys.stdout.write("".join(f"{line}\n" for line in human))
+
+
+_INT_ONLY = frozenset({int})
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2) + "\n"``, byte for byte, with its hot
+    paths in C.
+
+    With ``indent`` set, ``json`` encodes every value in pure Python.
+    Here a list or tuple whose items are all exactly ``int`` is one
+    ``str.join`` over their ``int.__repr__``, strings and keys go through
+    ``json``'s C string encoder, None, bools and ints are written as
+    ``json`` writes them, and every other scalar goes through the compact
+    ``json.dumps``, which raises ``TypeError`` for a value that is not
+    serializable.  Containers are recognized by ``isinstance``, as
+    ``json`` does.  ``doc`` must hold no reference cycle."""
+    parts: list[str] = []
+    _put_json(doc, "", "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _put_json(value, lead: str, newline: str, put) -> None:
+    """Pass ``lead`` and then the indented JSON text of ``value`` to
+    ``put``, in pieces; ``newline`` is the line break and indent of the
+    line that ``value`` starts on."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            put(lead + "[]")
+            return
+        inner = newline + "  "
+        if set(map(type, value)) == _INT_ONLY:
+            put(f"{lead}[{inner}{(',' + inner).join(map(int.__repr__, value))}{newline}]")
+            return
+        put(lead + "[")
+        sep = inner
+        for item in value:
+            _put_json(item, sep, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            put(lead + "{}")
+            return
+        inner = newline + "  "
+        put(lead + "{")
+        sep = inner
+        for key, item in value.items():
+            _put_json(item, f"{sep}{_json_key(key)}: ", inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    elif isinstance(value, str):
+        put(lead + encode_basestring_ascii(value))
+    elif value is None:
+        put(lead + "null")
+    elif value is True:
+        put(lead + "true")
+    elif value is False:
+        put(lead + "false")
+    elif isinstance(value, int):
+        put(lead + int.__repr__(value))
+    else:
+        put(lead + json.dumps(value))
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json`` writes it: a str as itself, an int, float,
+    bool or None as the string of its JSON text."""
+    if not isinstance(key, str):
+        if not (isinstance(key, (int, float)) or key is None):
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+            )
+        key = json.dumps(key)
+    return encode_basestring_ascii(key)
+
+
+def _replace(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` atomically: into a new file beside it,
+    then renamed over it, so a failed write leaves ``path`` as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _load_pair(source: str) -> CoverPair:
@@ -78,9 +175,11 @@ def cmd_enumerate(args) -> int:
     words = _level(args.length)
     _emit(
         args,
-        {"length": args.length, "count": len(words), "cycles": [list(w) for w in words]},
-        [f"{len(words)} quiddity classes of length {args.length}:"]
-        + ["<" + ",".join(map(str, w)) + ">" for w in words],
+        {"length": args.length, "count": len(words), "cycles": words},
+        chain(
+            [f"{len(words)} quiddity classes of length {args.length}:"],
+            (f"<{','.join(map(str, w))}>" for w in words),
+        ),
     )
     return 0
 
@@ -100,9 +199,7 @@ def cmd_cover_step(args) -> int:
     pair = _load_pair(args.inp)
     stepped = theorem_step(pair)
     data = stepped.to_json()
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+    _replace(args.out, _json_text(data))
     _emit(
         args,
         {"out": args.out, "E_size": len(stepped.E), "F_size": len(stepped.F), **data},

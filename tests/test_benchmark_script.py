@@ -60,6 +60,8 @@ def test_benchmark_kernels_runs(record):
         "solve_triples((2,2,5), 8) cold",
         "solve_triples((2,2,5), 8) after classify_mu(8)",
         "check_generic_rows(48)",
+        "cli enumerate --length 8 --json",
+        "cli cover-step 3 from builtin:base --json",
         "classify_mu(24) cold",
         "classify_mu(40) cold",
         "classify_mu(48) cold",
@@ -88,8 +90,8 @@ def test_rows_of_both_kinds_run_once():
     spec = importlib.util.spec_from_file_location("benchmark_kernels", SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    assert len(script.rows(8)) == 22
-    assert len(script.rows(15)) == 20  # both covers to 15
-    assert len(script.rows(24)) == 19  # classify_mu(24) and both solve_triples at 24
+    assert len(script.rows(8)) == 24
+    assert len(script.rows(15)) == 22  # both covers to 15
+    assert len(script.rows(24)) == 21  # classify_mu(24) and both solve_triples at 24
     # a row of both kinds keeps its place among the length rows
     assert list(script.rows(13)).index("verify_thm_subseqs(13)") == 7

@@ -1,8 +1,10 @@
 """Command-line interface: dispatch, exit codes, JSON and determinism."""
 
+import errno
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import product
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from quiddity import Triple, parse_scalar
-from quiddity.cli import _diagram_lines, main
+from quiddity.cli import _diagram_lines, _json_text, main
 
 from scalar_reflections import sigma1, sigma2
 
@@ -368,3 +370,204 @@ def test_forked_enumeration_prints_one_json_document():
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
         "0daf33461f294bc2dd4af2e644d4fc557a44b0f1677b68b5021996ce54b868d2"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["verify-thm16", "--max", "12", "--json"],
+            "d94b7a2d257dd6fb469ccc0e16fcf0b269ad84a160335341771cd1f3f20796ca",
+        ),
+        (
+            ["charseq", "--zeta", "9", "--q1", "6", "--q", "8", "--q2", "6", "--json"],
+            "5c5eae9c22719b2873818cd95b135d55226e9b9ce94f070aac73cc8dca83a8fb",
+        ),
+        (
+            ["decompose", "--period", "6,1,3,1", "--json"],
+            "e11349a0ffcb112766fb0ccaf11866d6f996ae3260bb38a34e66767b51903d72",
+        ),
+        (
+            ["check", "--cycle", "1,2,1,2", "--json"],
+            "74266f77943198aee16d37261f36562d37873b3680b0bc15f8f7d647c708092e",
+        ),
+        (
+            ["enumerate", "--length", "10"],
+            "290ab14a8148522d60eb890e71910b5a0ac84f8c51de0744fd55cc1c340a84fe",
+        ),
+    ],
+    ids=["verify-thm16", "charseq", "decompose", "check", "enumerate-text"],
+)
+def test_more_output_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cover_step_output_and_files_are_pinned(tmp_path, monkeypatch, capsys):
+    # three steps from builtin:base: stdout and the pair file of each step;
+    # relative --out paths keep the "out" field of stdout the same anywhere
+    monkeypatch.chdir(tmp_path)
+    pinned = [
+        (
+            "1db9694ada9bd60f895f7cde0aecc683b7126ed1084394f4b515a14d216eb548",
+            "80a002bde6337be6bc7a324e06460ff0bb80ace1e10222c745b9d6a2ed6bf305",
+        ),
+        (
+            "0bf1c867a8361dd46cf94804e27f54a0670cfb850e7d6c8ff8be97514ff018f8",
+            "8c27fa62089d162595d7746bef5c65b59b0b43d80a235b6f4a1fc8419a120755",
+        ),
+        (
+            "11f6b83337e85154b2018546bd3c3572319bbff1f0f43683f2df301629d5856d",
+            "c333f9f9006bd064f59378c888ced15168226b762291221ff9546bb8d158870a",
+        ),
+    ]
+    source = "builtin:base"
+    for k, (stdout_digest, file_digest) in enumerate(pinned, 1):
+        code, out, _ = run(capsys, "cover-step", "--in", source, "--out", f"p{k}.json", "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest, k
+        assert hashlib.sha256(Path(f"p{k}.json").read_bytes()).hexdigest() == file_digest, k
+        source = f"p{k}.json"
+    assert sorted(os.listdir(tmp_path)) == ["p1.json", "p2.json", "p3.json"]
+
+
+def full_disk_open(*args, **kwargs):
+    """``open``, but a text file opened for writing writes half of what
+    it is given and then fails as on a full disk."""
+    fh = open(*args, **kwargs)
+    write = fh.write
+
+    def half_then_fail(text):
+        write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    fh.write = half_then_fail
+    return fh
+
+
+@pytest.mark.parametrize("same_file", [False, True], ids=["new_out", "out_is_in"])
+def test_cover_step_failing_write_leaves_out_as_it_was(tmp_path, monkeypatch, capsys, same_file):
+    import quiddity.cli as cli
+
+    first = tmp_path / "one.json"
+    run(capsys, "cover-step", "--in", "builtin:base", "--out", str(first))
+    out = first if same_file else tmp_path / "two.json"
+    if not same_file:
+        out.write_text("an older pair file\n")
+    before = out.read_bytes()
+    monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
+    code, stdout, err = run(capsys, "cover-step", "--in", str(first), "--out", str(out), "--json")
+    assert code == 2 and stdout == "" and "No space left" in err
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({first.name, out.name})
+
+
+def test_cover_step_may_write_over_its_input(tmp_path, capsys):
+    one, two = tmp_path / "one.json", tmp_path / "two.json"
+    run(capsys, "cover-step", "--in", "builtin:base", "--out", str(one))
+    run(capsys, "cover-step", "--in", str(one), "--out", str(two))
+    code, _, _ = run(capsys, "cover-step", "--in", str(one), "--out", str(one))
+    assert code == 0 and one.read_bytes() == two.read_bytes()
+
+
+class Count(int):
+    def __repr__(self):
+        return f"Count({int(self)})"
+
+
+class Ratio(float):
+    def __repr__(self):
+        return f"Ratio({float(self)})"
+
+
+class Record(dict):
+    pass
+
+
+class Row(list):
+    pass
+
+
+FLOATS = [0.0, -0.0, 0.1, -2.5, 1e300, -1e-300, 1e16, float("nan"), float("inf"), float("-inf")]
+CHARS = 'ab"\\/\n\t\r\b\f\x00\x1f\x7f\u00e9\u221e\u2028\U0001f600'
+
+
+def random_scalar(rng):
+    kind = rng.randrange(7)
+    if kind == 0:
+        return rng.choice([True, False, None])
+    if kind == 1:
+        return rng.choice([0, 1, -1, 7, -(2**70), 10**50, rng.randint(-9999, 9999)])
+    if kind == 2:
+        return Count(rng.randint(-50, 50))
+    if kind == 3:
+        return rng.choice(FLOATS + [rng.uniform(-1e6, 1e6), Ratio(rng.random())])
+    return "".join(rng.choice(CHARS) for _ in range(rng.randrange(6)))
+
+
+def random_key(rng):
+    return rng.choice(
+        [
+            random_scalar(rng),
+            rng.randint(-99, 99),
+            rng.choice(FLOATS),
+            "".join(rng.sample(CHARS, 3)),
+        ]
+    )
+
+
+def random_doc(rng, depth=0):
+    kind = rng.randrange(8) if depth < 4 else 0
+    if kind <= 1:
+        return random_scalar(rng)
+    size = rng.randrange(5)
+    if kind == 2:  # the writer's fast path, or a near miss of it
+        ints = [rng.randint(-(10**20), 10**20) for _ in range(size)]
+        if ints and rng.random() < 0.5:
+            ints[rng.randrange(size)] = rng.choice([True, False, Count(3), 2.0, "4", None])
+        return rng.choice([list, tuple, Row])(ints)
+    if kind <= 4:
+        items = [random_doc(rng, depth + 1) for _ in range(size)]
+        return rng.choice([list, tuple, Row])(items)
+    items = ((random_key(rng), random_doc(rng, depth + 1)) for _ in range(size))
+    return rng.choice([dict, Record])(items)
+
+
+def test_json_text_is_json_dumps_with_indent_two():
+    rng = random.Random(20)
+    for _ in range(400):
+        doc = random_doc(rng)
+        assert _json_text(doc) == json.dumps(doc, indent=2) + "\n", doc
+    for doc in ([], {}, (), [[], {}], {"": [()]}, Row(), Record(), "", 0, None):
+        assert _json_text(doc) == json.dumps(doc, indent=2) + "\n", doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {1, 2},
+        object(),
+        b"bytes",
+        1j,
+        {"a": [1, {2}]},
+        [(1, frozenset())],
+        {(1, 2): 3},
+        {"a": {b"k": 1}},
+    ],
+    ids=[
+        "set",
+        "object",
+        "bytes",
+        "complex",
+        "nested_set",
+        "nested_frozenset",
+        "tuple_key",
+        "bytes_key",
+    ],
+)
+def test_json_text_rejects_what_json_rejects(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError):
+        _json_text(doc)

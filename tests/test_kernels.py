@@ -48,21 +48,31 @@ def test_levels_to_16_match_their_digest():
     )
 
 
+def ear_readings(b, i):
+    """The child of the word ``b`` with an ear inserted on its edge
+    (i, i + 1), as built by insertion, which reads from ear 0 for
+    0 < i < n - 1, and the child's two readings from the new ear: toward
+    the edge's second end v = b[i + 1] and toward its first end u = b[i]."""
+    n = len(b)
+    if i < n - 1:
+        child = b[:i] + (b[i] + 1, 1, b[i + 1] + 1) + b[i + 2 :]
+        p = i + 1
+    else:
+        child = (b[0] + 1,) + b[1 : n - 1] + (b[n - 1] + 1, 1)
+        p = n
+    toward_v = child[p:] + child[:p]
+    return child, toward_v, toward_v[:1] + toward_v[:0:-1]
+
+
 def grow_paths(parent):
     """The path ``_grow`` takes on each edge i of ``parent``, with the
     new ear's least reading r, both found from the child as built by
-    insertion, which reads from ear 0 for 0 < i < n - 1."""
+    insertion."""
     b = tuple(parent)
     n = len(b)
     for i in range(n):
-        if i < n - 1:
-            child = b[:i] + (b[i] + 1, 1, b[i + 1] + 1) + b[i + 2 :]
-            p = i + 1
-        else:
-            child = (b[0] + 1,) + b[1 : n - 1] + (b[n - 1] + 1, 1)
-            p = n
-        forward = child[p:] + child[:p]
-        r = min(forward, forward[:1] + forward[:0:-1])
+        child, toward_v, toward_u = ear_readings(b, i)
+        r = min(toward_v, toward_u)
         if r < b:
             path = "kept: r < b"
         elif 0 < i < n - 1 and r[:i] != b[:i]:
@@ -103,6 +113,28 @@ def test_grow_takes_every_path(monkeypatch):
         "kept: scan",
         "rejected: scan",
     }
+
+
+def test_tie_reading_toward_v_is_never_the_least_rotation():
+    # on an edge whose ends are equal, u == v, _grow takes the lesser of
+    # the new ear's two readings; where the reading toward v is the lesser,
+    # it has never been the child's least rotation, so the tie branch
+    # decides no child up to here: a proof of this lets the branch go
+    ties = toward_v_smaller = 0
+    for k in range(4, 13):
+        for b in cycles._level(k):
+            n = len(b)
+            for i in range(n):
+                if b[i] != b[(i + 1) % n]:
+                    continue
+                ties += 1
+                child, toward_v, toward_u = ear_readings(b, i)
+                if toward_v < toward_u:
+                    toward_v_smaller += 1
+                    assert not kernels._is_least_rotation(bytes(toward_v)), (b, i)
+                    assert toward_v != kernels.canonical_form(child), (b, i)
+    # 227,709 and 69,853 for the parents of length 4..16
+    assert (ties, toward_v_smaller) == (1602, 464)
 
 
 def test_next_level_grows_each_class_from_one_parent():
