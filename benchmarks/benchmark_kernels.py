@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
-"""Time the kernels and the pipelines of a source checkout and print one
-JSON record.
+"""Time the kernels and the pipelines of one or more source checkouts
+and print one JSON record.
 
 Every row runs the same way: its set-up runs untimed in a fresh
 interpreter, then one call is timed in that interpreter.  A row's figure
-is the best of ``--repeat`` such processes: the call's seconds ``s``,
-the process's peak RSS ``peak_rss_mib``, and ``children_peak_rss_mib``,
-the peak RSS of the largest child it reaped: the processes that
-``next_level`` forks to grow a large level, in the set-up or the call (0
-when it forked none).  A call whose result has ``ok`` must return an ok
-one.
+for a checkout is the best of ``--repeat`` such processes: the call's
+seconds ``s``, the process's peak RSS ``peak_rss_mib``, and
+``children_peak_rss_mib``, the peak RSS of the largest child it reaped:
+the processes that ``next_level`` forks to grow a large level, in the
+set-up or the call (0 when it forked none).  A call whose result has
+``ok`` must return an ok one.
 
 The rows at the length L of ``--length`` come first:
 
@@ -36,13 +36,18 @@ The fixed rows follow, so that records at any length share them: cold
 after ``classify_mu(M)`` at M = 12 and 24, both covers to 15 and
 ``verify_thm_subseqs(13)``.  A row of both kinds runs once.
 
-The record names the Python version, the core count, the CPUs the
-enumeration may fork onto, the kernel backend, the length and the
-repeat count.  ``--src`` selects the checkout whose ``src`` is imported,
-so one copy of this script times two commits alike; give it, say, a
-``git archive`` of another commit.  Run from the repository root:
+``--src`` names a checkout whose ``src`` is imported, so one copy of
+this script times several commits alike; give it, say, a ``git archive``
+of another commit.  Given more than once, each row runs its ``--repeat``
+processes per checkout alternated process by process, repeat r starting
+from checkout r mod their number, so that a host which drifts between
+fast and slow states shares each state among them.  The record names the
+Python version, the core count, the length and the repeat count, and
+then, per checkout in ``--src`` order, its path, kernel backend, the
+CPUs the enumeration may fork onto and its figure per row; one checkout
+gives the same record with one entry.  Run from the repository root:
 
-    python3 benchmarks/benchmark_kernels.py [--src .] [--length 13] [--repeat 3]
+    python3 benchmarks/benchmark_kernels.py [--src .] [--src ../other] [--length 13] [--repeat 3]
 """
 
 import argparse
@@ -180,7 +185,9 @@ def run_child(src: Path, setup: str, call: str) -> dict:
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--src", type=Path, default=Path("."), help="checkout to time")
+    parser.add_argument(
+        "--src", type=Path, action="append", help="checkout to time (repeatable; default .)"
+    )
     parser.add_argument(
         "--length", type=int, default=13, help="enumeration length and root-of-unity sweep bound"
     )
@@ -191,19 +198,28 @@ def main(argv=None):
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
 
-    figures = {}
+    srcs = args.src or [Path(".")]
+    checkouts = [
+        {"src": str(src), "backend": None, "enumeration_cpus": None, "figures": {}}
+        for src in srcs
+    ]
     for name, (setup, call) in rows(args.length).items():
-        runs = [run_child(args.src, setup, call) for _ in range(args.repeat)]
-        figures[name] = min((r["figure"] for r in runs), key=lambda f: f["s"])
-    # every process of one checkout reports the same backend and CPUs
+        runs = [[] for _ in srcs]
+        for r in range(args.repeat):
+            for j in range(len(srcs)):  # repeat r starts from checkout r mod len(srcs)
+                k = (r + j) % len(srcs)
+                runs[k].append(run_child(srcs[k], setup, call))
+        for checkout, own in zip(checkouts, runs):
+            # every process of one checkout reports the same backend and CPUs
+            checkout["backend"] = own[0]["backend"]
+            checkout["enumeration_cpus"] = own[0]["enumeration_cpus"]
+            checkout["figures"][name] = min((run["figure"] for run in own), key=lambda f: f["s"])
     record = {
         "python": platform.python_version(),
         "cores": os.cpu_count(),
-        "enumeration_cpus": runs[0]["enumeration_cpus"],
-        "backend": runs[0]["backend"],
         "length": args.length,
         "repeat": args.repeat,
-        "figures": figures,
+        "checkouts": checkouts,
     }
     print(json.dumps(record, indent=2))
     return 0

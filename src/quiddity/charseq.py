@@ -194,12 +194,9 @@ def minimal_period(window: Iterable[int]) -> Pattern:
     if not w:
         raise ValueError("window must be nonempty")
     n = len(w)
-    for p in range(1, n + 1):
-        if n % p == 0 and w[p:] == w[: n - p]:
-            core = w[:p]
-            doubled = core + core
-            return min(doubled[i : i + p] for i in range(p))
-    raise AssertionError("unreachable: every window is n-periodic")
+    p = next(p for p in range(1, n + 1) if n % p == 0 and w[p:] == w[: n - p])  # p = n always fits
+    doubled = w[:p] * 2
+    return min(doubled[i : i + p] for i in range(p))
 
 
 # A walk state at level n is (x1, x, x2, y1, y, y2): the triple

@@ -15,7 +15,8 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain
+from contextlib import suppress
+from itertools import chain, count
 from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
@@ -135,9 +136,13 @@ def _json_key(key) -> str:
 
 def _replace(path: str, text: str) -> None:
     """Write ``text`` to ``path`` atomically: into a new file beside it,
-    then renamed over it, so a failed write leaves ``path`` as it was."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8")
+    then renamed over it, so a failed write leaves ``path`` as it was;
+    a stale file under the temporary name is passed over."""
+    for n in count():
+        tmp = f"{path}.{os.getpid()}{f'.{n}' if n else ''}.tmp"
+        with suppress(FileExistsError):
+            fh = open(tmp, "x", encoding="utf-8")
+            break
     try:
         with fh:
             fh.write(text)
@@ -198,18 +203,18 @@ def cmd_check(args) -> int:
 def cmd_cover_step(args) -> int:
     pair = _load_pair(args.inp)
     stepped = theorem_step(pair)
-    data = stepped.to_json()
-    _replace(args.out, _json_text(data))
-    _emit(
-        args,
-        {"out": args.out, "E_size": len(stepped.E), "F_size": len(stepped.F), **data},
-        [
-            f"E: {len(pair.E)} -> {len(stepped.E)} classes",
+    text = _json_text(stepped.to_json())
+    _replace(args.out, text)
+    if args.json:
+        # the pair's text, at the same indent, after three keys of its own
+        head = _json_text({"out": args.out, "E_size": len(stepped.E), "F_size": len(stepped.F)})
+        sys.stdout.write(head[:-3] + ",\n" + text[2:])
+    else:
+        sys.stdout.write(
+            f"E: {len(pair.E)} -> {len(stepped.E)} classes\n"
             f"F: {len(pair.F)} -> {len(stepped.F)} patterns "
-            f"(min length {min(len(f) for f in stepped.F)})",
-            f"wrote {args.out}",
-        ],
-    )
+            f"(min length {min(len(f) for f in stepped.F)})\nwrote {args.out}\n"
+        )
     return 0
 
 

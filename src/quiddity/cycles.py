@@ -6,7 +6,7 @@ generated from the base cycle (0,0) by ear insertion: put a 1 between two
 cyclically adjacent entries and increment both.  This module provides the
 canonical form under rotation/reversal, the 2x2 integer matrix invariant,
 a membership test by ear reduction, exhaustive enumeration per length,
-and the cyclic/linear containment tests used by the cover machinery.
+and the single-pattern containment tests, also behind ``cor15_check``.
 """
 
 from __future__ import annotations
@@ -91,10 +91,7 @@ class DihedralCycle:
     __slots__ = ("_canon",)
 
     def __init__(self, entries: Iterable[int]):
-        seq = as_pattern(entries)
-        if len(seq) < 2:
-            raise ValueError("a cycle needs length >= 2")
-        self._canon = kernels.canonical_form(seq)
+        self._canon = kernels.canonical_form(_cycle_word(entries))
 
     @classmethod
     def _from_canon(cls, canon: Pattern) -> "DihedralCycle":
@@ -229,12 +226,9 @@ def _ear_reduces(word: Pattern) -> bool:
         n = len(s)
         if n == 2:
             return s[0] == 0 and s[1] == 0
-        if 0 in s:
+        if 0 in s or 1 not in s:
             return False
-        try:
-            i = s.index(1)
-        except ValueError:
-            return False
+        i = s.index(1)
         s[i - 1] -= 1
         s[(i + 1) % n] -= 1
         del s[i]

@@ -3,7 +3,7 @@
 ``next_level`` is the inner loop of the enumeration: it grows a whole
 level of canonical quiddity words on byte strings by canonical
 augmentation, keeping a child only when its least rotation starts at the
-inserted ear.  ``_grow`` reads the new ear's least reading r straight
+inserted ear.  ``_grow`` reads the new ear's reading r straight
 off the parent's canonical word b and decides most children by two
 rules: r < b keeps the child, since every old ear then reads greater
 than b; for an edge away from ear 0, r not starting with the prefix of
@@ -78,8 +78,6 @@ def linear_contains(seq: tuple, pat: tuple) -> bool:
     """Plain consecutive-subsequence test, no wraparound, given
     orientation only."""
     n, m = len(seq), len(pat)
-    if m > n:
-        return False
     if m == 0:
         return True
     first = pat[0]
@@ -94,7 +92,8 @@ def insert_fanout(rep: tuple) -> list:
     ``rep``: a 1 is inserted between each pair of cyclically adjacent
     entries and both neighbours are incremented.  ``ear_insert`` picks
     one of them; the tests grow whole levels from it as the reference
-    for ``next_level``."""
+    for ``next_level``.  It stays in this module: the benchmark's tracer
+    (``perfbench/tracing.py``) wraps it by name."""
     n = len(rep)
     out = []
     for i in range(n - 1):
@@ -147,7 +146,7 @@ def next_level(words) -> tuple:
     parent class, so ``_grow`` can grow disjoint slices of the parents
     apart and their children need no deduplication across slices.
 
-    A large level grows as one fork-join over its parents (see
+    Every level grows as one fork-join over its parents (see
     ``_jobs``): ``jobs - 1`` forked children each grow the interleaved
     slice ``words[j::jobs]`` and write its words back through a pipe as
     one blob of (k + 1)-byte words, then leave by ``os._exit``, so they
@@ -156,16 +155,12 @@ def next_level(words) -> tuple:
     into tuples.  A child that exits non-zero or sends a blob that is not
     whole words makes the call raise ``RuntimeError``; whatever is
     raised, every child is killed and reaped before the call returns.
-    Otherwise ``_grow`` runs on all parents here.  Either way the words
-    are sorted once.
+    With one job, ``_grow`` runs on all parents here and nothing is
+    forked.  The words are sorted once.
 
     Every entry must fit in a byte, so k + 1 <= 257."""
     width = len(words[0]) + 1 if words else 0
-    jobs = _jobs(len(words))
-    if jobs == 1:
-        out = list(_tuples(_grow(words), width))
-    else:
-        out = _fork_join(words, jobs, width)
+    out = _fork_join(words, _jobs(len(words)), width)
     out.sort()
     return tuple(out)
 
@@ -256,15 +251,15 @@ def _grow(words) -> bytearray:
     The new ear between entries u and v reads r = (1, min(u, v) + 1, ...)
     from the parent alone: the incremented smaller neighbour, the other
     k - 2 entries of b read away from it, the other incremented
-    neighbour; on a tie the lesser of the two directions.  Most children
-    are decided by comparing r with b:
+    neighbour; on a tie, toward u.  Most children are decided by
+    comparing r with b:
 
     (1) r < b keeps the child unbuilt, since r is then its least
         reading.  An old ear reads as in the parent up to the first end
         of edge i it meets, where the child's entry is one larger, so it
         reads greater than its parent reading, which is at least b; the
-        new ear's other direction starts (1, max(u, v) + 1), and every
-        other reading starts with an entry >= 2.
+        new ear's other direction starts (1, max(u, v) + 1), and is not
+        less than r on a tie (below); every other reading starts >= 2.
     (2) Otherwise, for 0 < i < k - 1, ear 0 survives and the child read
         from it is b[:i] + (u + 1, 1, v + 1) + b[i + 2:].  The child is
         rejected if r does not start with b[:i], for then it is greater
@@ -276,7 +271,24 @@ def _grow(words) -> bytearray:
     those on the two edges at ear 0, and those whose r starts with b[:i]
     and is at most the reading from ear 0.  Of the 105,392 children of
     the 7,528 classes of length 14, rule (1) keeps 21,588, rule (2)
-    rejects 73,464 (38,195 of them unbuilt) and the scan decides 10,340."""
+    rejects 73,464 (38,195 of them unbuilt) and the scan decides 10,340.
+
+    On a tie r is R_u, the reading toward u, even where the reading R_v
+    toward v is less, and decides the same.  Lemma: a triangulated
+    N-gon, N >= 4, has an ear next to a vertex in 2 triangles or a
+    vertex in 3 triangles between two ears.  Let L = (p, e, q) end a
+    longest dual path, with neighbour P = (p, q, r): if P has a polygon
+    side, say (q, r), q lies in L and P only; else P's neighbour off the
+    path is a leaf, say (q, e', r), and q lies in three triangles between
+    the ears e and e'.  So every canonical word of length >= 4 starts
+    (1, 2) or (1, 3, 1).  The parent (1, 1, 1) reads alike both ways; for
+    k >= 4 a tie has u = v >= 2 and 0 < i < k - 1, and where R_v < R_u,
+    R_v = (1, u + 1, b[(i + 2) % k], ...) is not the child's least
+    reading: it starts (1, >= 4) for u >= 3; for u = 2 < x0 no ear of b
+    is next to a 2, so b[(i + 2) % k] >= 2; for u = 2 = x0 only i = 1 is
+    not rejected unbuilt, and there R_u = (1, 3, 1, ...) <= R_v.  Rule
+    (1) cannot fire, as R_u < b would make R_v < b least, and rule (2)
+    and the scan keep only a least reading."""
     out = bytearray()
     # head[x] = bytes((1, x)) and byte[x] = bytes((x,)) join each reading
     # from three pieces without a call per piece; built per call, so that
@@ -299,8 +311,6 @@ def _grow(words) -> bytearray:
                 r = head[v + 1] + mid + byte[u + 1]
             else:
                 r = head[u + 1] + mid[::-1] + byte[v + 1]
-                if u == v:
-                    r = min(r, head[v + 1] + mid + byte[u + 1])
             if r < b:
                 kept.add(r)
                 continue

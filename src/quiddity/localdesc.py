@@ -12,7 +12,7 @@ ear-doubling bijection and two rewriting systems:
 * ``delta`` is the cyclic analogue on dihedral classes.
 
 Preimage sets under both maps are computed by breadth-first reverse
-rewriting with a forward check on every candidate.
+rewriting.
 """
 
 from __future__ import annotations
@@ -307,8 +307,6 @@ def delta_preimages(target: DihedralCycle | Iterable[int]) -> frozenset[Dihedral
     while queue:
         s = queue.popleft()
         n = len(s)
-        if n < 3:
-            continue
         for i in range(n):
             if s[i] == 1 and s[i - 1] >= 3 and s[(i + 1) % n] >= 3:
                 rest = s[i + 1 :] + s[:i]
@@ -382,7 +380,8 @@ def _trie_source(patterns: Iterable[bytes]) -> bytes:
     pattern ends matches at once, so longer patterns through it are
     dropped.  Bytes are written as themselves, escaped only where ``re``
     reads them as syntax, which keeps the source short to parse.  The
-    patterns must be nonempty; an empty set of them matches nothing."""
+    patterns must be nonempty, so ``source`` never enters a node where
+    one ends; an empty set of them matches nothing."""
     trie: dict = {}
     for p in patterns:
         node = trie
@@ -391,8 +390,6 @@ def _trie_source(patterns: Iterable[bytes]) -> bytes:
         node[None] = None
 
     def source(node: dict) -> bytes:
-        if None in node:
-            return b""
         children = sorted(node.items())
         ends = b"".join(re.escape(bytes((c,))) for c, child in children if None in child)
         branches = [b"[" + ends + b"]"] if ends else []
@@ -534,13 +531,10 @@ def verify_thm_subseqs(max_length: int) -> SubseqReport:
                                 exceptional_hits[rep] += 1
                             else:
                                 violations.append(rep)
-    pattern_hits: dict[Pattern, int] = {p: 0 for p in NINE_PATTERNS}
-    for r, count in enumerate(counts):
-        pattern_hits[NINE_PATTERNS[r]] += count
     return SubseqReport(
         checked=checked,
         violations=violations,
         bound=max_length,
-        pattern_hits=pattern_hits,
+        pattern_hits=dict(zip(NINE_PATTERNS, counts)),
         exceptional_hits=exceptional_hits,
     )

@@ -156,9 +156,7 @@ def _solve_congruence(a: int, b: int, m: int) -> Optional[int]:
     g = gcd(a, m)
     if b % g != 0:
         return None
-    mg = m // g
-    if mg == 1:
-        return 0
+    mg = m // g  # >= 2, as 0 < a < m
     return (b // g) * pow(a // g, -1, mg) % mg
 
 

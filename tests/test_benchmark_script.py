@@ -29,9 +29,11 @@ SWEEP_ROWS = [
 
 @pytest.fixture(scope="module")
 def record():
-    """One run of the script at --length 8, shared by the tests below."""
+    """One run of the script at --length 8 on this checkout given twice,
+    shared by the tests below."""
+    src = ["--src", str(ROOT)]
     proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--src", str(ROOT), "--length", "8", "--repeat", "1"],
+        [sys.executable, str(SCRIPT), *src, *src, "--length", "8", "--repeat", "1"],
         capture_output=True,
         text=True,
         timeout=300,
@@ -41,13 +43,18 @@ def record():
 
 
 def test_benchmark_kernels_runs(record):
-    assert list(record) == [
-        "python", "cores", "enumeration_cpus", "backend", "length", "repeat", "figures",
-    ]
-    assert record["backend"] == "python"
+    assert list(record) == ["python", "cores", "length", "repeat", "checkouts"]
     assert record["length"] == 8 and record["repeat"] == 1
-    assert 1 <= record["enumeration_cpus"] <= record["cores"]
-    assert list(record["figures"]) == [
+    assert [c["src"] for c in record["checkouts"]] == [str(ROOT)] * 2
+    for checkout in record["checkouts"]:
+        assert list(checkout) == ["src", "backend", "enumeration_cpus", "figures"]
+        assert checkout["backend"] == "python"
+        assert 1 <= checkout["enumeration_cpus"] <= record["cores"]
+        assert_figures(checkout["figures"])
+
+
+def assert_figures(figures):
+    assert list(figures) == [
         "canonical_form(w) x20k",
         "next_level(_level(7))",
         "sorted(_grow(_level(7)))",
@@ -73,23 +80,55 @@ def test_benchmark_kernels_runs(record):
         "verify_cover(depth-3 refined, 15)",
         "verify_thm_subseqs(13)",
     ]
-    for f in record["figures"].values():
+    for f in figures.values():
         assert list(f) == ["s", "peak_rss_mib", "children_peak_rss_mib"]
         assert f["s"] >= 0 and f["peak_rss_mib"] > 0 and f["children_peak_rss_mib"] >= 0
 
 
 def test_sweep_record_runs(record):
-    assert record["backend"] == "python" and record["repeat"] == 1
-    assert 1 <= record["enumeration_cpus"] <= record["cores"]
-    assert list(record["figures"])[-len(SWEEP_ROWS):] == SWEEP_ROWS
-    assert all(record["figures"][name]["s"] >= 0 for name in SWEEP_ROWS)
-    assert all(record["figures"][name]["peak_rss_mib"] > 0 for name in SWEEP_ROWS)
+    assert record["repeat"] == 1
+    for checkout in record["checkouts"]:
+        assert checkout["backend"] == "python"
+        assert 1 <= checkout["enumeration_cpus"] <= record["cores"]
+        figures = checkout["figures"]
+        assert list(figures)[-len(SWEEP_ROWS):] == SWEEP_ROWS
+        assert all(figures[name]["s"] >= 0 for name in SWEEP_ROWS)
+        assert all(figures[name]["peak_rss_mib"] > 0 for name in SWEEP_ROWS)
 
 
-def test_rows_of_both_kinds_run_once():
+def load_script():
     spec = importlib.util.spec_from_file_location("benchmark_kernels", SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_checkouts_alternate_process_by_process(monkeypatch, capsys):
+    script = load_script()
+    calls = []
+
+    def child(src, setup, call):
+        calls.append((str(src), call))
+        s = len(calls) / 1000  # the first process of each checkout is its best
+        figure = {"s": s, "peak_rss_mib": 1.0, "children_peak_rss_mib": 0.0}
+        return {"figure": figure, "backend": "python", "enumeration_cpus": 1}
+
+    monkeypatch.setattr(script, "run_child", child)
+    assert script.main(["--src", "a", "--src", "b", "--length", "8", "--repeat", "3"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert len(calls) == 6 * len(script.rows(8))
+    for i, (_, call) in enumerate(script.rows(8).values()):
+        row = calls[i * 6 : i * 6 + 6]
+        assert [src for src, _ in row] == ["a", "b", "b", "a", "a", "b"]
+        assert {c for _, c in row} == {call}
+    a, b = record["checkouts"]
+    assert (a["src"], b["src"]) == ("a", "b")
+    assert a["figures"]["canonical_form(w) x20k"]["s"] == 0.001
+    assert b["figures"]["canonical_form(w) x20k"]["s"] == 0.002
+
+
+def test_rows_of_both_kinds_run_once():
+    script = load_script()
     assert len(script.rows(8)) == 24
     assert len(script.rows(15)) == 22  # both covers to 15
     assert len(script.rows(24)) == 21  # classify_mu(24) and both solve_triples at 24

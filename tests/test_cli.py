@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from quiddity import Triple, parse_scalar
+from quiddity import BUILTIN_PAIRS, Triple, parse_scalar, theorem_step
 from quiddity.cli import _diagram_lines, _json_text, main
 
 from scalar_reflections import sigma1, sigma2
@@ -461,6 +461,36 @@ def test_cover_step_failing_write_leaves_out_as_it_was(tmp_path, monkeypatch, ca
     assert code == 2 and stdout == "" and "No space left" in err
     assert out.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted({first.name, out.name})
+
+
+def test_cover_step_passes_over_a_stale_temporary_file(tmp_path, capsys):
+    # a file under the temporary name, as a killed run whose pid came back
+    # leaves it, is left as it was, and the pair is written all the same
+    out = tmp_path / "one.json"
+    stale = tmp_path / f"one.json.{os.getpid()}.tmp"
+    stale.write_text("left behind\n")
+    code, _, err = run(capsys, "cover-step", "--in", "builtin:base", "--out", str(out))
+    assert code == 0 and err == ""
+    assert out.read_text() == _json_text(theorem_step(BUILTIN_PAIRS["base"]).to_json())
+    assert stale.read_text() == "left behind\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([out.name, stale.name])
+
+
+def test_cover_step_json_encodes_the_pair_once(tmp_path, monkeypatch, capsys):
+    import quiddity.cli as cli
+
+    docs = []
+
+    def counted(doc):
+        docs.append(doc)
+        return _json_text(doc)
+
+    monkeypatch.setattr(cli, "_json_text", counted)
+    argv = ["--in", "builtin:base", "--out", str(tmp_path / "p.json"), "--json"]
+    code, out, _ = run(capsys, "cover-step", *argv)
+    assert code == 0
+    assert sum("E" in doc for doc in docs) == 1
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_cover_step_may_write_over_its_input(tmp_path, capsys):

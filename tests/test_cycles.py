@@ -284,6 +284,22 @@ def test_enumeration_against_raw_oracle():
         assert sum(len(o) for o in orbits) == len(levels[n])
 
 
+def test_every_labelled_cycle_has_an_ear_by_a_two_or_a_three_between_ears():
+    # the lemma of kernels._grow, checked on the raw oracle's labelled
+    # words, apart from the enumeration: every quiddity cycle of length
+    # >= 4 has an ear next to a 2, or a 3 whose two neighbours are ears
+    levels = raw_levels(11)
+    words = [t for n in range(4, 12) for t in levels[n]]
+    for t in words:
+        n = len(t)
+        assert any(
+            t[i] == 1 and 2 in (t[i - 1], t[(i + 1) % n])
+            or t[i] == 3 and t[i - 1] == t[(i + 1) % n] == 1
+            for i in range(n)
+        ), t
+    assert len(words) == 6916
+
+
 # ---------------------------------------------------------------------------
 # containment
 

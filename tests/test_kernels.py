@@ -48,6 +48,14 @@ def test_levels_to_16_match_their_digest():
     )
 
 
+def test_canonical_words_start_with_an_ear_by_a_two_or_a_three_between_ears():
+    # the corollary of the lemma in _grow's docstring, on the levels that
+    # the digest above pins: x0 <= 3 for every parent of length >= 4
+    for n in range(4, 17):
+        for word in cycles._level(n):
+            assert word[:2] == (1, 2) or word[:3] == (1, 3, 1), word
+
+
 def ear_readings(b, i):
     """The child of the word ``b`` with an ear inserted on its edge
     (i, i + 1), as built by insertion, which reads from ear 0 for
@@ -66,13 +74,13 @@ def ear_readings(b, i):
 
 def grow_paths(parent):
     """The path ``_grow`` takes on each edge i of ``parent``, with the
-    new ear's least reading r, both found from the child as built by
-    insertion."""
+    new ear's reading r toward its smaller neighbour, toward u on a tie,
+    both found from the child as built by insertion."""
     b = tuple(parent)
     n = len(b)
     for i in range(n):
         child, toward_v, toward_u = ear_readings(b, i)
-        r = min(toward_v, toward_u)
+        r = toward_v if b[i] > b[(i + 1) % n] else toward_u
         if r < b:
             path = "kept: r < b"
         elif 0 < i < n - 1 and r[:i] != b[:i]:
@@ -116,10 +124,10 @@ def test_grow_takes_every_path(monkeypatch):
 
 
 def test_tie_reading_toward_v_is_never_the_least_rotation():
-    # on an edge whose ends are equal, u == v, _grow takes the lesser of
-    # the new ear's two readings; where the reading toward v is the lesser,
-    # it has never been the child's least rotation, so the tie branch
-    # decides no child up to here: a proof of this lets the branch go
+    # on an edge whose ends are equal, u == v, _grow reads the new ear
+    # toward u only; its docstring proves that where the reading toward v
+    # is the lesser, it is never the child's least rotation, and this
+    # checks the proof against the levels up to here
     ties = toward_v_smaller = 0
     for k in range(4, 13):
         for b in cycles._level(k):
