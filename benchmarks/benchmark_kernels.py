@@ -31,7 +31,10 @@ The rows at the length L of ``--length`` come first:
   the set-up, and the third ``cover-step --json`` from ``builtin:base``,
   whose first two steps write their pair files in the set-up.
 
-The fixed rows follow, so that records at any length share them: cold
+The fixed rows follow, so that records at any length share them: two
+process rows, each timing one subprocess from its start to its exit,
+``python -c pass`` and ``python -m quiddity.cli check --cycle 1,1,1``
+(their difference is what the library adds to every process), cold
 ``classify_mu`` at 24, 40 and 48, ``solve_triples((2,2,5), M)`` cold and
 after ``classify_mu(M)`` at M = 12 and 24, both covers to 15 and
 ``verify_thm_subseqs(13)``.  A row of both kinds runs once.
@@ -112,6 +115,16 @@ def quiet(*argv):
     assert code == 0, (argv, code)
 """
 
+#: The process rows: the subprocess inherits the child's environment, so
+#: it imports the library of the checkout under test.
+RUN = "subprocess.run([sys.executable, {}], check=True, stdout=subprocess.DEVNULL)"
+PROCESSES = {
+    "process python -c pass": ("import subprocess", RUN.format("'-c', 'pass'")),
+    "process python -m quiddity.cli check --cycle 1,1,1": (
+        "import subprocess", RUN.format("'-m', 'quiddity.cli', 'check', '--cycle', '1,1,1'")
+    ),
+}
+
 STEPS = CLI + """
 quiet("cover-step", "--in", "builtin:base", "--out", pair(1))
 quiet("cover-step", "--in", pair(1), "--out", pair(2))
@@ -166,7 +179,7 @@ def rows(n):
             STEPS, "quiet('cover-step', '--in', pair(2), '--out', pair(3), '--json')"
         ),
     }
-    fixed = classify(24) | classify(40) | classify(48) | solve(12) | solve(24)
+    fixed = PROCESSES | classify(24) | classify(40) | classify(48) | solve(12) | solve(24)
     return at_n | fixed | covers(15) | thm(13)
 
 

@@ -19,7 +19,6 @@ one-parameter families checked by specialization).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from typing import Iterable, Iterator, Optional
@@ -36,7 +35,7 @@ from .charseq import (
     minimal_period,
     walk,
 )
-from .cycles import Pattern, _Result, as_pattern, is_quiddity
+from .cycles import Pattern, _Frozen, _Result, as_pattern, is_quiddity
 from .localdesc import NINE_PATTERNS
 from .scalars import Scalar
 
@@ -48,8 +47,7 @@ FIFTEEN_PATTERNS: tuple[Pattern, ...] = NINE_PATTERNS + (
 )
 
 
-@dataclass(frozen=True)
-class AffineDecomposition(_Result):
+class AffineDecomposition(_Frozen):
     """A gluing of one junction-period of the sequence.
 
     ``blocks[t]`` sits between junction ``t`` and junction ``t+1``
@@ -59,10 +57,7 @@ class AffineDecomposition(_Result):
     is ``period_multiple`` copies of the period.
     """
 
-    period: Pattern
-    period_multiple: int
-    junctions: tuple[tuple[int, int, int], ...]
-    blocks: tuple[Pattern, ...]
+    __slots__ = ("period", "period_multiple", "junctions", "blocks")
 
     def word(self) -> Pattern:
         return self.period * self.period_multiple
@@ -180,17 +175,12 @@ def cor15_check(period: Iterable[int]) -> bool:
 # classification table
 
 
-@dataclass(frozen=True)
-class TableRow:
-    """One root-of-unity row of the classification table: diagrams as
-    exponent triples over a primitive n-th root, the parameter
-    description, and the period as printed."""
+class TableRow(_Frozen):
+    """One root-of-unity row of the classification table: its number
+    ``row``, ``diagrams`` as exponent triples over a primitive ``n``-th
+    root, the ``parameter`` description, and the ``period`` as printed."""
 
-    row: int
-    n: int
-    diagrams: tuple[tuple[int, int, int], ...]
-    parameter: str
-    period: Pattern
+    __slots__ = ("row", "n", "diagrams", "parameter", "period")
 
 
 KNOWN_ROWS: tuple[TableRow, ...] = (
@@ -241,33 +231,37 @@ def canonical_period_key(period: Iterable[int]) -> Pattern:
     return kernels.canonical_form(minimal_period(p)) if p else p
 
 
-@dataclass
 class ClassifiedOrbit(_Result):
     """One affine reflection orbit with its table match."""
 
-    row_matched: Optional[int]
-    diagrams: list[Triple]
-    parameter: str
-    period: Pattern
-    orbit_size: int
-    level: int
-
+    __slots__ = ("row_matched", "diagrams", "parameter", "period", "orbit_size", "level")
     _json_fields = ("row_matched", "diagrams", "parameter", "period", "orbit_size")
 
+    def __init__(
+        self,
+        row_matched: Optional[int],
+        diagrams: list[Triple],
+        parameter: str,
+        period: Pattern,
+        orbit_size: int,
+        level: int,
+    ):
+        self.row_matched = row_matched
+        self.diagrams = diagrams
+        self.parameter = parameter
+        self.period = period
+        self.orbit_size = orbit_size
+        self.level = level
 
-@dataclass
+
 class ClassificationReport(_Result):
     """The sweep's affine orbits and table checks.  ``triples_checked``
     counts reflection orbits, each once, not triples: it is the sum of
     ``broken``, ``non_affine`` and the number of affine ``orbits``."""
 
-    n_max: int
-    orbits: list[ClassifiedOrbit]
-    missing: list[str]
-    unmatched: list[ClassifiedOrbit]
-    triples_checked: int
-    broken: int
-    non_affine: int
+    __slots__ = (
+        "n_max", "orbits", "missing", "unmatched", "triples_checked", "broken", "non_affine"
+    )
 
     @property
     def ok(self) -> bool:
@@ -399,22 +393,24 @@ def classify_mu(n_max: int) -> ClassificationReport:
     return ClassificationReport(n_max, orbits, missing, unmatched, checked, broken, non_affine)
 
 
-@dataclass
 class SpecializationResult(_Result):
-    row: int
-    order: int
-    exponent: int
-    status: str  # "match", "degenerate", "broken"
+    """One specialization of a one-parameter row: q = zeta_order^exponent,
+    with ``status`` "match", "degenerate" or "broken"."""
+
+    __slots__ = ("row", "order", "exponent", "status")
+
+    def __init__(self, row: int, order: int, exponent: int, status: str):
+        self.row = row
+        self.order = order
+        self.exponent = exponent
+        self.status = status
 
 
-@dataclass
 class GenericRowsReport(_Result):
     """Symbolic verification of the three one-parameter families plus the
     exactness of their stated exclusions under specialization."""
 
-    rows: dict[int, dict]
-    specializations: list[SpecializationResult]
-    violations: list[str]
+    __slots__ = ("rows", "specializations", "violations")
 
     @property
     def ok(self) -> bool:
@@ -479,11 +475,11 @@ def check_generic_rows(max_order: int = 48) -> GenericRowsReport:
     )
 
 
-@dataclass
 class Cor15Report(_Result):
-    n_max: int
-    periods: list[Pattern]
-    failures: list[Pattern]
+    """The affine periods of the sweep to ``n_max`` and those of them that
+    fail the fifteen-pattern condition."""
+
+    __slots__ = ("n_max", "periods", "failures")
 
     @property
     def ok(self) -> bool:

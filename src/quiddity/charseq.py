@@ -25,22 +25,24 @@ of periodic orbits, its key, its number of orbits, its window and ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional
 
-from .cycles import Pattern, _Result, as_pattern
+from .cycles import Pattern, _Frozen, _Result, as_pattern
 from .scalars import Scalar, _m_rule
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
-    """The state of the reflection walk."""
+class Triple(_Frozen):
+    """The state of the reflection walk: the scalars ``q1``, ``q``, ``q2``."""
 
-    q1: Scalar
-    q: Scalar
-    q2: Scalar
+    __slots__ = ("q1", "q", "q2")
+
+    def __init__(self, q1: Scalar, q: Scalar, q2: Scalar):
+        set_q1, set_q, set_q2 = self._setters
+        set_q1(self, q1)
+        set_q(self, q)
+        set_q2(self, q2)
 
     @classmethod
     def from_exponents(cls, n: int, e1: int, e: int, e2: int) -> "Triple":
@@ -152,7 +154,6 @@ SHAPE_BROKEN = "broken"
 SHAPE_UNRESOLVED = "unresolved(bound)"
 
 
-@dataclass
 class CharSeqReport(_Result):
     """Walk outcome.
 
@@ -165,16 +166,30 @@ class CharSeqReport(_Result):
     visit order.
     """
 
-    shape: str
-    period: Pattern
-    ends: list[int]
-    orbit: list[Triple]
-    window: list[int]
-    window_origin: int = 0
-    state_period: Optional[int] = None
-    steps: int = 0
-
+    __slots__ = (
+        "shape", "period", "ends", "orbit", "window", "window_origin", "state_period", "steps"
+    )
     _json_fields = ("shape", "period", "ends", "orbit", "window", "window_origin")
+
+    def __init__(
+        self,
+        shape: str,
+        period: Pattern,
+        ends: list[int],
+        orbit: list[Triple],
+        window: list[int],
+        window_origin: int = 0,
+        state_period: Optional[int] = None,
+        steps: int = 0,
+    ):
+        self.shape = shape
+        self.period = period
+        self.ends = ends
+        self.orbit = orbit
+        self.window = window
+        self.window_origin = window_origin
+        self.state_period = state_period
+        self.steps = steps
 
     @property
     def ok(self) -> bool:
@@ -365,8 +380,7 @@ def walk(start: Triple, max_steps: int = 10000) -> CharSeqReport:
 _OrbitClass = tuple[tuple[int, int, int], int, bytes, tuple[int, ...]]
 
 
-@dataclass(frozen=True, slots=True)
-class _Sweep:
+class _Sweep(_Frozen):
     """One level's walks: its number of broken reflection orbits, and its
     Galois classes of periodic ones by increasing key, packed.
 
@@ -376,10 +390,7 @@ class _Sweep:
     so levels up to 256 fit bytes.
     """
 
-    broken: int
-    classes: bytes
-    windows: tuple[bytes, ...]
-    ends: tuple[tuple[int, ...], ...]
+    __slots__ = ("broken", "classes", "windows", "ends")
 
     def periodic(self) -> Iterator[_OrbitClass]:
         for i, (window, ends) in enumerate(zip(self.windows, self.ends)):
@@ -454,16 +465,19 @@ def _first_steps(n: int, key: tuple[int, int, int], window: bytes) -> dict[tuple
     return steps
 
 
-@dataclass(frozen=True, slots=True)
-class SolveMatch(_Result):
-    """One alignment of the searched window inside a triple's sequence."""
+class SolveMatch(_Frozen):
+    """One alignment of the searched window inside a triple's sequence:
+    the ``triple``, the ``offset`` and the ``end_offsets``."""
 
-    triple: Triple
-    offset: int
-    end_offsets: tuple[int, ...]
+    __slots__ = ("triple", "offset", "end_offsets")
+
+    def __init__(self, triple: Triple, offset: int, end_offsets: tuple[int, ...]):
+        set_triple, set_offset, set_end_offsets = self._setters
+        set_triple(self, triple)
+        set_offset(self, offset)
+        set_end_offsets(self, end_offsets)
 
 
-@dataclass
 class SolveReport(_Result):
     """Triples whose characteristic sequence contains the window.
 
@@ -471,12 +485,7 @@ class SolveReport(_Result):
     positions sit on ends, i.e. the window does not pin down the local
     shape of the sequence."""
 
-    window: Pattern
-    bound: int
-    matches: list[SolveMatch]
-    triples: list[Triple]
-    ambiguous: bool
-
+    __slots__ = ("window", "bound", "matches", "triples", "ambiguous")
     _json_fields = ("window", "bound", "ambiguous", "matches")
 
 

@@ -294,6 +294,14 @@ def cmd_solve(args) -> int:
     return 0 if report.triples else 1
 
 
+def _diagrams(o) -> str:
+    return " ".join(t.render(o.level) for t in o.diagrams)
+
+
+def _period(o) -> str:
+    return f"({','.join(map(str, o.period))})"
+
+
 def cmd_classify(args) -> int:
     report = classify_mu(args.nmax)
     human = [
@@ -305,17 +313,14 @@ def cmd_classify(args) -> int:
         "-" * 120,
     ]
     for o in report.orbits:
-        diagrams = " ".join(t.render(o.level) for t in o.diagrams)
         row = str(o.row_matched) if o.row_matched else "??"
-        human.append(
-            f"{row:>4} | {diagrams:<58} | {o.parameter:<40} | ({','.join(map(str, o.period))})"
-        )
+        human.append(f"{row:>4} | {_diagrams(o):<58} | {o.parameter:<40} | {_period(o)}")
     if report.missing:
         human.append("MISSING expected instances:")
         human += [f"  {m}" for m in report.missing]
     if report.unmatched:
         human.append("UNMATCHED affine orbits found (not in the table):")
-        human += [f"  {o.diagrams}" for o in report.unmatched]
+        human += [f"  {_diagrams(o)} | {_period(o)}" for o in report.unmatched]
     _emit(args, report.to_json(), human)
     return 0 if report.ok else 1
 

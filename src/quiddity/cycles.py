@@ -7,12 +7,12 @@ cyclically adjacent entries and increment both.  This module provides the
 canonical form under rotation/reversal, the 2x2 integer matrix invariant,
 a membership test by ear reduction, exhaustive enumeration per length,
 and the single-pattern containment tests, also behind ``cor15_check``.
+It also holds ``_Result``, the slotted base of the library's records.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
-from functools import cache
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from . import kernels
@@ -42,26 +42,68 @@ def as_pattern(entries: Iterable[int]) -> Pattern:
 
 
 class _Result:
-    """Base of the library's result dataclasses.
+    """Base of the library's records: plain classes that name their fields
+    once, in ``__slots__``, in declaration order.
 
-    ``to_json`` writes the fields in declaration order, or the names in
-    ``_json_fields`` where a class sets them, as a fresh document that
-    shares nothing with the result: a list or tuple becomes a new list, a
-    dict a new dict whose tuple keys are joined with commas, and any
-    other value that is not a plain int, string or None uses its own
+    A record takes its fields positionally or by keyword; two records are
+    equal when they are of one class and their fields are equal; ``repr``
+    reads like ``Scalar(k=1, n=3, qexp=0)``; it is unhashable unless it is
+    a ``_Frozen`` one.  ``to_json`` writes the fields in order, or the
+    names in ``_json_fields`` where a class sets them, as a fresh document
+    that shares nothing with the result: a list or tuple becomes a new
+    list, a dict a new dict whose tuple keys are joined with commas, and
+    any other value that is not a plain int, string or None uses its own
     ``to_json``."""
 
     __slots__ = ()
     _json_fields: tuple[str, ...] = ()
 
+    def __init_subclass__(cls):
+        if cls.__slots__:
+            # the field values as a tuple, and one slot setter per field
+            cls._values = attrgetter(*cls.__slots__)
+            cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+            cls.__match_args__ = cls.__slots__
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        for set_field, name in zip(self._setters, names):
+            set_field(self, values[name])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
     def to_json(self) -> dict:
-        return {name: _json_value(getattr(self, name)) for name in _json_names(type(self))}
+        names = self._json_fields or self.__slots__
+        return {name: _json_value(getattr(self, name)) for name in names}
 
 
-@cache
-def _json_names(cls: type) -> tuple[str, ...]:
-    """The names ``_Result.to_json`` writes for ``cls``, read once."""
-    return cls._json_fields or tuple(f.name for f in fields(cls))
+class _Frozen(_Result):
+    """A record whose fields cannot be assigned; it hashes its field tuple."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
 
 
 _PLAIN = frozenset({int, str, bool, type(None)})

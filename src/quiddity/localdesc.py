@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable
 
 from . import kernels
@@ -27,6 +26,7 @@ from .cycles import (
     DEFAULT_MAX_LENGTH,
     DihedralCycle,
     Pattern,
+    _Frozen,
     _Result,
     _level,
     as_pattern,
@@ -71,12 +71,10 @@ TWELVE_PATTERNS: tuple[Pattern, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class CoverPair:
+class CoverPair(_Frozen):
     """A finite exceptional-cycle set E and finite pattern set F."""
 
-    E: frozenset[DihedralCycle]
-    F: frozenset[Pattern]
+    __slots__ = ("E", "F")
 
     @classmethod
     def of(cls, E: Iterable, F: Iterable[Iterable[int]]) -> "CoverPair":
@@ -350,13 +348,11 @@ def theorem_step(pair: CoverPair) -> CoverPair:
 # verification
 
 
-@dataclass
 class CoverReport(_Result):
-    """Outcome of checking a cover pair against an enumeration."""
+    """Outcome of checking a cover pair against an enumeration: the
+    ``checked`` classes, the ``violations`` and the length ``bound``."""
 
-    checked: int
-    violations: list[DihedralCycle]
-    bound: int
+    __slots__ = ("checked", "violations", "bound")
 
     @property
     def ok(self) -> bool:
@@ -442,15 +438,10 @@ def verify_cover(pair: CoverPair, max_length: int) -> CoverReport:
     return CoverReport(checked=checked, violations=violations, bound=max_length)
 
 
-@dataclass
 class SubseqReport(_Result):
     """Outcome of the interior-subsequence check over all representatives."""
 
-    checked: int
-    violations: list[Pattern]
-    bound: int
-    pattern_hits: dict[Pattern, int]
-    exceptional_hits: dict[Pattern, int]
+    __slots__ = ("checked", "violations", "bound", "pattern_hits", "exceptional_hits")
 
     @property
     def ok(self) -> bool:

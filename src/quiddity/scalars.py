@@ -10,31 +10,31 @@ decidable, which keeps the walk and the classification free of numerics.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Literal, Optional
 
+from .cycles import _Frozen
 
-@dataclass(frozen=True, slots=True)
-class Scalar:
+
+class Scalar(_Frozen):
     """zeta_n^k times q^qexp, with zeta_n = e^(2*pi*i/n).
 
     Stored reduced: 0 <= k < n and gcd(k, n) == 1, so n is the order of
     the root-of-unity part.
     """
 
-    k: int = 0
-    n: int = 1
-    qexp: int = 0
+    __slots__ = ("k", "n", "qexp")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, k: int = 0, n: int = 1, qexp: int = 0):
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if not isinstance(self.qexp, int):
+        if type(qexp) is not int and (isinstance(qexp, bool) or not isinstance(qexp, int)):
             raise TypeError("qexp must be an integer")
-        g = gcd(self.k, self.n)
-        object.__setattr__(self, "k", self.k % self.n // g)
-        object.__setattr__(self, "n", self.n // g)
+        g = gcd(k, n)
+        set_k, set_n, set_qexp = self._setters
+        set_k(self, k % n // g)
+        set_n(self, n // g)
+        set_qexp(self, qexp)
 
     # -- constructors ------------------------------------------------------
 
@@ -137,14 +137,17 @@ def parse_scalar(text: str) -> Scalar:
 Branch = Literal["geometric", "power"]
 
 
-@dataclass(frozen=True, slots=True)
-class MValue:
+class MValue(_Frozen):
     """The minimal m >= 0 with 1 + qi + ... + qi^m = 0 or qi^m * q = 1,
     together with which condition fired at that m (ties report the
-    geometric branch)."""
+    geometric branch): the fields ``m`` and ``branch``."""
 
-    m: int
-    branch: Branch
+    __slots__ = ("m", "branch")
+
+    def __init__(self, m: int, branch: Branch):
+        set_m, set_branch = self._setters
+        set_m(self, m)
+        set_branch(self, branch)
 
 
 def _solve_congruence(a: int, b: int, m: int) -> Optional[int]:

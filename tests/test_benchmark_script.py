@@ -27,6 +27,13 @@ SWEEP_ROWS = [
 ]
 
 
+#: The rows that time one subprocess from start to exit.
+PROCESS_ROWS = [
+    "process python -c pass",
+    "process python -m quiddity.cli check --cycle 1,1,1",
+]
+
+
 @pytest.fixture(scope="module")
 def record():
     """One run of the script at --length 8 on this checkout given twice,
@@ -69,6 +76,7 @@ def assert_figures(figures):
         "check_generic_rows(48)",
         "cli enumerate --length 8 --json",
         "cli cover-step 3 from builtin:base --json",
+        *PROCESS_ROWS,
         "classify_mu(24) cold",
         "classify_mu(40) cold",
         "classify_mu(48) cold",
@@ -83,6 +91,8 @@ def assert_figures(figures):
     for f in figures.values():
         assert list(f) == ["s", "peak_rss_mib", "children_peak_rss_mib"]
         assert f["s"] >= 0 and f["peak_rss_mib"] > 0 and f["children_peak_rss_mib"] >= 0
+    for name in PROCESS_ROWS:  # a whole interpreter starts and exits in the call
+        assert figures[name]["s"] > 0.001 and figures[name]["children_peak_rss_mib"] > 0
 
 
 def test_sweep_record_runs(record):
@@ -129,8 +139,8 @@ def test_checkouts_alternate_process_by_process(monkeypatch, capsys):
 
 def test_rows_of_both_kinds_run_once():
     script = load_script()
-    assert len(script.rows(8)) == 24
-    assert len(script.rows(15)) == 22  # both covers to 15
-    assert len(script.rows(24)) == 21  # classify_mu(24) and both solve_triples at 24
+    assert len(script.rows(8)) == 26
+    assert len(script.rows(15)) == 24  # both covers to 15
+    assert len(script.rows(24)) == 23  # classify_mu(24) and both solve_triples at 24
     # a row of both kinds keeps its place among the length rows
     assert list(script.rows(13)).index("verify_thm_subseqs(13)") == 7

@@ -253,6 +253,20 @@ def test_classify_json_deterministic(capsys):
     json.loads(out1)
 
 
+def test_classify_renders_unmatched_orbits_as_table_rows(capsys, monkeypatch):
+    # without row 9 its orbits at mu_12 are unmatched
+    from quiddity import affine
+
+    monkeypatch.setattr(affine, "KNOWN_ROWS", tuple(r for r in affine.KNOWN_ROWS if r.row != 9))
+    code, out, _ = run(capsys, "classify", "--nmax", "12")
+    assert code == 1
+    unmatched = out.split("UNMATCHED affine orbits found (not in the table):\n")[1].splitlines()
+    assert len(unmatched) == 8
+    assert "  (z12^4,z12^8,z12^9) (z12,z12^10,z12^9) | (1,3,2,3)" in unmatched
+    assert all(line.endswith(" | (1,3,2,3)") for line in unmatched)
+    assert "Scalar(" not in out and "Triple(" not in out
+
+
 def test_generic(capsys):
     code, out, _ = run(capsys, "generic")
     assert code == 0

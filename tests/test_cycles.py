@@ -1,15 +1,30 @@
-"""Dihedral classes, membership, enumeration and containment."""
+"""Dihedral classes, membership, enumeration, containment and the
+library's records."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiddity import cycles
+from quiddity import charseq, cycles
 from quiddity import (
+    AffineDecomposition,
+    CharSeqReport,
+    ClassificationReport,
+    ClassifiedOrbit,
+    CoverPair,
+    CoverReport,
     DihedralCycle,
+    GenericRowsReport,
     MINUS_IDENTITY,
+    MValue,
+    Scalar,
+    SolveReport,
+    SubseqReport,
+    Triple,
     canonicalize,
     contains_cyclic,
     contains_linear,
@@ -19,6 +34,8 @@ from quiddity import (
     eta_product,
     is_quiddity,
 )
+from quiddity.affine import Cor15Report, SpecializationResult, TableRow
+from quiddity.charseq import SolveMatch
 
 patterns = st.lists(st.integers(min_value=0, max_value=9), min_size=2, max_size=12).map(
     tuple
@@ -333,3 +350,128 @@ def test_cyclic_contains_matches_rotation_scan(seq, start):
     n = len(cyc.canon)
     window = (cyc.canon + cyc.canon)[start % n : start % n + min(3, n)]
     assert contains_cyclic(cyc, window)
+
+
+# ---------------------------------------------------------------------------
+# records
+
+_TRIPLE = Triple(Scalar(1, 3), Scalar(2, 3), Scalar())
+
+#: Every record class with field values in declaration order, and whether
+#: it is frozen.
+RECORDS = [
+    (Scalar, (1, 3, 0), True),
+    (MValue, (2, "power"), True),
+    (Triple, (Scalar(1, 3), Scalar(2, 3), Scalar()), True),
+    (CharSeqReport, ("cycle", (2,), [0], [_TRIPLE], [2], 0, 1, 1), False),
+    (charseq._Sweep, (0, b"\x01\x01\x01\x02", (b"\x02",), ((0,),)), True),
+    (SolveMatch, (_TRIPLE, 0, (1,)), True),
+    (SolveReport, ((2, 2, 5), 9, [], [_TRIPLE], False), False),
+    (AffineDecomposition, ((2,), 1, ((0, 0, 0),), ((0, 0),)), True),
+    (TableRow, (1, 3, ((1, 1, 1),), "zeta in mu_3", (2,)), True),
+    (ClassifiedOrbit, (1, [_TRIPLE], "zeta in mu_3", (2,), 1, 3), False),
+    (ClassificationReport, (3, [], [], [], 1, 0, 0), False),
+    (SpecializationResult, (12, 5, 1, "match"), False),
+    (GenericRowsReport, ({12: {}}, [], []), False),
+    (Cor15Report, (3, [(2,)], []), False),
+    (CoverPair, (frozenset({DihedralCycle((0, 0))}), frozenset({(1,)})), True),
+    (CoverReport, (1, [], 3), False),
+    (SubseqReport, (1, [], 3, {(1, 2): 1}, {}), False),
+]
+RECORD_IDS = [cls.__name__ for cls, _, _ in RECORDS]
+
+
+def test_records_cover_every_record_class():
+    found, todo = set(), [cycles._Result]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            found.add(sub)
+    assert found - {cycles._Frozen} == {cls for cls, _, _ in RECORDS}
+    assert len(RECORDS) == 17
+
+
+@pytest.mark.parametrize("cls, values, frozen", RECORDS, ids=RECORD_IDS)
+def test_record_fields_and_construction(cls, values, frozen):
+    record = cls(*values)
+    assert tuple(getattr(record, name) for name in cls.__slots__) == values
+    assert cls(**dict(zip(cls.__slots__, values))) == record
+    assert not hasattr(record, "__dict__")
+    for args, kwargs in [
+        (values + (0,), {}),
+        (values, {cls.__slots__[0]: values[0]}),
+        (values, {"unknown": 0}),
+        (values[:1], {}) if cls is not Scalar else ((), {"unknown": 0}),  # Scalar(k) is fine
+    ]:
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
+@pytest.mark.parametrize("cls, values, frozen", RECORDS, ids=RECORD_IDS)
+def test_record_equality_holds_only_within_a_class(cls, values, frozen):
+    record = cls(*values)
+    assert record == cls(*values) and not record != cls(*values)
+    assert record != values and record.__eq__(values) is NotImplemented
+    for other, other_values, _ in RECORDS:
+        if other is not cls:
+            assert record != other(*other_values)
+    twin = cls(*values)
+    object.__setattr__(twin, cls.__slots__[-1], "other")  # past a frozen record's guard
+    assert record != twin
+
+
+@pytest.mark.parametrize("cls, values, frozen", RECORDS, ids=RECORD_IDS)
+def test_frozen_records_hash_their_fields_and_reports_are_unhashable(cls, values, frozen):
+    record = cls(*values)
+    name = cls.__slots__[0]
+    if frozen:
+        assert hash(record) == hash(cls(*values)) == hash(values)
+        with pytest.raises(AttributeError):
+            setattr(record, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) == values[0]
+    else:
+        with pytest.raises(TypeError):
+            hash(record)
+        setattr(record, name, "changed")
+        assert getattr(record, name) == "changed"
+
+
+@pytest.mark.parametrize("cls, values, frozen", RECORDS, ids=RECORD_IDS)
+def test_records_copy_pickle_and_repr(cls, values, frozen):
+    record = cls(*values)
+    assert copy.copy(record) == record
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(cls.__slots__, values))
+    assert repr(record) == f"{cls.__qualname__}({fields})"
+    match record:
+        case cls(first):
+            assert first == values[0]
+
+
+def test_record_reprs_are_the_dataclass_text():
+    assert repr(Scalar(1, 3)) == "Scalar(k=1, n=3, qexp=0)"
+    assert repr(Scalar.q_power(-2, negate=True)) == "Scalar(k=1, n=2, qexp=-2)"
+    assert repr(MValue(2, "power")) == "MValue(m=2, branch='power')"
+    assert repr(Triple(Scalar(), Scalar(1, 2), Scalar(5, 12, 1))) == (
+        "Triple(q1=Scalar(k=0, n=1, qexp=0), q=Scalar(k=1, n=2, qexp=0), "
+        "q2=Scalar(k=5, n=12, qexp=1))"
+    )
+
+
+def test_record_defaults_and_keyword_calls():
+    assert Scalar() == Scalar(0, 1, 0) == Scalar(qexp=0, n=1)
+    report = CharSeqReport(shape="broken", period=(), ends=[], orbit=[], window=[3])
+    assert (report.window_origin, report.state_period, report.steps) == (0, None, 0)
+    assert CoverReport(checked=4, violations=[], bound=5) == CoverReport(4, [], 5)
+    assert CoverReport(checked=4, violations=[], bound=5).ok
+
+
+def test_records_json_reads_the_fields_in_order():
+    assert list(CoverReport(1, [], 3).to_json()) == ["checked", "violations", "bound"]
+    assert list(SolveReport((2, 2, 5), 9, [], [], False).to_json()) == [
+        "window", "bound", "ambiguous", "matches",
+    ]
+

@@ -54,6 +54,21 @@ def test_level_below_one_is_rejected(n):
         Scalar(1, n)
 
 
+@pytest.mark.parametrize("qexp", [True, False, 1.0, "1", None])
+def test_qexp_must_be_an_integer_and_not_a_bool(qexp):
+    with pytest.raises(TypeError, match="qexp must be an integer"):
+        Scalar(0, 1, qexp)
+    with pytest.raises(TypeError, match="qexp must be an integer"):
+        Scalar.from_json({"zeta": [0, 1], "qexp": qexp})
+
+
+def test_int_subclass_qexp_is_kept():
+    class Exponent(int):
+        pass
+
+    assert Scalar(3, 6, Exponent(2)) == Scalar(1, 2, 2)
+
+
 def test_root_of_unity_of_order_zero_is_rejected():
     with pytest.raises(ValueError):
         Scalar.root_of_unity(0, 1)
@@ -313,14 +328,24 @@ def test_json_round_trip():
     assert zeta(9, 6).to_json() == {"zeta": [2, 3], "qexp": 0}
 
 
-def test_library_does_not_load_fractions():
+def loaded_by_the_library(module):
     # a fresh interpreter that imports the package under test, nothing else
     root = str(Path(quiddity.__file__).resolve().parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {root!r}); import quiddity, quiddity.cli; "
-        "print('fractions' in sys.modules)"
+        f"print({module!r} in sys.modules)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
     )
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_library_does_not_load_fractions():
+    assert not loaded_by_the_library("fractions")
+
+
+def test_library_does_not_load_dataclasses():
+    # the records are slotted classes: importing dataclasses (and the
+    # inspect, ast and dis it loads) would cost every process its start-up
+    assert not loaded_by_the_library("dataclasses")
