@@ -14,9 +14,10 @@ set-up or the call (0 when it forked none).  A call whose result has
 The rows at the length L of ``--length`` come first:
 
 - the dihedral canonical form of 20,000 seeded random words;
-- one ``next_level`` step into L from the level below it, and the same
-  step grown by ``_grow`` in one process and sorted, which separates the
-  kernel's speed from the gain of forking;
+- one ``next_level`` step into L, ``cycles._level(L)`` after the level
+  below it was built in the set-up, and the same step with the
+  enumeration held to one process (``kernels._jobs`` returns 1), which
+  separates the kernel's speed from the gain of forking;
 - ``m_value`` on 2,000 seeded pairs of roots of unity;
 - the enumeration of every length up to L, cold;
 - ``verify_cover`` to L of the 27-pattern ``cor12`` pair and of the
@@ -68,6 +69,7 @@ from collections import deque
 from itertools import starmap
 from quiddity import *
 from quiddity import cycles, kernels
+cpus = kernels._jobs(sys.maxsize)  # before a set-up that holds the enumeration to one
 exec(sys.argv[1])
 t0 = time.perf_counter()
 result = eval(sys.argv[2])
@@ -81,7 +83,7 @@ print(json.dumps({
         "children_peak_rss_mib": mib(resource.RUSAGE_CHILDREN),
     },
     "backend": kernels.backend(),
-    "enumeration_cpus": kernels._jobs(sys.maxsize),
+    "enumeration_cpus": cpus,
 }))
 """
 
@@ -158,12 +160,13 @@ def solve(n):
 def rows(n):
     """Name -> (untimed set-up, timed call) of every row: those at length
     n first, then the fixed ones."""
-    parents = f"parents = cycles._level({n - 1})"
+    parents = f"cycles._level({n - 1})"
+    step = f"_level({n}) after _level({n - 1})"
     at_n = {
         "canonical_form(w) x20k": (SEEDED, "deque(map(kernels.canonical_form, words), 0)"),
-        f"next_level(_level({n - 1}))": (parents, "kernels.next_level(parents)"),
-        f"sorted(_grow(_level({n - 1})))": (
-            parents, f"sorted(kernels._tuples(kernels._grow(parents), {n}))"
+        step: (parents, f"cycles._level({n})"),
+        f"{step}, one process": (
+            parents + "\nkernels._jobs = lambda parents: 1", f"cycles._level({n})"
         ),
         "m_value(a, b) x2k": (SEEDED, "deque(starmap(m_value, pairs), 0)"),
         f"enumerate_cycles({n}) cold": ("", f"enumerate_cycles({n})"),

@@ -28,7 +28,7 @@ from .affine import (
     verify_cor15_on_classified,
 )
 from .charseq import Triple, _exponents, _reflect, _triple, solve_triples, walk
-from .cycles import _level, canonicalize, is_quiddity
+from .cycles import _level_tuples, canonicalize, is_quiddity
 from .localdesc import (
     BUILTIN_PAIRS,
     CoverPair,
@@ -160,8 +160,11 @@ def _load_pair(source: str) -> CoverPair:
                 f"unknown builtin {name!r}; available: {', '.join(sorted(BUILTIN_PAIRS))}"
             )
         return BUILTIN_PAIRS[name]
-    with open(source, encoding="utf-8") as fh:
-        return CoverPair.from_json(json.load(fh))
+    try:
+        with open(source, encoding="utf-8") as fh:
+            return CoverPair.from_json(json.load(fh))
+    except RecursionError:
+        raise ValueError("pair file nests too deeply") from None
 
 
 def _triple_from_args(args) -> tuple[Triple, int | None]:
@@ -177,7 +180,7 @@ def _triple_from_args(args) -> tuple[Triple, int | None]:
 
 
 def cmd_enumerate(args) -> int:
-    words = _level(args.length)
+    words = list(_level_tuples(args.length))
     _emit(
         args,
         {"length": args.length, "count": len(words), "cycles": words},

@@ -297,17 +297,17 @@ def ear_insert(c: DihedralCycle | Iterable[int], position: int) -> DihedralCycle
     return DihedralCycle._from_canon(grown[position % len(grown)])
 
 
-#: Canonical words of the quiddity classes per length, each level sorted
-#: once when it is built; filled in order from length 2 upwards.
-_levels: dict[int, tuple[Pattern, ...]] = {}
+#: The canonical words of the quiddity classes per length, filled in
+#: order from length 2 upwards.  Level n is one ``bytes`` blob: its
+#: words, one byte per entry, laid end to end in sorted order, so word i
+#: is ``_levels[n][i * n : (i + 1) * n]``.  ``kernels.next_level`` grows
+#: each level from the one before; it needs parents of length >= 3,
+#: whose children have no two adjacent 1s, so lengths 2 and 3 are given.
+_levels: dict[int, bytes] = {2: bytes((0, 0)), 3: bytes((1, 1, 1))}
 
-#: The levels that ``kernels.next_level`` does not grow: it needs parents
-#: of length >= 3, whose children have no two adjacent 1s.
-_SEED_LEVELS: dict[int, tuple[Pattern, ...]] = {2: ((0, 0),), 3: ((1, 1, 1),)}
 
-
-def _level(n: int) -> tuple[Pattern, ...]:
-    """The sorted canonical words of the quiddity classes of length ``n``.
+def _level(n: int) -> bytes:
+    """The sorted canonical words of length ``n``, one blob (see ``_levels``).
 
     Built length by length from (0,0) and (1,1,1) by ear insertion:
     ``kernels.next_level`` grows each level from the one before in a
@@ -322,19 +322,24 @@ def _level(n: int) -> tuple[Pattern, ...]:
     if n > DEFAULT_MAX_LENGTH:
         raise ValueError(f"length {n} exceeds the enumeration bound {DEFAULT_MAX_LENGTH}")
     for k in range(len(_levels) + 2, n + 1):
-        _levels[k] = _SEED_LEVELS.get(k) or kernels.next_level(_levels[k - 1])
+        _levels[k] = kernels.next_level(_levels[k - 1], k - 1)
     return _levels[n]
+
+
+def _level_tuples(n: int) -> Iterator[Pattern]:
+    """The words of ``_level(n)``, in order, as tuples of ints."""
+    return zip(*[iter(_level(n))] * n)
 
 
 def enumerate_cycles(n: int) -> frozenset[DihedralCycle]:
     """All dihedral classes of quiddity cycles of length ``n``, for
     2 <= n <= ``DEFAULT_MAX_LENGTH``.
 
-    The memo holds each length's sorted canonical words, not cycles:
-    every call wraps the classes of its level afresh, without
+    The memo holds each length's sorted canonical words as one blob, not
+    cycles: every call wraps the classes of its level afresh, without
     canonicalizing them a second time.
     """
-    return frozenset(map(DihedralCycle._from_canon, _level(n)))
+    return frozenset(map(DihedralCycle._from_canon, _level_tuples(n)))
 
 
 def contains_cyclic(c: DihedralCycle | Iterable[int], d: Iterable[int]) -> bool:

@@ -1,21 +1,22 @@
 """The hot inner loops, in pure Python.
 
-``next_level`` is the inner loop of the enumeration: it grows a whole
-level of canonical quiddity words on byte strings by canonical
-augmentation, keeping a child only when its least rotation starts at the
-inserted ear.  ``_grow`` reads the new ear's reading r straight
-off the parent's canonical word b and decides most children by two
-rules: r < b keeps the child, since every old ear then reads greater
-than b; for an edge away from ear 0, r not starting with the prefix of
-b that ear 0 still reads, or that reading smaller than r, rejects it.
-The rest go to the rotation scan ``_is_least_rotation``.  Every entry must
-fit in a byte, which holds up to length 257, far past the enumeration
-bound ``cycles.DEFAULT_MAX_LENGTH``.  Each class has one parent, so a
-level of 2,000 parents or more grows as one fork-join: forked children
-grow interleaved slices of the parents with the same
-per-parent loop ``_grow`` and send their words back through pipes.  It
-stays in one process where ``os.fork`` is missing, on one CPU, or while
-another thread is alive, and no child outlives the call.
+``next_level`` is the inner loop of the enumeration: it grows a level,
+one blob of sorted canonical quiddity words, into the next such blob by
+canonical augmentation, keeping a child only when its least rotation
+starts at the inserted ear, and builds no tuple.  ``_grow`` reads the
+new ear's reading r straight off the parent's canonical word b and
+decides most children by two rules: r < b keeps the child, since every
+old ear then reads greater than b; for an edge away from ear 0, r not
+starting with the prefix of b that ear 0 still reads, or that reading
+smaller than r, rejects it.  The rest go to the rotation scan
+``_is_least_rotation``.  Every entry must fit in a byte, which holds up
+to length 257, far past the enumeration bound
+``cycles.DEFAULT_MAX_LENGTH``.  Each class has one parent, so a level of
+2,000 parents or more grows as one fork-join: forked children grow
+interleaved parents of the blob they inherit with the same per-parent
+loop ``_grow`` and send their words back through pipes.  It stays in one
+process where ``os.fork`` is missing, on one CPU, or while another
+thread is alive, and no child outlives the call.
 ``canonical_form`` and ``insert_fanout`` serve single cycles
 (``DihedralCycle``, ``ear_insert``, ``delta_preimages``) and are the
 references that the tests check ``_is_least_rotation`` and
@@ -136,10 +137,10 @@ def _is_least_rotation(r: bytes) -> bool:
 _PARENTS_PER_JOB = 1000
 
 
-def next_level(words) -> tuple:
-    """The sorted canonical words of length k + 1 grown from ``words``,
-    the sorted sequence of canonical words of every quiddity class of
-    length k >= 3.
+def next_level(level: bytes, k: int) -> bytes:
+    """The level of length k + 1 grown from ``level``, that of length
+    k >= 3: the sorted canonical words of every quiddity class of length
+    k + 1 as one blob, laid out as in ``cycles._levels``.
 
     Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
     J. Algorithms 26, 1998) gives each class of length k + 1 exactly one
@@ -147,22 +148,23 @@ def next_level(words) -> tuple:
     apart and their children need no deduplication across slices.
 
     Every level grows as one fork-join over its parents (see
-    ``_jobs``): ``jobs - 1`` forked children each grow the interleaved
-    slice ``words[j::jobs]`` and write its words back through a pipe as
-    one blob of (k + 1)-byte words, then leave by ``os._exit``, so they
-    never flush inherited stdio buffers or run atexit handlers.  This
-    process grows slice 0 itself meanwhile and turns each blob straight
-    into tuples.  A child that exits non-zero or sends a blob that is not
-    whole words makes the call raise ``RuntimeError``; whatever is
-    raised, every child is killed and reaped before the call returns.
-    With one job, ``_grow`` runs on all parents here and nothing is
-    forked.  The words are sorted once.
+    ``_jobs``): ``jobs - 1`` forked children each grow the parents j,
+    j + jobs, ... of the blob they inherit, write the words they grow
+    back through a pipe as one blob of (k + 1)-byte words and leave by
+    ``os._exit``, so they never flush inherited stdio buffers or run
+    atexit handlers.  This process grows parents 0, jobs, ... meanwhile
+    and appends each child's blob to its own as it arrives.  A child
+    that exits non-zero or sends a blob that is not whole words makes
+    the call raise ``RuntimeError``; whatever is raised, every child is
+    killed and reaped before the call returns.  With one job, ``_grow``
+    runs on all parents here and nothing is forked.  The words are
+    sorted once, as ``bytes`` slices, and joined: no tuple is built.
 
     Every entry must fit in a byte, so k + 1 <= 257."""
-    width = len(words[0]) + 1 if words else 0
-    out = _fork_join(words, _jobs(len(words)), width)
-    out.sort()
-    return tuple(out)
+    out = bytes(_fork_join(level, k, _jobs(len(level) // k)))
+    words = sorted(out[i : i + k + 1] for i in range(0, len(out), k + 1))
+    del out  # the words hold their own copies
+    return b"".join(words)
 
 
 def _jobs(parents: int) -> int:
@@ -182,15 +184,9 @@ def _jobs(parents: int) -> int:
     return min(jobs, len(os.sched_getaffinity(0)))
 
 
-def _tuples(blob, width: int):
-    """The words of ``width`` bytes laid end to end in ``blob``, as
-    tuples of ints."""
-    return zip(*[iter(blob)] * width)
-
-
-def _fork_join(words, jobs: int, width: int) -> list:
-    """The unsorted children of ``words``: slice j of ``jobs`` grown in
-    a forked child for j >= 1, slice 0 here."""
+def _fork_join(level: bytes, k: int, jobs: int) -> bytearray:
+    """The unsorted children of the k-byte words of ``level``: parents
+    j, j + jobs, ... grown in a forked child for j >= 1, 0, jobs, ... here."""
     import signal
 
     live, reads = [], []  # children not yet reaped; read ends of their pipes
@@ -204,25 +200,25 @@ def _fork_join(words, jobs: int, width: int) -> list:
                     code = 1
                     try:
                         with open(w, "wb") as pipe:
-                            pipe.write(_grow(words[j::jobs]))
+                            pipe.write(_grow(level, k, j, jobs))
                         code = 0
                     finally:
                         os._exit(code)
                 live.append(pid)
             finally:
                 os.close(w)
-        out = list(_tuples(_grow(words[::jobs]), width))
+        out = _grow(level, k, 0, jobs)
         for pid, r in list(zip(live, reads)):
             with open(r, "rb", closefd=False) as pipe:
                 blob = pipe.read()
             status = os.waitpid(pid, 0)[1]
             live.remove(pid)
-            if status or len(blob) % width:
+            if status or len(blob) % (k + 1):
                 raise RuntimeError(
                     f"next_level: worker {pid} ended with wait status {status} "
-                    f"after sending {len(blob)} bytes of {width}-byte words"
+                    f"after sending {len(blob)} bytes of {k + 1}-byte words"
                 )
-            out.extend(_tuples(blob, width))
+            out += blob
             del blob  # before the next child's blob is read
         return out
     finally:
@@ -233,12 +229,13 @@ def _fork_join(words, jobs: int, width: int) -> list:
             os.close(r)
 
 
-def _grow(words) -> bytearray:
-    """The children of ``words`` that canonical augmentation keeps, as
-    one blob of (k + 1)-byte words in no particular order.  Each parent's
-    children go straight into the blob, which is returned without a copy,
-    so no object per child outlives its parent's turn and one blob is
-    all that a level adds to the peak memory before its tuples are built.
+def _grow(level: bytes, k: int, j: int, jobs: int) -> bytearray:
+    """The children that canonical augmentation keeps of the parents j,
+    j + jobs, ... of ``level``, a blob of k-byte words, as one blob of
+    (k + 1)-byte words in no particular order.  Each parent is sliced off
+    the blob in its turn, and its children go straight into the result,
+    which is returned without a copy, so no object per parent or child
+    outlives its turn.
 
     A child, a parent with one ear inserted on its edge (i, i + 1), is
     kept only if its least rotation starts at the new ear, read in either
@@ -295,18 +292,17 @@ def _grow(words) -> bytearray:
     # importing the module allocates none of them
     head = [bytes((1, x)) for x in range(256)]
     byte = [bytes((x,)) for x in range(256)]
-    for word in words:
-        b = bytes(word)
-        n = len(b)
+    for p in range(j * k, len(level), jobs * k):
+        b = level[p : p + k]
         bb = b + b
         x0 = b[1]
         kept = set()
-        for i in range(n):
+        for i in range(k):
             u = b[i]
             v = bb[i + 1]
-            if u >= x0 and v >= x0 and 1 < i < n - 1:
+            if u >= x0 and v >= x0 and 1 < i < k - 1:
                 continue
-            mid = bb[i + 2 : i + n]  # the k - 2 entries after v, up to u
+            mid = bb[i + 2 : i + k]  # the k - 2 entries after v, up to u
             if u > v:
                 r = head[v + 1] + mid + byte[u + 1]
             else:
@@ -314,7 +310,7 @@ def _grow(words) -> bytearray:
             if r < b:
                 kept.add(r)
                 continue
-            if 0 < i < n - 1:
+            if 0 < i < k - 1:
                 if not r.startswith(b[:i]):
                     continue
                 if b[:i] + bytes((u + 1, 1, v + 1)) + b[i + 2 :] < r:

@@ -412,12 +412,14 @@ def verify_cover(pair: CoverPair, max_length: int) -> CoverReport:
     of each pattern shorter than n: a pattern occurs in the word read
     backwards iff its reversal occurs forwards.  The trie matches the
     shortest pattern at each start, so a match n or more long rules out
-    only its start, and the search goes on from the next one.  A pattern
-    with an entry above 255 is dropped, since every entry of a class of
-    length <= 257 fits in a byte."""
+    only its start, and the search goes on from the next one.  Patterns
+    of max_length or more entries, which no class up to the bound is
+    longer than, are dropped, so the trie is at most 23 deep; so are
+    patterns and members of E with an entry above 255, as every entry of
+    a class of length <= 257 fits in a byte."""
     _check_bound(max_length)
-    e_canons = {e.canon for e in pair.E}
-    usable = [bytes(f) for f in pair.F if max(f) < 256]
+    e_words = {bytes(e.canon) for e in pair.E if max(e.canon) < 256}
+    usable = [bytes(f) for f in pair.F if len(f) < max_length and max(f) < 256]
     longest = max(map(len, usable), default=0)
     regex = re.compile(_trie_source(f for p in usable for f in (p, p[::-1])))
     checked = 0
@@ -425,16 +427,17 @@ def verify_cover(pair: CoverPair, max_length: int) -> CoverReport:
     for n in range(2, max_length + 1):
         k = min(longest, n - 1) - 1
         wide = longest >= n
-        for word in _level(n):
-            checked += 1
-            if word in e_canons:
+        level = _level(n)
+        checked += len(level) // n
+        for i in range(0, len(level), n):
+            word = level[i : i + n]
+            if word in e_words:
                 continue
-            b = bytes(word)
-            m = regex.search(b + b[:k])
+            m = regex.search(word + word[:k])
             while wide and m and m.end() - m.start() >= n:
                 m = regex.search(m.string, m.start() + 1)
             if m is None:
-                violations.append(DihedralCycle._from_canon(word))
+                violations.append(DihedralCycle._from_canon(tuple(word)))
     return CoverReport(checked=checked, violations=violations, bound=max_length)
 
 
@@ -456,13 +459,14 @@ def verify_thm_subseqs(max_length: int) -> SubseqReport:
     ``DEFAULT_MAX_LENGTH`` raises before any class is enumerated.
 
     Each class is read in one pass over its cyclic windows of the
-    pattern lengths, looked up in a table that maps every pattern and
-    its reversal to its first index (rank) in ``NINE_PATTERNS``.  The
-    interior of the rotation at i is the cyclic word without positions
-    i - 1 and i, so a window of length m at start s lies inside the
-    interiors of the rotations s + m + 1, ..., s + n - 1 (mod n).  Taking
-    the found windows in rank order gives every rotation its first hit,
-    and the pass stops once each rotation has one.
+    pattern lengths, read off the level's blob and looked up in a table
+    that maps every pattern and its reversal, as ``bytes``, to its first
+    index (rank) in ``NINE_PATTERNS``.  The interior of the rotation at
+    i is the cyclic word without positions i - 1 and i, so a window of
+    length m at start s lies inside the interiors of the rotations
+    s + m + 1, ..., s + n - 1 (mod n).  Taking the found windows in rank
+    order gives every rotation its first hit, and the pass stops once
+    each rotation has one.
 
     The representatives are counted, not built.  With p the least
     rotation period of the word, the distinct representatives are the
@@ -478,17 +482,19 @@ def verify_thm_subseqs(max_length: int) -> SubseqReport:
     _check_bound(max_length)
     counts = [0] * len(NINE_PATTERNS)
     exceptional_hits: dict[Pattern, int] = {e: 0 for e in EXCEPTIONAL_REPRESENTATIVES}
-    rank: dict[Pattern, int] = {}
+    rank: dict[bytes, int] = {}
     for r, p in enumerate(NINE_PATTERNS):
-        rank.setdefault(p, r)
-        rank.setdefault(p[::-1], r)
+        rank.setdefault(bytes(p), r)
+        rank.setdefault(bytes(p[::-1]), r)
     lengths = sorted({len(p) for p in NINE_PATTERNS})
     checked = 0
     violations: list[Pattern] = []
     for n in range(2, max_length + 1):
         fitting = [m for m in lengths if m <= n - 2]
-        for word in _level(n):
-            d = word + word
+        level = _level(n)
+        for q in range(0, len(level), n):
+            b = level[q : q + n]
+            d = b + b
             found = sorted(
                 (r, s, m)
                 for m in fitting
@@ -505,19 +511,18 @@ def verify_thm_subseqs(max_length: int) -> SubseqReport:
                         left -= 1
                 if not left:
                     break
-            b = bytes(word)
-            p = (b + b).find(b, 1)
-            copies = 1 if b[::-1] in b + b else 2
+            p = d.find(b, 1)
+            copies = 1 if b[::-1] in d else 2
             checked += copies * p
             for r in hits[:p]:
                 if r is not None:
                     counts[r] += copies
             if left:
-                bases = ((word, hits), (word[::-1], hits[:1] + hits[:0:-1]))
+                bases = ((b, hits), (b[::-1], hits[:1] + hits[:0:-1]))
                 for base, base_hits in bases[:copies]:
                     for i in range(p):
                         if base_hits[i] is None:
-                            rep = base[i:] + base[:i]
+                            rep = tuple(base[i:] + base[:i])
                             if rep in exceptional_hits:
                                 exceptional_hits[rep] += 1
                             else:

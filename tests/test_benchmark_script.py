@@ -63,8 +63,8 @@ def test_benchmark_kernels_runs(record):
 def assert_figures(figures):
     assert list(figures) == [
         "canonical_form(w) x20k",
-        "next_level(_level(7))",
-        "sorted(_grow(_level(7)))",
+        "_level(8) after _level(7)",
+        "_level(8) after _level(7), one process",
         "m_value(a, b) x2k",
         "enumerate_cycles(8) cold",
         "verify_cover(cor12, 8)",
@@ -144,3 +144,10 @@ def test_rows_of_both_kinds_run_once():
     assert len(script.rows(24)) == 23  # classify_mu(24) and both solve_triples at 24
     # a row of both kinds keeps its place among the length rows
     assert list(script.rows(13)).index("verify_thm_subseqs(13)") == 7
+    # the step rows call only what every commit has: _level and _jobs
+    assert script.rows(13)["_level(13) after _level(12)"] == (
+        "cycles._level(12)", "cycles._level(13)"
+    )
+    assert script.rows(13)["_level(13) after _level(12), one process"] == (
+        "cycles._level(12)\nkernels._jobs = lambda parents: 1", "cycles._level(13)"
+    )

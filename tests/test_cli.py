@@ -322,8 +322,12 @@ def test_json_outputs_single_document(capsys):
         "[1, 2]",
         '{"E": [5], "F": [[1]]}',
         "{",
+        "[" * 100000 + "]" * 100000,
     ],
-    ids=["no_F", "E_not_list", "F_entry_not_list", "top_level_list", "E_entry_not_list", "not_json"],
+    ids=[
+        "no_F", "E_not_list", "F_entry_not_list", "top_level_list", "E_entry_not_list", "not_json",
+        "nested_too_deep",
+    ],
 )
 def test_verify_cover_malformed_pair_file(tmp_path, capsys, text):
     # a malformed pair file is a usage error, reported on one line
@@ -332,6 +336,18 @@ def test_verify_cover_malformed_pair_file(tmp_path, capsys, text):
     code, out, err = run(capsys, "verify-cover", "--pair", str(path), "--max", "6")
     assert code == 2
     assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+
+def test_verify_cover_drops_a_pattern_as_long_as_the_bound(tmp_path, capsys):
+    # a pattern of 3,000 entries is inside no class up to the bound, and
+    # its trie branch once recursed once per entry
+    pair = BUILTIN_PAIRS["cor12"].to_json()
+    pair["F"].append([1] * 3000)
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pair))
+    code, out, err = run(capsys, "verify-cover", "--pair", str(path), "--max", "10", "--json")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "verify-cover", "--pair", "builtin:cor12", "--max", "10", "--json")[1]
 
 
 @pytest.mark.parametrize(

@@ -229,10 +229,23 @@ def test_enumerate_counts():
 
 def test_levels_are_sorted_canonical_words():
     for n in range(2, 13):
-        words = cycles._level(n)
-        assert cycles._levels[n] is words
+        level = cycles._level(n)
+        assert cycles._levels[n] is level
+        words = list(cycles._level_tuples(n))
         assert all(a < b for a, b in zip(words, words[1:]))
-        assert list(words) == sorted(c.canon for c in enumerate_cycles(n))
+        assert words == sorted(c.canon for c in enumerate_cycles(n))
+
+
+def test_a_level_is_one_blob_of_sorted_words():
+    # count x n bytes, word i at bytes i * n ... (i + 1) * n - 1, and
+    # enumerate_cycles hands out exactly those words
+    for n in range(2, 16):
+        level = cycles._level(n)
+        classes = enumerate_cycles(n)
+        assert type(level) is bytes and len(level) == len(classes) * n
+        words = [level[i : i + n] for i in range(0, len(level), n)]
+        assert words == sorted(set(words))
+        assert {c.canon for c in classes} == set(map(tuple, words))
 
 
 def test_enumerate_bounds():

@@ -33,16 +33,26 @@ def fanout_levels(max_length):
     return levels
 
 
+def blob(words):
+    """The words laid end to end in one ``bytes``, as a level is stored."""
+    return b"".join(map(bytes, words))
+
+
+def tuples(level, n):
+    """The n-byte words of the blob ``level``, as tuples of ints."""
+    return list(zip(*[iter(level)] * n))
+
+
 def test_next_level_matches_insert_fanout_reference():
     levels = fanout_levels(13)
     for k in range(3, 13):
-        assert kernels.next_level(levels[k]) == levels[k + 1], k
+        assert kernels.next_level(blob(levels[k]), k) == blob(levels[k + 1]), k
 
 
 def test_levels_to_16_match_their_digest():
     # every level 2..16 word for word: a change to the kernel that moves
     # one class changes the digest
-    levels = repr([cycles._level(n) for n in range(2, 17)])
+    levels = repr([tuple(cycles._level_tuples(n)) for n in range(2, 17)])
     assert hashlib.sha256(levels.encode()).hexdigest() == (
         "fa4c48481d4da67ea18b77a991d821fd63041ccbf54163a32c053ee9cd353635"
     )
@@ -52,7 +62,7 @@ def test_canonical_words_start_with_an_ear_by_a_two_or_a_three_between_ears():
     # the corollary of the lemma in _grow's docstring, on the levels that
     # the digest above pins: x0 <= 3 for every parent of length >= 4
     for n in range(4, 17):
-        for word in cycles._level(n):
+        for word in cycles._level_tuples(n):
             assert word[:2] == (1, 2) or word[:3] == (1, 3, 1), word
 
 
@@ -106,9 +116,9 @@ def test_grow_takes_every_path(monkeypatch):
     monkeypatch.setattr(kernels, "_is_least_rotation", spy)
     taken = set()
     for k in range(4, 14):
-        for parent in cycles._level(k):
+        for parent in cycles._level_tuples(k):
             scanned.clear()
-            grown = set(kernels._tuples(kernels._grow((parent,)), k + 1))
+            grown = set(tuples(kernels._grow(bytes(parent), k, 0, 1), k + 1))
             paths = list(grow_paths(parent))
             taken.update(path for path, _ in paths)
             kept = {tuple(r) for path, r in paths if path.startswith("kept")}
@@ -130,7 +140,7 @@ def test_tie_reading_toward_v_is_never_the_least_rotation():
     # checks the proof against the levels up to here
     ties = toward_v_smaller = 0
     for k in range(4, 13):
-        for b in cycles._level(k):
+        for b in cycles._level_tuples(k):
             n = len(b)
             for i in range(n):
                 if b[i] != b[(i + 1) % n]:
@@ -152,7 +162,7 @@ def test_next_level_grows_each_class_from_one_parent():
     for k in range(4, 13):
         grown = set()
         for word in levels[k]:
-            children = kernels.next_level((word,))
+            children = tuples(kernels.next_level(bytes(word), k), k + 1)
             assert grown.isdisjoint(children), word
             grown.update(children)
         assert grown == set(levels[k + 1]), k
@@ -172,8 +182,8 @@ def two_cpus(monkeypatch):
     return forks
 
 
-def one_process(parents):
-    return tuple(sorted(kernels._tuples(kernels._grow(parents), len(parents[0]) + 1)))
+def one_process(parents, k):
+    return blob(sorted(tuples(kernels._grow(parents, k, 0, 1), k + 1)))
 
 
 def assert_no_child_left():
@@ -185,18 +195,19 @@ def assert_no_child_left():
 def test_forked_next_level_matches_one_process(monkeypatch, k):
     parents = cycles._level(k)
     forks = two_cpus(monkeypatch)
-    grown = kernels.next_level(parents)
+    grown = kernels.next_level(parents, k)
     assert forks, "the level did not fork"
-    assert grown == one_process(parents)
-    assert len(set(grown)) == len(grown) == (7528 if k == 13 else 24834)
+    assert grown == one_process(parents, k)
+    words = tuples(grown, k + 1)
+    assert len(set(words)) == len(words) == (7528 if k == 13 else 24834)
     assert_no_child_left()
 
 
 def test_next_level_forks_from_two_thousand_parents(monkeypatch):
     forks = two_cpus(monkeypatch)
-    kernels.next_level(cycles._level(12))  # 733 parents
+    kernels.next_level(cycles._level(12), 12)  # 733 parents
     assert not forks
-    kernels.next_level(cycles._level(13))  # 2,282 parents
+    kernels.next_level(cycles._level(13), 13)  # 2,282 parents
     assert len(forks) == 1
     assert_no_child_left()
 
@@ -206,18 +217,18 @@ def test_a_failing_worker_raises_and_leaves_no_child(monkeypatch, fault):
     parents = cycles._level(13)
     grow = kernels._grow
 
-    def failing(words):
-        # slice 0, grown by the calling process, holds parents[0]
-        if parents[0] in words:
-            return grow(words)
+    def failing(level, k, j, jobs):
+        # parents 0, jobs, ... are grown by the calling process
+        if j == 0:
+            return grow(level, k, j, jobs)
         if fault == "raise":
             raise ValueError("worker fails")
-        return grow(words)[:-1]
+        return grow(level, k, j, jobs)[:-1]
 
     two_cpus(monkeypatch)
     monkeypatch.setattr(kernels, "_grow", failing)
     with pytest.raises(RuntimeError, match="worker"):
-        kernels.next_level(parents)
+        kernels.next_level(parents, 13)
     assert_no_child_left()
 
 
@@ -225,15 +236,15 @@ def test_an_interrupted_parent_kills_its_workers(monkeypatch):
     parents = cycles._level(13)
     grow = kernels._grow
 
-    def interrupted(words):
-        if parents[0] in words:
+    def interrupted(level, k, j, jobs):
+        if j == 0:
             raise KeyboardInterrupt
-        return grow(words)
+        return grow(level, k, j, jobs)
 
     two_cpus(monkeypatch)
     monkeypatch.setattr(kernels, "_grow", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        kernels.next_level(parents)
+        kernels.next_level(parents, 13)
     assert_no_child_left()
 
 
@@ -255,7 +266,7 @@ def test_next_level_stays_in_one_process(monkeypatch, setting):
     if setting == "second thread":
         thread.start()
     try:
-        assert kernels.next_level(parents) == cycles._level(14)
+        assert kernels.next_level(parents, 13) == cycles._level(14)
     finally:
         stop.set()
         if thread.is_alive():
@@ -271,7 +282,7 @@ def test_workers_flush_no_buffered_output_and_run_no_atexit():
         "from quiddity import cycles\n"
         "atexit.register(print, 'atexit')\n"
         "print('before', end=' ')\n"
-        "print(len(cycles._level(15)))\n"
+        "print(len(cycles._level(15)) // 15)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],

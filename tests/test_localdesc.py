@@ -31,7 +31,7 @@ from quiddity import (
     xi,
 )
 from quiddity import kernels
-from quiddity.localdesc import in_a_prime
+from quiddity.localdesc import QUADRUPLE_PATTERNS, in_a_prime
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +418,15 @@ def test_verify_cover_counts_no_pattern_as_long_as_the_class():
     pair = CoverPair.of(SHORT_CLASSES, [(1, 2, 2, 1, 3, 1), (2, 1, 3, 1, 2), (9, 9)])
     report = verify_cover(pair, 5)
     assert [v.canon for v in report.violations] == [(1, 2, 2, 1, 3)]
+
+
+def test_verify_cover_skips_an_exceptional_class_past_a_byte():
+    # no class up to the bound has an entry above 255, so such a member of
+    # E changes nothing, whether the report holds violations or not
+    for pair in [BUILTIN_PAIRS["cor12"], CoverPair.of(SHORT_CLASSES[:2], QUADRUPLE_PATTERNS)]:
+        wide = CoverPair.of([*pair.E, (300, 1, 299, 2)], pair.F)
+        assert verify_cover(wide, 10) == verify_cover(pair, 10)
+    assert not verify_cover(wide, 10).ok
 
 
 def test_cover_report_json_shape():
