@@ -268,83 +268,59 @@ def _walk(n: int, start: _State, max_steps: int) -> CharSeqReport:
     ``orbit`` lists walk states, not ``Triple``s, and its ``period`` is
     left empty: a caller that reads it takes ``minimal_period`` of the
     window of a resolved walk.  A root-of-unity walk has at most 2n^3
-    (state, side) pairs, so ``max_steps`` = 2n^3 always resolves it."""
+    (state, side) pairs, so ``max_steps`` = 2n^3 always resolves it.
+
+    The walk stops when it is back at (start, left), for each reflection
+    is an involution that records the same m-value at a state and at its
+    image.  The left one keeps (x1, y1), which ``_m_rule`` reads as qi,
+    maps (x, y) to (x', y') = (-2m*x1 - x, -2m*y1 - y) and x2, y2 so that
+    m maps them back.  With y1 != 0, m = -y/y1 gives y' = y and
+    m*x1 + x' = -(m*x1 + x), so the rule gives m again.  With y1 = 0,
+    y' = -y and k -> 2m - k maps the solutions of x1*k = -x (mod n) onto
+    those of x1*k = -x'; at both, their least one mod d = ord(x1) is m,
+    or none on the geometric branch (m = d - 1).  The right one is the
+    mirror.  So the step (s, side) -> (image, other side) is injective,
+    and the first pair the walk meets twice is (start, left): had it met
+    another one twice first, the pairs one step before the two visits
+    would be equal.  Each reflection maps (y1, y, y2) by an integer
+    matrix of determinant -1, so every state of the orbit has a
+    q-exponent exactly when ``start`` has, and a resolved walk with ends
+    is then a chain.
+    """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    seen: dict[tuple[_State, bool], int] = {}
-    orbit: dict[_State, None] = {}  # insertion-ordered set
-    window: list[int] = []
-    ends: list[int] = []
-    s, left = start, True
-    broken = False
-    resolved = False
-    step = 0
-    while step <= max_steps:
-        key = (s, left)
-        if key in seen:
-            if seen[key] != 0:
-                raise RuntimeError(
-                    "walk re-entered a non-initial state; reversibility violated"
-                )
-            resolved = True
-            break
-        seen[key] = step
-        orbit[s] = None
+    orbit, window, ends, back = {start: None}, [], [], []  # orbit: an ordered set
+    s, left, shape = start, True, SHAPE_UNRESOLVED
+    for step in range(max_steps):
         res = _reflect(n, s, left)
         if res is None:
-            broken = True
+            shape = SHAPE_BROKEN
             break
         nxt, c = res
         window.append(c)
         if nxt == s:
             ends.append(step)
         s, left = nxt, not left
-        step += 1
-
-    if broken:
-        back: list[int] = []
+        if left and s == start:
+            shape = SHAPE_CHAIN if ends and any(start[3:]) else SHAPE_CYCLE
+            break
+        orbit[s] = None
+    if shape == SHAPE_BROKEN:
         s, left = start, False
-        for bstep in range(max_steps):
+        for step in range(max_steps):
             res = _reflect(n, s, left)
             if res is None:
                 break
             prev, c = res
             back.append(c)
             if prev == s:
-                ends.append(-bstep - 1)
+                ends.insert(0, -step - 1)
             orbit[prev] = None
             s, left = prev, not left
-        return CharSeqReport(
-            shape=SHAPE_BROKEN,
-            period=(),
-            ends=sorted(ends),
-            orbit=list(orbit),
-            window=back[::-1] + window,
-            window_origin=-len(back),
-            steps=step,
-        )
-
-    if not resolved:
-        return CharSeqReport(
-            shape=SHAPE_UNRESOLVED,
-            period=(),
-            ends=ends,
-            orbit=list(orbit),
-            window=window,
-            window_origin=0,
-            steps=step,
-        )
-
-    generic = any(st[3] or st[4] or st[5] for st in orbit)
+    steps = len(window)
     return CharSeqReport(
-        shape=SHAPE_CHAIN if (generic and ends) else SHAPE_CYCLE,
-        period=(),
-        ends=ends,
-        orbit=list(orbit),
-        window=window,
-        window_origin=0,
-        state_period=len(window),
-        steps=step,
+        shape, (), ends, list(orbit), back[::-1] + window, window_origin=-len(back),
+        state_period=steps if shape in (SHAPE_CYCLE, SHAPE_CHAIN) else None, steps=steps,
     )
 
 
@@ -353,11 +329,13 @@ def walk(start: Triple, max_steps: int = 10000) -> CharSeqReport:
 
     Forward steps apply the left reflection first, then alternate; the
     recorded value of step i is the sequence entry c_i.  The walk runs
-    through fixed points (recording them as ends).  It stops at the first
-    repeated (triple, parity) state, which for a reversible walk is the
-    initial state, making the window one exact period.  An undefined
-    m-value stops the walk with shape "broken", in which case backward
-    values (c_-1, c_-2, ...) are collected as well.
+    through fixed points (recording them as ends).  It stops when it is
+    back at its start on the left side, which makes the window one exact
+    period (see ``_walk``).  An undefined m-value stops the walk with
+    shape "broken", in which case backward values (c_-1, c_-2, ...) are
+    collected as well.  ``max_steps`` counts reflections: at most that
+    many in each direction, and a walk not back at its start after them
+    is "unresolved(bound)".
 
     The walk runs on integer exponents at the level of ``start``.
     """

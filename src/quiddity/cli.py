@@ -276,7 +276,7 @@ def cmd_charseq(args) -> int:
     human = [
         f"triple:  {triple.render(zeta_order)}",
         f"shape:   {report.shape}",
-        f"period:  ({','.join(map(str, report.period))})" if report.period else "period: none",
+        f"period:  ({','.join(map(str, report.period))})" if report.period else "period:  none",
         f"window:  {report.window} (origin {report.window_origin})",
         f"ends:    {report.ends}",
         f"orbit:   {[t.render(zeta_order) for t in report.orbit]}",

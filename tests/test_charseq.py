@@ -85,6 +85,23 @@ def test_involution_random_sample():
         assert back2 is not None and back2[0] == t and back2[1] == r2[1]
 
 
+def test_integer_reflections_are_involutions_on_generic_states():
+    # the fact ``_walk`` stops by: a reflection maps its image back to the
+    # state with the same m-value, q-exponents included
+    rng = random.Random(2024)
+    defined = 0
+    for _ in range(40000):
+        n = rng.randint(1, 12)
+        s = tuple(rng.randrange(n) for _ in range(3)) + tuple(rng.randint(-4, 4) for _ in range(3))
+        for left in (True, False):
+            res = _reflect(n, s, left)
+            if res is not None:
+                defined += 1
+                image, m = res
+                assert _reflect(n, image, left) == (s, m), (n, s, left)
+    assert defined > 10000
+
+
 def test_case_formula_consistency_sample():
     # the closed formula must specialize to both displayed cases
     rng = random.Random(7)
@@ -122,6 +139,17 @@ def test_walk_mu9_cycle():
     assert report.state_period == 6
     assert report.ends == [1, 4]
     assert mu(9, 6, 4, 1) in report.orbit and mu(9, 1, 4, 6) in report.orbit
+
+
+def test_walk_budget_counts_reflections():
+    # the state period of (9; 6, 8, 6) is 6: six reflections bring the
+    # walk back to its start, five leave it one short
+    report = walk(mu(9, 6, 8, 6), max_steps=6)
+    assert (report.shape, report.steps, report.period) == (SHAPE_CYCLE, 6, (2, 2, 5))
+    short = walk(mu(9, 6, 8, 6), max_steps=5)
+    assert (short.shape, short.steps, short.state_period) == (SHAPE_UNRESOLVED, 5, None)
+    assert short.window == [2, 5, 2, 2, 5]
+    assert short.orbit == [mu(9, 6, 8, 6), mu(9, 6, 4, 1), mu(9, 1, 4, 6)]
 
 
 def test_walk_generic_row_is_chain_with_two_ends():
@@ -480,18 +508,22 @@ def test_root_of_unity_triples_follow_the_exponent_loops():
 
 def reference_walk(start, max_steps):
     """The reflection walk built from the one-step reflections on Scalars
-    of ``scalar_reflections``: alternate sigma1 and sigma2 until the start state (triple,
-    parity) recurs; a broken walk also runs backward from the start."""
+    of ``scalar_reflections``: alternate sigma1 and sigma2, at most
+    ``max_steps`` times, until the start state (triple, parity) recurs; a
+    broken walk also runs backward from the start, at most ``max_steps``
+    times."""
     seen, orbit, window, ends = {}, {}, [], []
     state, step, shape = (start, 1), 0, SHAPE_UNRESOLVED
-    while step <= max_steps:
+    while True:
+        t, parity = state
+        orbit[t] = None
         if state in seen:
             assert seen[state] == 0
             shape = SHAPE_CYCLE  # or a chain, decided below
             break
+        if step == max_steps:
+            break
         seen[state] = step
-        t, parity = state
-        orbit[t] = None
         res = (sigma1 if parity == 1 else sigma2)(t)
         if res is None:
             shape = SHAPE_BROKEN
@@ -523,9 +555,13 @@ def reference_walk(start, max_steps):
 
 
 def parity_starts():
-    """Every triple with n <= 12, and the three one-parameter rows, both
-    symbolic and specialized to every primitive k-th root, k <= 48."""
+    """Every triple with n <= 12; the triples (i^k, q^a, q^b) for
+    |a|, |b| <= 4, whose chains start with no q-exponent on the left; and
+    the three one-parameter rows, both symbolic and specialized to every
+    primitive k-th root, k <= 48."""
     yield from (mu(*exps) for exps in _root_of_unity_triples(12))
+    for k, a, b in product(range(4), range(-4, 5), range(-4, 5)):
+        yield Triple(Scalar.root_of_unity(4, k), Scalar.q_power(a), Scalar.q_power(b))
     for _row, _param, maker, _period, _excluded in GENERIC_ROWS:
         yield maker(Scalar.q_power(1))
         for k in range(1, 49):
@@ -534,7 +570,7 @@ def parity_starts():
                     yield maker(Scalar.root_of_unity(k, u))
 
 
-@pytest.mark.parametrize("max_steps", [10000, 3])
+@pytest.mark.parametrize("max_steps", [10000, 3, 5, 6])
 def test_walk_matches_reference_walk(max_steps):
     shapes = Counter()
     for start in parity_starts():
@@ -543,4 +579,4 @@ def test_walk_matches_reference_walk(max_steps):
         assert got == reference_walk(start, max_steps), start
         shapes[report.shape] += 1
     assert {SHAPE_BROKEN, SHAPE_CHAIN, SHAPE_CYCLE} <= set(shapes)
-    assert (SHAPE_UNRESOLVED in shapes) == (max_steps == 3)
+    assert (SHAPE_UNRESOLVED in shapes) == (max_steps != 10000)

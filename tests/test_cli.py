@@ -158,6 +158,18 @@ def test_charseq_generic_triple(capsys):
     assert "(1,4)" in out and "chain" in out
 
 
+def test_charseq_unresolved_walk_makes_at_most_steps_reflections(capsys):
+    code, out, _ = run(
+        capsys, "charseq", "--zeta", "9", "--q1", "6", "--q", "8", "--q2", "6", "--steps", "3"
+    )
+    assert code == 0
+    assert out.splitlines()[1:4] == [
+        "shape:   unresolved(bound)",
+        "period:  none",
+        "window:  [2, 5, 2] (origin 0)",
+    ]
+
+
 def scalar_diagram(start, zeta_order, max_arrows=8):
     """The arrow diagram of the forward walk drawn with the Scalar
     reflections of ``scalar_reflections``."""
@@ -414,6 +426,18 @@ def test_forked_enumeration_prints_one_json_document():
             "5c5eae9c22719b2873818cd95b135d55226e9b9ce94f070aac73cc8dca83a8fb",
         ),
         (
+            ["charseq", "--triple", "q^1,q^-4,q^4", "--json"],
+            "ee25999eb32391b676b5ac83529e1098edf7c2622ef56d9701320f07c2ef0853",
+        ),
+        (
+            ["charseq", "--zeta", "5", "--q1", "0", "--q", "1", "--q2", "1", "--json"],
+            "0d520e118dbdbd5836c995893eedfa0d12ae194d9b565a3690f69d5bf376ac17",
+        ),
+        (
+            ["charseq", "--zeta", "9", "--q1", "6", "--q", "8", "--q2", "6", "--steps", "3", "--json"],
+            "6f6902de0c0d9e1338cafce7cd5f9e2397b7335ed9db91302c8d93c43cab1acc",
+        ),
+        (
             ["decompose", "--period", "6,1,3,1", "--json"],
             "e11349a0ffcb112766fb0ccaf11866d6f996ae3260bb38a34e66767b51903d72",
         ),
@@ -426,7 +450,10 @@ def test_forked_enumeration_prints_one_json_document():
             "290ab14a8148522d60eb890e71910b5a0ac84f8c51de0744fd55cc1c340a84fe",
         ),
     ],
-    ids=["verify-thm16", "charseq", "decompose", "check", "enumerate-text"],
+    ids=[
+        "verify-thm16", "charseq", "charseq-chain", "charseq-broken", "charseq-unresolved",
+        "decompose", "check", "enumerate-text",
+    ],
 )
 def test_more_output_is_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)

@@ -340,6 +340,33 @@ def test_theorem_step_preserves_properties_and_grows():
         assert 1 in f
 
 
+def test_step_preimages_outgrow_every_builtin_pattern():
+    # the bound that makes the minimum pattern length grow in theorem_step:
+    # each builtin's patterns and those of its first step, and for base and
+    # ends those of the second step too (the second step holds 6,405
+    # patterns for thm16, 64,995 for cor12 and 337,092 for thm16proof)
+    for name, pair in BUILTIN_PAIRS.items():
+        patterns = pair.F
+        for steps_left in range(3 if name in ("base", "ends") else 2, 0, -1):
+            stepped = set()
+            for f in patterns:
+                preimages = rho_preimages(iota(psi(f)))
+                assert min(map(len, preimages)) >= len(f) + 1, (name, f)
+                if steps_left > 1:  # the last step's patterns are not kept
+                    stepped |= preimages
+            patterns = stepped
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=4), max_size=5),
+    st.lists(st.integers(min_value=0, max_value=4), max_size=5),
+)
+@settings(max_examples=200, deadline=None)
+def test_step_preimages_outgrow_a_pattern_with_a_one(head, tail):
+    f = (*head, 1, *tail)
+    assert min(map(len, rho_preimages(iota(psi(f))))) >= len(f) + 1
+
+
 def test_theorem_step_rejects_bad_preconditions():
     with pytest.raises(ValueError):
         theorem_step(CoverPair.of([(0, 0)], [(1,)]))
