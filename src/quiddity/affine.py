@@ -14,13 +14,14 @@ Galois-least key), decides each distinct window once whether it is
 affine (the conjugates zeta -> zeta^u share a window, so they share the
 verdict), and matches the affine orbits against the built-in
 classification table (eleven root-of-unity rows plus three
-one-parameter families checked by specialization).
+one-parameter families, stored as walk states and checked by
+specialization).  It builds ``Triple``s only for its reports.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Optional
 
 from . import kernels
@@ -28,16 +29,15 @@ from .charseq import (
     SHAPE_BROKEN,
     SHAPE_CHAIN,
     Triple,
-    _exponents,
     _first_steps,
+    _State,
     _swept,
     _units,
+    _walk,
     minimal_period,
-    walk,
 )
 from .cycles import Pattern, _Frozen, _Result, as_pattern, is_quiddity
 from .localdesc import NINE_PATTERNS
-from .scalars import Scalar
 
 #: Patterns one of which every affine sequence must contain (cyclically,
 #: either orientation): the nine interior patterns plus six that arise
@@ -85,8 +85,7 @@ class AffineDecomposition(_Frozen):
 _CACHE_SIZE = 4096
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def decompose_affine(period: Pattern) -> Optional[AffineDecomposition]:
+def decompose_affine(period: Iterable[int]) -> Optional[AffineDecomposition]:
     """A gluing of the bi-infinite sequence with period ``period`` into
     quiddity-cycle blocks, or None when none exists (an exact verdict).
 
@@ -96,9 +95,13 @@ def decompose_affine(period: Pattern) -> Optional[AffineDecomposition]:
     length r sums to 3(r-2)), so that count must lie in [1, len(p)].  A
     depth-first search takes roots in (j, x) order and successors by
     distance, marks exhausted junctions dead and glues along the cycle
-    its first back edge closes.
+    its first back edge closes.  The cache holds the period as a tuple.
     """
-    p = as_pattern(period)
+    return _decompose(as_pattern(period))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _decompose(p: Pattern) -> Optional[AffineDecomposition]:
     size = len(p)
     if not 1 <= 3 * size - sum(p) <= size:
         return None
@@ -136,6 +139,10 @@ def decompose_affine(period: Pattern) -> Optional[AffineDecomposition]:
                 todo.pop()
                 dead.add(path.popitem()[0])
     return None
+
+
+decompose_affine.cache_info = _decompose.cache_info  # type: ignore[attr-defined]
+decompose_affine.cache_clear = _decompose.cache_clear  # type: ignore[attr-defined]
 
 
 def _blocks_from(p: Pattern, j: int, x: int) -> Iterator[tuple[int, int, Pattern]]:
@@ -203,26 +210,29 @@ KNOWN_ROWS: tuple[TableRow, ...] = (
     TableRow(11, 18, ((1, 12, 9), (9, 6, 4)), "zeta in mu_18", (6, 1, 3, 1)),
 )
 
-#: One-parameter families: (row, label, maker, excluded torsion orders).
-#: The maker builds the triple for a generic q or for q a given root of
-#: unity; exclusions are the orders where the family degenerates.
-def _family_row12(q: Scalar) -> Triple:
-    return Triple(q, q ** -2, q)
-
-
-def _family_row13(q: Scalar) -> Triple:
-    return Triple(q, q ** -2, Scalar.minus_one() * q)
-
-
-def _family_row14(q: Scalar) -> Triple:
-    return Triple(q, q ** -4, q ** 4)
-
-
-GENERIC_ROWS = (
-    (12, "q generic, q != +-1", _family_row12, (2,), (1, 2)),
-    (13, "q generic, q != +-1", _family_row13, (2,), (1, 2)),
-    (14, "q generic, q != +-1, q not in mu_3 or mu_4", _family_row14, (1, 4), (1, 2, 3, 4)),
+#: One-parameter families: (row, label, level, state, period, excluded
+#: torsion orders).  ``state`` is the walk state (x1, x, x2, y1, y, y2) of
+#: the row's triple at a generic q over mu_level (see ``charseq._State``):
+#: row 13's -q is zeta_2 * q.  The exclusions are the orders of q where
+#: the family degenerates.
+GENERIC_ROWS: tuple[tuple[int, str, int, _State, Pattern, tuple[int, ...]], ...] = (
+    (12, "q generic, q != +-1", 1, (0, 0, 0, 1, -2, 1), (2,), (1, 2)),
+    (13, "q generic, q != +-1", 2, (0, 0, 1, 1, -2, 1), (2,), (1, 2)),
+    (14, "q generic, q != +-1, q not in mu_3 or mu_4", 1, (0, 0, 0, 1, -4, 4),
+     (1, 4), (1, 2, 3, 4)),
 )
+
+
+def _specialized(level: int, state: _State, k: int, u: int) -> tuple[int, int, int, int]:
+    """The exact level n and exponents (n, e1, e, e2) of a generic walk
+    state over mu_level at q = zeta_k^u: over L = lcm(level, k), zeta_level^x
+    * q^y is zeta_L^(x*L/level + u*y*L/k), and n = L / the gcd of L and
+    the three exponents."""
+    big = lcm(level, k)
+    a, b = big // level, u * big // k
+    e = [(a * x + b * y) % big for x, y in zip(state[:3], state[3:])]
+    g = gcd(big, *e)
+    return (big // g, *(x // g for x in e))
 
 
 def canonical_period_key(period: Iterable[int]) -> Pattern:
@@ -274,34 +284,21 @@ def _instance_orbits(n_max: int) -> Iterator[tuple[str, tuple[int, str, Pattern]
     Yields (label, (row, parameter, period), keys) for each instance of
     exact level n <= ``n_max``; ``keys`` are the exponents (n, e1, e, e2)
     of the instance and of its label swap, as the sweep names triples.
+    A root-of-unity row's first diagram has exact level ``row.n``.
     """
-    starts = [
-        (
-            Triple.from_exponents(row.n, *(x * u for x in row.diagrams[0])),
-            (row.row, row.parameter, row.period),
-            f"row {row.row} at zeta^{u}, mu_{row.n}",
-        )
-        for row in KNOWN_ROWS
-        if row.n <= n_max
-        for u in range(1, row.n)
-        if gcd(u, row.n) == 1
+    instances = [
+        (f"row {row.row} at zeta^{u}, mu_{row.n}", (row.row, row.parameter, row.period),
+         (row.n, *(x * u % row.n for x in row.diagrams[0])))
+        for row in KNOWN_ROWS if row.n <= n_max for u in _units(row.n)
+    ] + [
+        (f"row {rowno} specialized at mu_{k}, q=zeta^{u}",
+         (rowno, f"q primitive {k}-th root (generic row {rowno})", period),
+         _specialized(level, state, k, u))
+        for rowno, _param, level, state, period, excluded in GENERIC_ROWS
+        for k in range(3, n_max + 1) if k not in excluded for u in _units(k)
     ]
-    starts += [
-        (
-            maker(Scalar.root_of_unity(k, u)),
-            (rowno, f"q primitive {k}-th root (generic row {rowno})", period),
-            f"row {rowno} specialized at mu_{k}, q=zeta^{u}",
-        )
-        for rowno, _param, maker, period, excluded in GENERIC_ROWS
-        for k in range(3, n_max + 1)
-        if k not in excluded
-        for u in range(1, k)
-        if gcd(u, k) == 1
-    ]
-    for start, match, label in starts:
-        n = start.level()
+    for label, match, (n, e1, e, e2) in instances:
         if n <= n_max:
-            e1, e, e2 = _exponents(start, n)[:3]
             yield label, match, ((n, e1, e, e2), (n, e2, e, e1))
 
 
@@ -377,7 +374,7 @@ def classify_mu(n_max: int) -> ClassificationReport:
         match = expected.get(i)
         if match is not None and canonical_period_key(period) != canonical_period_key(match[2]):
             match = None
-        co = ClassifiedOrbit(
+        orbits.append(ClassifiedOrbit(
             row_matched=match[0] if match else None,
             diagrams=sorted(
                 (Triple.from_exponents(level, *m) for m in members), key=Triple.sort_key
@@ -386,8 +383,7 @@ def classify_mu(n_max: int) -> ClassificationReport:
             period=period,
             orbit_size=len(members),
             level=level,
-        )
-        orbits.append(co)
+        ))
     unmatched = [o for o in orbits if o.row_matched is None]
     orbits.sort(key=lambda o: (o.row_matched or 10_000, o.level, [t.sort_key() for t in o.diagrams]))
     return ClassificationReport(n_max, orbits, missing, unmatched, checked, broken, non_affine)
@@ -432,47 +428,39 @@ def check_generic_rows(max_order: int = 48) -> GenericRowsReport:
     rows: dict[int, dict] = {}
     specializations: list[SpecializationResult] = []
     violations: list[str] = []
-    for rowno, param, maker, period, excluded in GENERIC_ROWS:
-        rep = walk(maker(Scalar.q_power(1)))  # an infinite state space: walk's budget
-        dec = decompose_affine(rep.period) if rep.period else None
+    for rowno, param, level, state, period, excluded in GENERIC_ROWS:
+        rep = _walk(level, state, 10000)  # an infinite state space: walk's budget
+        found = minimal_period(rep.window) if rep.state_period else ()  # as ``walk`` reads it
+        dec = decompose_affine(found) if found else None
         rows[rowno] = {
             "parameter": param,
             "shape": rep.shape,
-            "period": list(rep.period),
+            "period": list(found),
             "affine": dec is not None,
             "ends": len(rep.ends),
         }
         if rep.shape != SHAPE_CHAIN:
             violations.append(f"row {rowno}: generic walk gave shape {rep.shape}")
-        if canonical_period_key(rep.period) != canonical_period_key(period):
-            violations.append(
-                f"row {rowno}: generic period {rep.period} != expected {period}"
-            )
+        target = canonical_period_key(period)
+        if canonical_period_key(found) != target:
+            violations.append(f"row {rowno}: generic period {found} != expected {period}")
         if dec is None:
             violations.append(f"row {rowno}: generic period not affine")
-        target = canonical_period_key(period)
         for k in range(1, max_order + 1):
-            srep = walk(t := maker(Scalar.root_of_unity(k)), max_steps=2 * t.level() ** 3)
+            n, *x = _specialized(level, state, k, 1)
+            srep = _walk(n, (*x, 0, 0, 0), 2 * n**3)  # resolves unless broken
             if srep.shape == SHAPE_BROKEN:
                 status = "broken"
-            elif canonical_period_key(srep.period) == target:
+            elif canonical_period_key(srep.window) == target:
                 status = "match"
             else:
                 status = "degenerate"
+            specializations += (SpecializationResult(rowno, k, u, status) for u in _units(k))
             allowed = k not in excluded
-            for u in _units(k):
-                specializations.append(SpecializationResult(rowno, k, u, status))
-                if allowed and status != "match":
-                    violations.append(
-                        f"row {rowno}: mu_{k} (exp {u}) should match but got {status}"
-                    )
-                if not allowed and status == "match":
-                    violations.append(
-                        f"row {rowno}: mu_{k} (exp {u}) is excluded but matches"
-                    )
-    return GenericRowsReport(
-        rows=rows, specializations=specializations, violations=violations
-    )
+            if allowed != (status == "match"):
+                why = f"should match but got {status}" if allowed else "is excluded but matches"
+                violations += (f"row {rowno}: mu_{k} (exp {u}) {why}" for u in _units(k))
+    return GenericRowsReport(rows, specializations, violations)
 
 
 class Cor15Report(_Result):

@@ -62,14 +62,6 @@ class Triple(_Frozen):
         orders."""
         return lcm(self.q1.n, self.q.n, self.q2.n)
 
-    @property
-    def is_root_of_unity(self) -> bool:
-        return (
-            self.q1.is_root_of_unity
-            and self.q.is_root_of_unity
-            and self.q2.is_root_of_unity
-        )
-
     def sort_key(self):
         return (self.q1.sort_key(), self.q.sort_key(), self.q2.sort_key())
 

@@ -150,19 +150,6 @@ class MValue(_Frozen):
         set_branch(self, branch)
 
 
-def _solve_congruence(a: int, b: int, m: int) -> Optional[int]:
-    """Minimal x >= 0 with a*x == b (mod m), m >= 1; None if unsolvable."""
-    a %= m
-    b %= m
-    if a == 0:
-        return 0 if b == 0 else None
-    g = gcd(a, m)
-    if b % g != 0:
-        return None
-    mg = m // g  # >= 2, as 0 < a < m
-    return (b // g) * pow(a // g, -1, mg) % mg
-
-
 def _m_rule(n: int, ai: int, bi: int, a: int, b: int) -> Optional[tuple[int, Branch]]:
     """The m rule over exponents: (m, branch) for qi = z^ai * q^bi against
     q = z^a * q^b, where z = e^(2*pi*i/n); None when neither condition is
@@ -180,10 +167,13 @@ def _m_rule(n: int, ai: int, bi: int, a: int, b: int) -> Optional[tuple[int, Bra
             return None
         m = -b // bi
         return (m, "power") if m >= 0 and (ai * m + a) % n == 0 else None
-    d = n // gcd(ai, n)
-    m = _solve_congruence(ai, -a, n) if b == 0 else None
-    if m is not None and (d == 1 or m < d - 1):
-        return m, "power"
+    g = gcd(ai, n)
+    d = n // g  # the order of qi
+    if b == 0 and a % g == 0:
+        # ai*m = -a (mod n) has one solution mod d, and pow(x, -1, 1) is 0
+        m = (-a // g) * pow(ai // g, -1, d) % d
+        if d == 1 or m < d - 1:
+            return m, "power"
     return (d - 1, "geometric") if d > 1 else None
 
 

@@ -1,11 +1,20 @@
 """The one-step reflections on ``Scalar`` triples, written from the
 definition with ``m_value`` and ``Scalar`` arithmetic: the oracle that the
 integer-exponent reflections of ``quiddity.charseq`` (``_reflect``) and
-the walks and diagrams built on them are checked against."""
+the walks and diagrams built on them are checked against.  Also the
+triples of the one-parameter rows 12-14 as functions of q, the oracle for
+the walk states of ``quiddity.affine.GENERIC_ROWS``."""
 
 from typing import Optional
 
-from quiddity import Triple, m_value
+from quiddity import Scalar, Triple, m_value
+
+#: The triple of each one-parameter row, by row number, for a scalar q.
+GENERIC_MAKERS = {
+    12: lambda q: Triple(q, q ** -2, q),
+    13: lambda q: Triple(q, q ** -2, Scalar.minus_one() * q),
+    14: lambda q: Triple(q, q ** -4, q ** 4),
+}
 
 
 def sigma1(t: Triple) -> Optional[tuple[Triple, int]]:

@@ -29,14 +29,15 @@ from quiddity.affine import (
     ClassifiedOrbit,
     TableRow,
     _instance_orbits,
+    _specialized,
     canonical_period_key,
 )
-from quiddity.charseq import SHAPE_BROKEN, SHAPE_CYCLE, _walk
+from quiddity.charseq import SHAPE_BROKEN, SHAPE_CYCLE, _exponents, _walk
 from quiddity.cycles import eta_product
 
 import backtrack_affine
 from brute_triples import root_of_unity_triples as _root_of_unity_triples
-from scalar_reflections import sigma1, sigma2
+from scalar_reflections import GENERIC_MAKERS, sigma1, sigma2
 
 
 def mu(n, e1, e, e2):
@@ -85,6 +86,13 @@ def test_decompose_soundness_reassembly():
     assert dec is not None
     assert dec.blocks == ((2, 1, 3, 1, 2),)
     assert dec.reassemble() == (6, 1, 3, 1)
+
+
+def test_decompose_takes_a_list():
+    # the cache is keyed by the period as a tuple, not by the argument
+    for period in ((6, 1, 3, 1), (1, 4), (2, 2, 5)):
+        assert decompose_affine(list(period)) == decompose_affine(period)
+    assert decompose_affine([6, 1, 3, 1]).period == (6, 1, 3, 1)
 
 
 def _sweep_periods(n_max):
@@ -468,17 +476,92 @@ def test_generic_rows_clean():
     assert all(d["affine"] for d in report.rows.values())
 
 
+def test_generic_row_states_are_the_makers_triples():
+    for rowno, _param, level, state, _period, _excluded in affine.GENERIC_ROWS:
+        t = GENERIC_MAKERS[rowno](Scalar.q_power(1))
+        assert (t.level(), _exponents(t, t.level())) == (level, state), rowno
+
+
+def test_specialized_matches_the_makers_at_every_root_of_unity():
+    count = 0
+    for rowno, _param, level, state, _period, _excluded in affine.GENERIC_ROWS:
+        for k in range(1, 257):
+            for u in charseq._units(k):
+                t = GENERIC_MAKERS[rowno](Scalar.root_of_unity(k, u))
+                n = t.level()
+                assert _specialized(level, state, k, u) == (n, *_exponents(t, n)[:3]), (rowno, k, u)
+                count += 1
+    assert count == 59_844
+
+
+def test_specialized_divides_out_a_common_factor():
+    # q^2 at an even order k has order k/2, so these reduce to a lower level
+    cases = [
+        (lambda q: Triple(q ** 2, q ** -4, q ** 2), 1, (0, 0, 0, 2, -4, 2)),
+        (lambda q: Triple(Scalar.minus_one() * q ** 2, q ** -4, q ** 6), 2, (1, 0, 0, 2, -4, 6)),
+    ]
+    for maker, level, state in cases:
+        t = maker(Scalar.q_power(1))
+        assert (t.level(), _exponents(t, t.level())) == (level, state)
+        for k in range(1, 65):
+            for u in charseq._units(k):
+                t = maker(Scalar.root_of_unity(k, u))
+                n = t.level()
+                assert _specialized(level, state, k, u) == (n, *_exponents(t, n)[:3]), (k, u)
+    assert _specialized(1, (0, 0, 0, 2, -4, 2), 4, 1) == (2, 1, 0, 1)
+
+
+def reference_instance_orbits(n_max):
+    """``_instance_orbits`` from ``Scalar``-built triples: each root-of-unity
+    row's first diagram at every unit, each one-parameter row's triple at
+    every admissible q = zeta_k^u, read at its exact level."""
+    starts = [
+        (
+            Triple.from_exponents(row.n, *(x * u for x in row.diagrams[0])),
+            (row.row, row.parameter, row.period),
+            f"row {row.row} at zeta^{u}, mu_{row.n}",
+        )
+        for row in KNOWN_ROWS
+        if row.n <= n_max
+        for u in range(1, row.n)
+        if gcd(u, row.n) == 1
+    ]
+    starts += [
+        (
+            GENERIC_MAKERS[rowno](Scalar.root_of_unity(k, u)),
+            (rowno, f"q primitive {k}-th root (generic row {rowno})", period),
+            f"row {rowno} specialized at mu_{k}, q=zeta^{u}",
+        )
+        for rowno, _param, _level, _state, period, excluded in affine.GENERIC_ROWS
+        for k in range(3, n_max + 1)
+        if k not in excluded
+        for u in range(1, k)
+        if gcd(u, k) == 1
+    ]
+    for start, match, label in starts:
+        n = start.level()
+        if n <= n_max:
+            e1, e, e2 = _exponents(start, n)[:3]
+            yield label, match, ((n, e1, e, e2), (n, e2, e, e1))
+
+
+def test_instance_orbits_match_the_scalar_built_instances():
+    for n_max in range(1, 49):
+        assert list(_instance_orbits(n_max)) == list(reference_instance_orbits(n_max)), n_max
+
+
 def reference_generic_specializations(max_order, max_steps=10000):
     """The specializations and violations of ``check_generic_rows`` from
     one walk per specialization q = zeta_k^u."""
     specializations, violations = [], []
-    for rowno, _param, maker, period, excluded in affine.GENERIC_ROWS:
+    for rowno, _param, _level, _state, period, excluded in affine.GENERIC_ROWS:
         target = canonical_period_key(period)
         for k in range(1, max_order + 1):
             for u in range(1, max(k, 2)):
                 if gcd(u, k) != 1:
                     continue
-                srep = walk(maker(Scalar.root_of_unity(k, u)), max_steps=max_steps)
+                start = GENERIC_MAKERS[rowno](Scalar.root_of_unity(k, u))
+                srep = walk(start, max_steps=max_steps)
                 if srep.shape == SHAPE_BROKEN:
                     status = "broken"
                 elif canonical_period_key(srep.period) == target:
@@ -510,7 +593,7 @@ def test_generic_rows_match_walking_every_specialization():
 def test_generic_rows_match_walking_every_specialization_with_wrong_exclusions(monkeypatch):
     # row 14 with mu_4 allowed and mu_5 excluded: both give violations, one per exponent
     rows = tuple(
-        r[:4] + ((1, 2, 3, 5),) if r[0] == 14 else r for r in affine.GENERIC_ROWS
+        r[:5] + ((1, 2, 3, 5),) if r[0] == 14 else r for r in affine.GENERIC_ROWS
     )
     monkeypatch.setattr(affine, "GENERIC_ROWS", rows)
     doc = _assert_generic_rows_match_reference(12)

@@ -16,7 +16,6 @@ from quiddity import (
     walk,
 )
 from quiddity import affine, charseq, cli
-from quiddity.affine import GENERIC_ROWS
 from quiddity.charseq import (
     SHAPE_BROKEN,
     SHAPE_CHAIN,
@@ -36,7 +35,7 @@ from quiddity.charseq import (
 from brute_triples import level_triples
 from brute_triples import root_of_unity_triples as _root_of_unity_triples
 from brute_triples import window_matches as _window_matches
-from scalar_reflections import sigma1, sigma2
+from scalar_reflections import GENERIC_MAKERS, sigma1, sigma2
 
 REPORT_FIELDS = (
     "shape", "period", "ends", "orbit", "window", "window_origin", "state_period", "steps",
@@ -562,7 +561,7 @@ def parity_starts():
     yield from (mu(*exps) for exps in _root_of_unity_triples(12))
     for k, a, b in product(range(4), range(-4, 5), range(-4, 5)):
         yield Triple(Scalar.root_of_unity(4, k), Scalar.q_power(a), Scalar.q_power(b))
-    for _row, _param, maker, _period, _excluded in GENERIC_ROWS:
+    for maker in GENERIC_MAKERS.values():
         yield maker(Scalar.q_power(1))
         for k in range(1, 49):
             for u in range(1, max(k, 2)):

@@ -449,10 +449,18 @@ def test_forked_enumeration_prints_one_json_document():
             ["enumerate", "--length", "10"],
             "290ab14a8148522d60eb890e71910b5a0ac84f8c51de0744fd55cc1c340a84fe",
         ),
+        (
+            ["generic"],
+            "eee9443790466fbfad95eb381fbb40f4207be3875f3746c157a258c05de315f9",
+        ),
+        (
+            ["classify", "--nmax", "24"],
+            "361da9ad3f68f07f883bcb4224b0e04733e76d4f765f3d856eb0e10206d48886",
+        ),
     ],
     ids=[
         "verify-thm16", "charseq", "charseq-chain", "charseq-broken", "charseq-unresolved",
-        "decompose", "check", "enumerate-text",
+        "decompose", "check", "enumerate-text", "generic-text", "classify-text",
     ],
 )
 def test_more_output_is_pinned(capsys, argv, digest):
