@@ -35,10 +35,12 @@ The rows at the length L of ``--length`` come first:
 The fixed rows follow, so that records at any length share them: two
 process rows, each timing one subprocess from its start to its exit,
 ``python -c pass`` and ``python -m quiddity.cli check --cycle 1,1,1``
-(their difference is what the library adds to every process), cold
-``classify_mu`` at 24, 40 and 48, ``solve_triples((2,2,5), M)`` cold and
-after ``classify_mu(M)`` at M = 12 and 24, both covers to 15 and
-``verify_thm_subseqs(13)``.  A row of both kinds runs once.
+(their difference is what the library adds to every process), the third
+``theorem_step`` from ``builtin:base`` on the depth-2 pair built in the
+set-up, cold ``classify_mu`` at 24, 40 and 48,
+``solve_triples((2,2,5), M)`` cold and after ``classify_mu(M)`` at
+M = 12 and 24, both covers to 15 and ``verify_thm_subseqs(13)``.  A
+row of both kinds runs once.
 
 ``--src`` names a checkout whose ``src`` is imported, so one copy of
 this script times several commits alike; give it, say, a ``git archive``
@@ -127,6 +129,13 @@ PROCESSES = {
     ),
 }
 
+#: The third refinement step from ``builtin:base``, the first two untimed.
+THIRD_STEP = {
+    "theorem_step(depth-2 pair)": (
+        "pair = theorem_step(theorem_step(BUILTIN_PAIRS['base']))", "theorem_step(pair)"
+    ),
+}
+
 STEPS = CLI + """
 quiet("cover-step", "--in", "builtin:base", "--out", pair(1))
 quiet("cover-step", "--in", pair(1), "--out", pair(2))
@@ -182,7 +191,8 @@ def rows(n):
             STEPS, "quiet('cover-step', '--in', pair(2), '--out', pair(3), '--json')"
         ),
     }
-    fixed = PROCESSES | classify(24) | classify(40) | classify(48) | solve(12) | solve(24)
+    fixed = PROCESSES | THIRD_STEP | classify(24) | classify(40) | classify(48)
+    fixed |= solve(12) | solve(24)
     return at_n | fixed | covers(15) | thm(13)
 
 

@@ -11,8 +11,9 @@ ear-doubling bijection and two rewriting systems:
   padding the ends);
 * ``delta`` is the cyclic analogue on dihedral classes.
 
-Preimage sets under both maps are computed by breadth-first reverse
-rewriting.
+Preimage sets under ``rho`` are computed by breadth-first reverse
+rewriting; those under ``delta`` are generated directly, as the sets of
+the target's inserted 1s that may be collapsed.
 """
 
 from __future__ import annotations
@@ -288,31 +289,58 @@ def delta(c: DihedralCycle | Iterable[int]) -> DihedralCycle:
 
 
 def delta_preimages(target: DihedralCycle | Iterable[int]) -> frozenset[DihedralCycle]:
-    """All classes in the domain of ``delta`` that normalize to ``target``.
+    """All classes in the domain of ``delta`` that normalize to ``target``,
+    generated directly.
 
-    Reverse rewriting collapses any cyclic window (x,1,y) with x,y >= 3 to
-    (x-1,y-1); windows may wrap, which also inverts the boundary rule.
-    As for ``rho_preimages``, each step undoes a forward split and the
-    splits are confluent, so every class reached normalizes to ``target``.
-    None is <0,0> or <1,1,1>, where ``delta`` is not defined: the target
-    has even length >= 4, and each step leaves two entries >= 2.
+    A class normalizes to ``target`` iff ``target`` is reached from it by
+    forward splits, that is iff it is reached from ``target`` by reverse
+    steps: each collapses a cyclic window (x,1,y) with x,y >= 3 to
+    (x-1,y-1), which undoes a forward split whose precondition holds,
+    since x-1 >= 2; windows may wrap, which also inverts the boundary
+    rule, and the splits are confluent.
+
+    ``target`` lies in the ear-doubled image, so its canonical word reads
+    (1, x_0, 1, x_1, ..., 1, x_{k-1}) with x_j = e_j + 2, k >= 2 and
+    e = ``psi_bar_inv(target)``; call the 1 before x_j the j-th one.  A
+    reverse step removes one 1 and lowers its two neighbours by one.  It
+    makes no 1 and raises no entry, so every x_j stays >= 2 and is never
+    removed: every step removes one of the k ones, whose neighbours are
+    always the x_j around it.  A path of reverse steps thus removes a set
+    S of the ones in some order, and ends at the word of S: ``target``
+    without them, each x_j lowered by s_j + s_{j+1} (indices mod k,
+    s_j = 1 iff the j-th one is in S).  The removal of the j-th one needs
+    x_{j-1}, x_j >= 3 just before it, and entries only fall: so if each
+    x_j ends >= 2, each was >= 3 before every removal that lowers it, in
+    any order; if some x_j ends < 2, the last removal that lowered it
+    found it < 3.  So the preimages are exactly the words of the sets S
+    with s_j + s_{j+1} <= e_j for every j: no ear of e loses both of its
+    1s, and ``psi_bar(<0,0>)`` loses none.  None is <0,0> or <1,1,1>,
+    where ``delta`` is not defined, as each keeps k >= 2 entries >= 2.
+
+    The sets are chosen depth-first, s_0 first, and s_j is dropped as
+    soon as s_{j-1} + s_j > e_{j-1}; the last constraint, on s_{k-1} and
+    s_0, is checked once s_{k-1} is chosen.  A partial word holds the
+    entries fixed so far, and the stack holds at most two per level,
+    O(k) of them.  Distinct sets may give the same class when ``target``
+    has a symmetry; each word is canonicalized once.
     """
     tgt = canonicalize(target)
     if not in_a_prime(tgt):
         raise ValueError(f"target not in the ear-doubled image: {tgt}")
-    seen = {tgt.canon}
-    queue = deque([tgt.canon])
-    while queue:
-        s = queue.popleft()
-        n = len(s)
-        for i in range(n):
-            if s[i] == 1 and s[i - 1] >= 3 and s[(i + 1) % n] >= 3:
-                rest = s[i + 1 :] + s[:i]
-                p = kernels.canonical_form((rest[0] - 1,) + rest[1:-1] + (rest[-1] - 1,))
-                if p not in seen:
-                    seen.add(p)
-                    queue.append(p)
-    return frozenset(map(DihedralCycle._from_canon, seen))
+    x = tgt.canon[1::2]
+    found: set[Pattern] = set()
+    for first in (0, 1):
+        stack = [(1, first, ())]  # (j, s_{j-1}, the word of S up to x_{j-2})
+        while stack:
+            j, prev, word = stack.pop()
+            word += () if prev else (1,)
+            if j < len(x):
+                for s in (0, 1):
+                    if prev + s <= x[j - 1] - 2:
+                        stack.append((j + 1, s, word + (x[j - 1] - prev - s,)))
+            elif prev + first <= x[-1] - 2:
+                found.add(kernels.canonical_form(word + (x[-1] - prev - first,)))
+    return frozenset(map(DihedralCycle._from_canon, found))
 
 
 def theorem_step(pair: CoverPair) -> CoverPair:

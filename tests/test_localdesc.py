@@ -33,6 +33,8 @@ from quiddity import (
 from quiddity import kernels
 from quiddity.localdesc import QUADRUPLE_PATTERNS, in_a_prime
 
+from bfs_preimages import bfs_delta_preimages
+
 
 # ---------------------------------------------------------------------------
 # psi / psi_bar / iota
@@ -300,8 +302,8 @@ def test_delta_preimages_complete_by_brute_force():
 
 
 def test_delta_preimages_never_reach_the_excluded_classes():
-    # delta is not defined on <0,0> and <1,1,1>, and the search needs no
-    # filter for them: every reverse step leaves two entries >= 2
+    # delta is not defined on <0,0> and <1,1,1>, and the generation needs
+    # no filter for them: every entry e_j + 2 keeps >= 2, and k >= 2
     excluded = {DihedralCycle((0, 0)), DihedralCycle((1, 1, 1))}
     searches = 0
     for n in range(2, 9):
@@ -309,6 +311,29 @@ def test_delta_preimages_never_reach_the_excluded_classes():
             assert excluded.isdisjoint(delta_preimages(psi_bar(cyc))), cyc
             searches += 1
     assert searches == 23  # 1, 1, 1, 1, 3, 4, 12 classes of lengths 2..8
+
+
+def test_delta_preimages_match_the_breadth_first_search():
+    # the direct generation against the reverse rewriting it replaced, on
+    # the doubling of every class up to length 9 and the 28 depth-3 targets
+    classes = [cyc for n in range(2, 10) for cyc in enumerate_cycles(n)]
+    depth3 = theorem_step(theorem_step(base_pair())).E
+    assert (len(classes), len(depth3)) == (50, 28)
+    for e in classes + sorted(depth3):
+        target = psi_bar(e)
+        assert delta_preimages(target) == bfs_delta_preimages(target), e
+
+
+def test_delta_preimages_are_exact_over_the_enumeration():
+    # against the forward map: every class of length 4-13 grouped by its
+    # delta image, and each group is that image's preimages up to 13 long
+    groups = {}
+    for n in range(4, 14):
+        for cyc in enumerate_cycles(n):
+            groups.setdefault(delta(cyc), set()).add(cyc)
+    assert sum(map(len, groups.values())) == 3373 and len(groups) == 148
+    for target, group in groups.items():
+        assert {p for p in delta_preimages(target) if len(p) <= 13} == group, target
 
 
 # ---------------------------------------------------------------------------
