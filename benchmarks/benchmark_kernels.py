@@ -37,7 +37,9 @@ process rows, each timing one subprocess from its start to its exit,
 ``python -c pass`` and ``python -m quiddity.cli check --cycle 1,1,1``
 (their difference is what the library adds to every process), the third
 ``theorem_step`` from ``builtin:base`` on the depth-2 pair built in the
-set-up, cold ``classify_mu`` at 24, 40 and 48,
+set-up, ``rho_preimages`` of the alternating target
+``iota(psi((1, 2) * 10 + (1,)))`` (3^11 = 177,147 preimages), cold
+``classify_mu`` at 24, 40 and 48,
 ``solve_triples((2,2,5), M)`` cold and after ``classify_mu(M)`` at
 M = 12 and 24, both covers to 15 and ``verify_thm_subseqs(13)``.  A
 row of both kinds runs once.
@@ -136,6 +138,14 @@ THIRD_STEP = {
     ),
 }
 
+#: The preimages of the alternating target at k = 10: each of its k + 1
+#: threes keeps one or both of its two 1s, so there are 3^(k+1).
+ALTERNATING = {
+    "rho_preimages(alternating, k=10)": (
+        "target = iota(psi((1, 2) * 10 + (1,)))", "rho_preimages(target)"
+    ),
+}
+
 STEPS = CLI + """
 quiet("cover-step", "--in", "builtin:base", "--out", pair(1))
 quiet("cover-step", "--in", pair(1), "--out", pair(2))
@@ -191,7 +201,7 @@ def rows(n):
             STEPS, "quiet('cover-step', '--in', pair(2), '--out', pair(3), '--json')"
         ),
     }
-    fixed = PROCESSES | THIRD_STEP | classify(24) | classify(40) | classify(48)
+    fixed = PROCESSES | THIRD_STEP | ALTERNATING | classify(24) | classify(40) | classify(48)
     fixed |= solve(12) | solve(24)
     return at_n | fixed | covers(15) | thm(13)
 

@@ -6,21 +6,20 @@ cycle outside E strictly contains some pattern of F.  ``theorem_step``
 refines a cover pair into one whose patterns are strictly longer, via the
 ear-doubling bijection and two rewriting systems:
 
-* ``rho`` rewrites a linear sequence until no two adjacent entries exceed
-  1 and both ends are 1 (splitting adjacent big pairs with an inserted 1,
-  padding the ends);
-* ``delta`` is the cyclic analogue on dihedral classes.
+* ``delta`` puts a 1 on every cyclic edge between two entries > 1 of a
+  dihedral class and raises both ends of the edge;
+* ``rho`` does the same on a linear sequence, padding an end > 1 with a
+  1: it is the cyclic rule on the sequence closed by a sentinel entry 4.
 
-Preimage sets under ``rho`` are computed by breadth-first reverse
-rewriting; those under ``delta`` are generated directly, as the sets of
-the target's inserted 1s that may be collapsed.
+Both are one pass of ``_split``, and both preimage sets are generated
+directly by ``_collapsed``, as the sets of the target's 1s that may be
+collapsed.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import kernels
 from .cycles import (
@@ -203,144 +202,129 @@ def iota(seq: Iterable[int]) -> Pattern:
 
 def rho(seq: Iterable[int]) -> Pattern:
     """Normal form of a linear sequence under three rewriting rules:
-    pad a first entry > 1 with a leading 1 (incrementing it), split the
-    leftmost adjacent pair with both entries > 1 by an inserted 1
-    (incrementing both), pad a last entry > 1 with a trailing 1.
+    pad a first entry > 1 with a leading 1 (incrementing it), split an
+    adjacent pair with both entries > 1 by an inserted 1 (incrementing
+    both), pad a last entry > 1 with a trailing 1.
 
-    Rules are applied with that priority at the leftmost position, which
-    makes the function deterministic; order-independence is a tested
-    property, not an assumption.
+    The sequence closed into a cycle by a sentinel entry 4 has one more
+    cyclic edge on each side of it, and the paddings are the splits of
+    those edges: ``_split`` of that cycle, read without the sentinel.
     """
-    s = list(as_pattern(seq))
-    while True:
-        if s[0] > 1:
-            s[0:1] = [1, s[0] + 1]
-            continue
-        for i in range(len(s) - 1):
-            if s[i] > 1 and s[i + 1] > 1:
-                s[i : i + 2] = [s[i] + 1, 1, s[i + 1] + 1]
-                break
-        else:
-            if s[-1] > 1:
-                s[-1:] = [s[-1] + 1, 1]
-                continue
-            return tuple(s)
+    return _split(as_pattern(seq) + (4,))[:-1]
 
 
 def rho_preimages(target: Iterable[int]) -> frozenset[Pattern]:
     """All sequences whose ``rho`` normal form is ``target``.
 
-    Breadth-first reverse rewriting: collapse (x,1,y) with x,y >= 3 to
-    (x-1,y-1), strip a leading (1,x) with x >= 3 to (x-1), strip a
-    trailing (x,1) with x >= 3 to (x-1).  Every reverse step shortens the
-    sequence, so the search is finite.  Each one undoes a forward rule
-    whose precondition holds, since x-1 >= 2, and the rules are confluent,
-    so every sequence reached normalizes to ``target``.
+    With the sentinel 4 closing ``target``, these are the words of
+    ``_collapsed`` read without the (lowered) sentinel.  A word ``u``
+    with ``rho(u) == target`` has d <= 2 sentinel edges split, so
+    ``u`` closed by 4 - d >= 2 splits to ``target`` closed by 4, and
+    conversely any sentinel > 1 splits the same edges.  A ``target`` of
+    length 1 is its own only preimage: ``rho`` never shortens a word,
+    and a word it does not lengthen is its own normal form.  Without
+    that case the lone 1 of (1,) would collapse onto the sentinel and
+    give the empty word.
     """
     t = as_pattern(target)
     if rho(t) != t:
         raise ValueError(f"target is not a rho normal form: {t}")
-    seen = {t}
-    queue = deque([t])
-    while queue:
-        s = queue.popleft()
-        preds: list[Pattern] = []
-        for i in range(len(s) - 2):
-            if s[i] >= 3 and s[i + 1] == 1 and s[i + 2] >= 3:
-                preds.append(s[:i] + (s[i] - 1, s[i + 2] - 1) + s[i + 3 :])
-        if len(s) >= 2 and s[0] == 1 and s[1] >= 3:
-            preds.append((s[1] - 1,) + s[2:])
-        if len(s) >= 2 and s[-1] == 1 and s[-2] >= 3:
-            preds.append(s[:-2] + (s[-2] - 1,))
-        for p in preds:
-            if p not in seen:
-                seen.add(p)
-                queue.append(p)
-    return frozenset(seen)
+    if len(t) == 1:
+        return frozenset({t})
+    return frozenset(w[:-1] for w in _collapsed(t + (4,)))
 
 
 _DELTA_EXCLUDED = frozenset({ZERO_ZERO.canon, TRIANGLE.canon})
 
 
-def _delta_word(word: Pattern) -> Pattern:
-    """``delta`` from a canonical word to the canonical word of its image."""
-    s = list(word)
-    while True:
-        for i in range(len(s) - 1):
-            if s[i] > 1 and s[i + 1] > 1:
-                s[i : i + 2] = [s[i] + 1, 1, s[i + 1] + 1]
-                break
-        else:
-            if s[0] > 1 and s[-1] > 1:
-                s = [s[0] + 1] + s[1:-1] + [s[-1] + 1, 1]
-                continue
-            return kernels.canonical_form(tuple(s))
-
-
 def delta(c: DihedralCycle | Iterable[int]) -> DihedralCycle:
     """Cyclic normal form: split every cyclically adjacent pair with both
-    entries > 1 by an inserted 1 until none remains.  Works on the
-    canonical representative, leftmost split first, then the wraparound
-    pair.  Not defined on <0,0> and <1,1,1>."""
+    entries > 1 by an inserted 1, ``_split`` on the canonical word.  Not
+    defined on <0,0> and <1,1,1>."""
     cyc = canonicalize(c)
     if cyc.canon in _DELTA_EXCLUDED:
         raise ValueError(f"delta is not defined on {cyc}")
-    return DihedralCycle._from_canon(_delta_word(cyc.canon))
+    return DihedralCycle._from_canon(kernels.canonical_form(_split(cyc.canon)))
 
 
 def delta_preimages(target: DihedralCycle | Iterable[int]) -> frozenset[DihedralCycle]:
-    """All classes in the domain of ``delta`` that normalize to ``target``,
-    generated directly.
-
-    A class normalizes to ``target`` iff ``target`` is reached from it by
-    forward splits, that is iff it is reached from ``target`` by reverse
-    steps: each collapses a cyclic window (x,1,y) with x,y >= 3 to
-    (x-1,y-1), which undoes a forward split whose precondition holds,
-    since x-1 >= 2; windows may wrap, which also inverts the boundary
-    rule, and the splits are confluent.
+    """All classes in the domain of ``delta`` that normalize to ``target``:
+    the words of ``_collapsed`` on its canonical word, canonicalized.
 
     ``target`` lies in the ear-doubled image, so its canonical word reads
     (1, x_0, 1, x_1, ..., 1, x_{k-1}) with x_j = e_j + 2, k >= 2 and
-    e = ``psi_bar_inv(target)``; call the 1 before x_j the j-th one.  A
-    reverse step removes one 1 and lowers its two neighbours by one.  It
-    makes no 1 and raises no entry, so every x_j stays >= 2 and is never
-    removed: every step removes one of the k ones, whose neighbours are
-    always the x_j around it.  A path of reverse steps thus removes a set
-    S of the ones in some order, and ends at the word of S: ``target``
-    without them, each x_j lowered by s_j + s_{j+1} (indices mod k,
-    s_j = 1 iff the j-th one is in S).  The removal of the j-th one needs
-    x_{j-1}, x_j >= 3 just before it, and entries only fall: so if each
-    x_j ends >= 2, each was >= 3 before every removal that lowers it, in
-    any order; if some x_j ends < 2, the last removal that lowered it
-    found it < 3.  So the preimages are exactly the words of the sets S
-    with s_j + s_{j+1} <= e_j for every j: no ear of e loses both of its
-    1s, and ``psi_bar(<0,0>)`` loses none.  None is <0,0> or <1,1,1>,
-    where ``delta`` is not defined, as each keeps k >= 2 entries >= 2.
-
-    The sets are chosen depth-first, s_0 first, and s_j is dropped as
-    soon as s_{j-1} + s_j > e_{j-1}; the last constraint, on s_{k-1} and
-    s_0, is checked once s_{k-1} is chosen.  A partial word holds the
-    entries fixed so far, and the stack holds at most two per level,
-    O(k) of them.  Distinct sets may give the same class when ``target``
-    has a symmetry; each word is canonicalized once.
+    e = ``psi_bar_inv(target)``; every 1 is lone, and x_j lies between
+    the j-th and the (j+1)-th of them.  So a set S of them is kept iff
+    s_j + s_{j+1} <= e_j for every j, indices mod k: no ear of e loses
+    both of its 1s, and ``psi_bar(<0,0>)`` loses none.  None of the words
+    is <0,0> or <1,1,1>, where ``delta`` is not defined, as each keeps
+    k >= 2 entries >= 2.  Distinct sets may give the same class when
+    ``target`` has a symmetry; each word is canonicalized once.
     """
     tgt = canonicalize(target)
     if not in_a_prime(tgt):
         raise ValueError(f"target not in the ear-doubled image: {tgt}")
-    x = tgt.canon[1::2]
-    found: set[Pattern] = set()
-    for first in (0, 1):
-        stack = [(1, first, ())]  # (j, s_{j-1}, the word of S up to x_{j-2})
-        while stack:
-            j, prev, word = stack.pop()
-            word += () if prev else (1,)
-            if j < len(x):
-                for s in (0, 1):
-                    if prev + s <= x[j - 1] - 2:
-                        stack.append((j + 1, s, word + (x[j - 1] - prev - s,)))
-            elif prev + first <= x[-1] - 2:
-                found.add(kernels.canonical_form(word + (x[-1] - prev - first,)))
+    found = {kernels.canonical_form(w) for w in _collapsed(tgt.canon)}
     return frozenset(map(DihedralCycle._from_canon, found))
+
+
+def _split(word: Pattern) -> Pattern:
+    """Put a 1 on every cyclic edge of ``word`` between two entries > 1
+    and raise both ends of the edge by one.  The 1 on the closing edge,
+    from the last entry to the first, goes in front.
+
+    A split raises entries > 1 and inserts a 1, so it never changes
+    which entries are > 1, and the two edges it makes each end at the 1.
+    Splits one at a time, in any order, until none applies, therefore
+    split each such edge of ``word`` exactly once and no other: the
+    normal form is this one pass, whatever the order."""
+    n = len(word)
+    out: list[int] = []
+    for i, x in enumerate(word):
+        left = x > 1 and word[i - 1] > 1
+        right = x > 1 and word[(i + 1) % n] > 1
+        if left:
+            out.append(1)
+        out.append(x + left + right)
+    return tuple(out)
+
+
+def _collapsed(word: Pattern) -> Iterator[Pattern]:
+    """Every cyclic word whose ``_split`` is ``word``, for a ``word`` that
+    is its own ``_split`` (no two cyclically adjacent entries > 1) and
+    whose last entry is > 1.
+
+    They are the words that drop a set S of the 1s of ``word`` and lower
+    each neighbour of a dropped 1 once per dropped 1 beside it, for the
+    sets S that leave every lowered entry >= 2.  Such a word keeps the
+    entries > 1 of ``word``; its adjacent pairs are those of ``word``,
+    never both > 1, and the pairs that meet across a dropped 1, both
+    >= 2.  So ``_split`` splits exactly those, which puts the 1s of S
+    back and raises each lowered entry back.  Conversely the 1s that
+    ``_split`` inserts into a word form such a set, as the ends it
+    raises were > 1.  A 1 in a run of 1s or next to a 0 never drops,
+    and no two dropped 1s are adjacent.
+
+    The sets are chosen depth-first, left to right.  A state holds the
+    next index i, whether the 1 at i - 1 was dropped, and the word so
+    far after a copy of the last entry, which the first entry's drop
+    lowers; the copy moves to the end once the last 1 is chosen.  Each
+    lowering is checked as it is made, the one across the closing edge
+    last.  The last entry, > 1, never drops, so the stack holds O(len)
+    partial words."""
+    n = len(word) - 1
+    stack = [(0, 0, word[n:])]
+    while stack:
+        i, dropped, out = stack.pop()
+        x = (out[0] if i == n else word[i]) - dropped
+        if dropped and x < 2:
+            continue
+        if i == n:
+            yield out[1:] + (x,)
+            continue
+        stack.append((i + 1, 0, out + (x,)))
+        if x == 1 and out[-1] >= 3:
+            stack.append((i + 1, 1, out[:-1] + (out[-1] - 1,)))
 
 
 def theorem_step(pair: CoverPair) -> CoverPair:
@@ -350,18 +334,18 @@ def theorem_step(pair: CoverPair) -> CoverPair:
     of E; F' is the union of the ``rho`` preimage sets of iota(psi(f)).
     The minimum pattern length strictly increases: every preimage of
     iota(psi(f)) is at least len(f) + 1 long.  iota(psi(f)) puts a 1
-    before and after each entry x + 2 of f.  A reverse ``rho`` step
-    removes one 1 and lowers each neighbour of it, which must be >= 3,
-    by one; it removes no other entry and makes no new 1.
+    before and after each entry x + 2 of f, and a preimage drops a set
+    of these 1s, lowering each neighbour once per dropped 1 beside it,
+    with every lowered entry kept >= 2; it drops no other entry.
     ``check_properties`` requires a 1 in f, so a 3 stands between two
-    1s.  The first of them to go lowers it to 2 for good, which leaves
-    the other with a neighbour < 3: that 1 stays, beside the len(f)
-    entries that no step removes.
+    1s, and dropping both would lower it to 1: one of them stays, beside
+    the len(f) entries that are never dropped.
 
     The preimages need no membership test: the ear doubling of a quiddity
-    cycle is one, and each reverse ``delta`` step collapses (x,1,y) with
-    x,y >= 3 into (x-1,y-1), which removes an ear and so keeps a quiddity
-    cycle a quiddity cycle.
+    cycle is one, and collapsing a window (x,1,y) into (x-1,y-1) removes
+    an ear and so keeps a quiddity cycle a quiddity cycle; the words of a
+    collapse set are reached by collapsing its 1s one at a time, each
+    neighbour >= 3 just before, as it ends >= 2.
     """
     pair.check_properties()
     new_e = set(pair.E)

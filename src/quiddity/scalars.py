@@ -3,8 +3,10 @@
 The reflection walk only ever needs values in the abelian group
 (Q/Z) x Z: a root of unity zeta_n^k stored as a reduced pair of integers
 (k, n), times an integer power of a single abstract parameter q of
-infinite multiplicative order.  All arithmetic is exact and equality is
-decidable, which keeps the walk and the classification free of numerics.
+infinite multiplicative order.  Equality is exact and decidable, which
+keeps the walk and the classification free of numerics.  The walk itself
+runs on the integer exponents (``quiddity.charseq``), so a ``Scalar`` is
+a value at the API boundary and has no group arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -55,33 +57,6 @@ class Scalar(_Frozen):
     def q_power(cls, e: int, *, negate: bool = False) -> "Scalar":
         """q^e, or -q^e when ``negate``."""
         return cls(1 if negate else 0, 2, e)
-
-    # -- group operations --------------------------------------------------
-
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        return Scalar(
-            self.k * other.n + other.k * self.n,
-            self.n * other.n,
-            self.qexp + other.qexp,
-        )
-
-    def __pow__(self, e: int) -> "Scalar":
-        return Scalar(self.k * e, self.n, self.qexp * e)
-
-    def inverse(self) -> "Scalar":
-        return Scalar(-self.k, self.n, -self.qexp)
-
-    def is_one(self) -> bool:
-        return self.k == 0 and self.qexp == 0
-
-    @property
-    def is_root_of_unity(self) -> bool:
-        return self.qexp == 0
-
-    def order(self) -> Optional[int]:
-        """Multiplicative order; absent (None) when a q-power is present,
-        since q has infinite order by the model."""
-        return None if self.qexp else self.n
 
     # -- presentation ------------------------------------------------------
 

@@ -36,7 +36,7 @@ from quiddity.affine import canonical_period_key
 from quiddity.charseq import SHAPE_CYCLE
 
 from brute_triples import root_of_unity_triples as _root_of_unity_triples
-from scalar_reflections import sigma1, sigma2
+from scalar_reflections import mul, order, power, sigma1, sigma2
 
 
 class Criterion:
@@ -170,22 +170,22 @@ def test_criterion_7_involution_and_case_consistency_to_24():
                 back = sigma(image)
                 assert back is not None
                 assert back[0] == t and back[1] == c
-                d = outer.order()
+                d = order(outer)
                 if d is not None and d > 1 and (c + 1) % d == 0:
                     if sigma is sigma1:
                         case = Triple(
                             t.q1,
-                            (t.q1 ** 2) * t.q.inverse(),
-                            t.q1 * (t.q ** c) * t.q2,
+                            mul(power(t.q1, 2), power(t.q, -1)),
+                            mul(t.q1, power(t.q, c), t.q2),
                         )
                     else:
                         case = Triple(
-                            t.q1 * (t.q ** c) * t.q2,
-                            (t.q2 ** 2) * t.q.inverse(),
+                            mul(t.q1, power(t.q, c), t.q2),
+                            mul(power(t.q2, 2), power(t.q, -1)),
                             t.q2,
                         )
                     assert image == case
-                if ((outer ** c) * t.q).is_one():
+                if mul(power(outer, c), t.q) == Scalar.one():
                     assert image == t
         assert checked == 82_584
 

@@ -37,7 +37,7 @@ from quiddity.cycles import eta_product
 
 import backtrack_affine
 from brute_triples import root_of_unity_triples as _root_of_unity_triples
-from scalar_reflections import GENERIC_MAKERS, sigma1, sigma2
+from scalar_reflections import GENERIC_MAKERS, mul, power, sigma1, sigma2
 
 
 def mu(n, e1, e, e2):
@@ -497,8 +497,12 @@ def test_specialized_matches_the_makers_at_every_root_of_unity():
 def test_specialized_divides_out_a_common_factor():
     # q^2 at an even order k has order k/2, so these reduce to a lower level
     cases = [
-        (lambda q: Triple(q ** 2, q ** -4, q ** 2), 1, (0, 0, 0, 2, -4, 2)),
-        (lambda q: Triple(Scalar.minus_one() * q ** 2, q ** -4, q ** 6), 2, (1, 0, 0, 2, -4, 6)),
+        (lambda q: Triple(power(q, 2), power(q, -4), power(q, 2)), 1, (0, 0, 0, 2, -4, 2)),
+        (
+            lambda q: Triple(mul(Scalar.minus_one(), power(q, 2)), power(q, -4), power(q, 6)),
+            2,
+            (1, 0, 0, 2, -4, 6),
+        ),
     ]
     for maker, level, state in cases:
         t = maker(Scalar.q_power(1))
@@ -619,7 +623,7 @@ def test_generic_rows_pm_one_degenerates():
 
 def test_row14_mu4_walk_directly():
     q = Scalar.root_of_unity(4, 1)
-    rep = walk(Triple(q, q ** -4, q ** 4))
+    rep = walk(Triple(q, power(q, -4), power(q, 4)))
     assert canonical_period_key(rep.period) != canonical_period_key((1, 4))
     assert decompose_affine(rep.period) is None
 

@@ -78,6 +78,7 @@ def assert_figures(figures):
         "cli cover-step 3 from builtin:base --json",
         *PROCESS_ROWS,
         "theorem_step(depth-2 pair)",
+        "rho_preimages(alternating, k=10)",
         "classify_mu(24) cold",
         "classify_mu(40) cold",
         "classify_mu(48) cold",
@@ -140,9 +141,9 @@ def test_checkouts_alternate_process_by_process(monkeypatch, capsys):
 
 def test_rows_of_both_kinds_run_once():
     script = load_script()
-    assert len(script.rows(8)) == 27
-    assert len(script.rows(15)) == 25  # both covers to 15
-    assert len(script.rows(24)) == 24  # classify_mu(24) and both solve_triples at 24
+    assert len(script.rows(8)) == 28
+    assert len(script.rows(15)) == 26  # both covers to 15
+    assert len(script.rows(24)) == 25  # classify_mu(24) and both solve_triples at 24
     # a row of both kinds keeps its place among the length rows
     assert list(script.rows(13)).index("verify_thm_subseqs(13)") == 7
     # the step rows call only what every commit has: _level and _jobs

@@ -35,7 +35,7 @@ from quiddity.charseq import (
 from brute_triples import level_triples
 from brute_triples import root_of_unity_triples as _root_of_unity_triples
 from brute_triples import window_matches as _window_matches
-from scalar_reflections import GENERIC_MAKERS, sigma1, sigma2
+from scalar_reflections import GENERIC_MAKERS, mul, order, power, sigma1, sigma2
 
 REPORT_FIELDS = (
     "shape", "period", "ends", "orbit", "window", "window_origin", "state_period", "steps",
@@ -116,13 +116,13 @@ def test_case_formula_consistency_sample():
         checked += 1
         image, c = sigma1(t)
         assert c == mv.m
-        d = t.q1.order()
+        d = order(t.q1)
         if d is not None and d > 1 and (mv.m + 1) % d == 0:
             geom = Triple(
-                t.q1, (t.q1 ** 2) * t.q.inverse(), t.q1 * (t.q ** mv.m) * t.q2
+                t.q1, mul(power(t.q1, 2), power(t.q, -1)), mul(t.q1, power(t.q, mv.m), t.q2)
             )
             assert image == geom
-        if ((t.q1 ** mv.m) * t.q).is_one():
+        if mul(power(t.q1, mv.m), t.q) == Scalar.one():
             assert image == t
 
 
@@ -153,7 +153,7 @@ def test_walk_budget_counts_reflections():
 
 def test_walk_generic_row_is_chain_with_two_ends():
     q = Scalar.q_power(1)
-    report = walk(Triple(q, q ** -2, q))
+    report = walk(Triple(q, power(q, -2), q))
     assert report.shape == SHAPE_CHAIN
     assert report.period == (2,)
     assert len(report.ends) == 2
@@ -547,7 +547,7 @@ def reference_walk(start, max_steps):
             t, parity = prev, 3 - parity
         fields.update(ends=sorted(ends), window=back[::-1] + window, window_origin=-len(back))
     elif shape == SHAPE_CYCLE:
-        generic = any(not s.is_root_of_unity for t in orbit for s in (t.q1, t.q, t.q2))
+        generic = any(s.qexp for t in orbit for s in (t.q1, t.q, t.q2))
         shape = SHAPE_CHAIN if generic and ends else SHAPE_CYCLE
         fields.update(period=minimal_period(window), state_period=len(window))
     return dict(fields, shape=shape, orbit=list(orbit), steps=step)

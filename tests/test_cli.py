@@ -1,19 +1,25 @@
 """Command-line interface: dispatch, exit codes, JSON and determinism."""
 
+import argparse
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiddity import BUILTIN_PAIRS, Triple, parse_scalar, theorem_step
-from quiddity.cli import _diagram_lines, _json_text, main
+from quiddity.cli import _diagram_lines, _json_text, build_parser, main
 
 from scalar_reflections import sigma1, sigma2
 
@@ -323,6 +329,80 @@ def test_json_outputs_single_document(capsys):
         out = capsys.readouterr().out
         json.loads(out)
         assert code in (0, 1)
+
+
+#: The subcommands of the parser, each with its options other than -h.
+SUBCOMMANDS = {
+    name: [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+    for action in build_parser()._actions
+    if isinstance(action, argparse._SubParsersAction)
+    for name, sub in action.choices.items()
+}
+
+#: Option values by dest: bounds <= 10 and at most 50 walk steps, each
+#: set with its edges and a value that is not an integer.
+EDGES = {
+    **dict.fromkeys(("length", "max", "nmax", "bound"), ["-1", "0", "1", "2", "3", "10", "x"]),
+    "steps": ["-1", "0", "1", "2", "50", "x"],
+    **dict.fromkeys(("zeta", "q1", "q", "q2"), ["-3", "-1", "0", "1", "2", "5", "9", "x"]),
+}
+ENTRIES = st.lists(st.integers(0, 5).map(str), min_size=1, max_size=7) | st.lists(
+    st.sampled_from(["-1", "0", "1", "2", "3", "4", "5", "x", ""]), max_size=7
+)
+LITERALS = st.lists(st.sampled_from(["q", "-q", "q^-4", "q^4", "1", "-1", "z", "q^x"]), max_size=4)
+WORDS = st.lists(st.lists(st.integers(-1, 5), max_size=5), max_size=4)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=12,
+)
+PAIR_FILES = st.one_of(
+    st.fixed_dictionaries({"E": st.just([[0, 0], [1, 1, 1]]) | WORDS, "F": WORDS}).map(json.dumps),
+    JSON.map(json.dumps),
+    st.binary(max_size=8),
+)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_any_argv_keeps_the_exit_code_contract(data):
+    # 0 or 1 with nothing on stderr, or 2 with one error line (argparse
+    # prints its usage before it); never a traceback
+    name = data.draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    with tempfile.TemporaryDirectory() as tmp:
+        pair_file = os.path.join(tmp, "pair.json")
+        text = data.draw(PAIR_FILES)
+        with open(pair_file, "wb") as fh:
+            fh.write(text if isinstance(text, bytes) else text.encode())
+        sources = ["builtin:base", "builtin:cor12", "builtin:none", pair_file, tmp + "/missing.json"]
+        values = {
+            **dict.fromkeys(("cycle", "window", "period"), ENTRIES.map(",".join)),
+            "triple": LITERALS.map(",".join),
+            "inp": st.sampled_from(sources),
+            "pair": st.sampled_from(sources),
+            "out": st.sampled_from([tmp + "/out.json", pair_file, tmp, tmp + "/missing/out.json"]),
+            **{dest: st.sampled_from(edges) for dest, edges in EDGES.items()},
+        }
+        argv = [name]
+        for action in SUBCOMMANDS[name]:
+            if not data.draw(st.integers(0, 9 if action.required else 1)):
+                continue
+            argv.append(action.option_strings[0])
+            if action.nargs != 0:
+                argv.append(data.draw(values[action.dest]))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv
+    if code == 2:
+        assert sum(line.count("error:") for line in err.splitlines()) == 1, (argv, err)
+    else:
+        assert err == "", (argv, err)
 
 
 @pytest.mark.parametrize(

@@ -33,7 +33,7 @@ from quiddity import (
 from quiddity import kernels
 from quiddity.localdesc import QUADRUPLE_PATTERNS, in_a_prime
 
-from bfs_preimages import bfs_delta_preimages
+from bfs_preimages import bfs_delta_preimages, bfs_rho_preimages, loop_delta, loop_rho
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +185,48 @@ def test_rho_preimages_forward_verify_and_complete():
                 if rho(s) == target:
                     brute.add(s)
         assert found == brute
+
+
+def rho_normal_forms(max_length, top):
+    """Every rho normal form of length <= max_length with entries
+    0..top, built directly: both ends <= 1 and no two adjacent entries
+    > 1, grown from the prefixes that start with an entry <= 1."""
+    prefixes = [(0,), (1,)]
+    forms = []
+    for _ in range(max_length):
+        forms += [w for w in prefixes if w[-1] <= 1]
+        prefixes = [w + (x,) for w in prefixes for x in range(top + 1) if x <= 1 or w[-1] <= 1]
+    return forms
+
+
+def test_rho_and_delta_match_the_rewriting_loops():
+    # the one split pass against the leftmost-first loops it replaced, on
+    # every word of length <= 7 with entries 0..4
+    words = [w for n in range(1, 8) for w in product(range(5), repeat=n)]
+    assert len(words) == 97_655
+    for w in words:
+        assert rho(w) == loop_rho(w), w
+        if len(w) >= 2 and canonicalize(w).canon not in {(0, 0), (1, 1, 1)}:
+            assert delta(w).canon == loop_delta(w), w
+
+
+def test_rho_preimages_match_the_breadth_first_search():
+    # the collapse sets against the reverse rewriting they replaced, on
+    # every rho normal form of length <= 8 with entries 0..5
+    forms = rho_normal_forms(8, 5)
+    assert len(forms) == len(set(forms)) == 29_070
+    for f in forms:
+        assert rho(f) == f
+        assert rho_preimages(f) == bfs_rho_preimages(f), f
+
+
+def test_rho_preimages_of_the_alternating_target_count_three_to_the_k_plus_one():
+    # iota(psi((1,2)*k + (1,))) closed by the sentinel reads
+    # (1,3,1,4,...,1,3,1,4): each 1 lies beside one of the k + 1 threes,
+    # which keeps one or both of its two 1s, while a four stays >= 2
+    # whatever goes beside it, so each three chooses one of 3 ways
+    for k in range(9):
+        assert len(rho_preimages(iota(psi((1, 2) * k + (1,))))) == 3 ** (k + 1), k
 
 
 @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=6))
