@@ -32,9 +32,11 @@ from .charseq import (
     _first_steps,
     _State,
     _swept,
+    _triple,
     _units,
     _walk,
     minimal_period,
+    walk,
 )
 from .cycles import Pattern, _Frozen, _Result, as_pattern, is_quiddity
 from .localdesc import NINE_PATTERNS
@@ -247,22 +249,6 @@ class ClassifiedOrbit(_Result):
     __slots__ = ("row_matched", "diagrams", "parameter", "period", "orbit_size", "level")
     _json_fields = ("row_matched", "diagrams", "parameter", "period", "orbit_size")
 
-    def __init__(
-        self,
-        row_matched: Optional[int],
-        diagrams: list[Triple],
-        parameter: str,
-        period: Pattern,
-        orbit_size: int,
-        level: int,
-    ):
-        self.row_matched = row_matched
-        self.diagrams = diagrams
-        self.parameter = parameter
-        self.period = period
-        self.orbit_size = orbit_size
-        self.level = level
-
 
 class ClassificationReport(_Result):
     """The sweep's affine orbits and table checks.  ``triples_checked``
@@ -336,13 +322,11 @@ def classify_mu(n_max: int) -> ClassificationReport:
     # (level, sorted members, period) of each affine orbit, in the order a
     # sweep that walks every orbit meets them, and the orbit of each member
     found: list[tuple[int, tuple[tuple[int, int, int], ...], Pattern]] = []
-    checked = broken = non_affine = 0
+    broken = non_affine = 0
     for n, sweep in enumerate(_swept(n_max), 1):
-        checked += sweep.broken
         broken += sweep.broken
         affine = []
         for key, orbits, window, _ in sweep.periodic():
-            checked += orbits
             p = _verdict(window)
             if p is None:
                 non_affine += orbits
@@ -374,19 +358,19 @@ def classify_mu(n_max: int) -> ClassificationReport:
         match = expected.get(i)
         if match is not None and canonical_period_key(period) != canonical_period_key(match[2]):
             match = None
-        orbits.append(ClassifiedOrbit(
-            row_matched=match[0] if match else None,
-            diagrams=sorted(
-                (Triple.from_exponents(level, *m) for m in members), key=Triple.sort_key
-            ),
-            parameter=match[1] if match else f"mu_{level}",
-            period=period,
-            orbit_size=len(members),
-            level=level,
+        orbits.append(ClassifiedOrbit(  # by position: the keyword path costs more
+            match[0] if match else None,
+            sorted((Triple.from_exponents(level, *m) for m in members), key=Triple.sort_key),
+            match[1] if match else f"mu_{level}",
+            period,
+            len(members),
+            level,
         ))
     unmatched = [o for o in orbits if o.row_matched is None]
     orbits.sort(key=lambda o: (o.row_matched or 10_000, o.level, [t.sort_key() for t in o.diagrams]))
-    return ClassificationReport(n_max, orbits, missing, unmatched, checked, broken, non_affine)
+    return ClassificationReport(
+        n_max, orbits, missing, unmatched, broken + non_affine + len(orbits), broken, non_affine
+    )
 
 
 class SpecializationResult(_Result):
@@ -429,8 +413,8 @@ def check_generic_rows(max_order: int = 48) -> GenericRowsReport:
     specializations: list[SpecializationResult] = []
     violations: list[str] = []
     for rowno, param, level, state, period, excluded in GENERIC_ROWS:
-        rep = _walk(level, state, 10000)  # an infinite state space: walk's budget
-        found = minimal_period(rep.window) if rep.state_period else ()  # as ``walk`` reads it
+        rep = walk(_triple(level, state))  # an infinite state space: walk's default budget
+        found = rep.period
         dec = decompose_affine(found) if found else None
         rows[rowno] = {
             "parameter": param,

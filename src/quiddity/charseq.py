@@ -38,20 +38,10 @@ class Triple(_Frozen):
 
     __slots__ = ("q1", "q", "q2")
 
-    def __init__(self, q1: Scalar, q: Scalar, q2: Scalar):
-        set_q1, set_q, set_q2 = self._setters
-        set_q1(self, q1)
-        set_q(self, q)
-        set_q2(self, q2)
-
     @classmethod
     def from_exponents(cls, n: int, e1: int, e: int, e2: int) -> "Triple":
         """Triple of powers of a primitive n-th root of unity."""
-        return cls(
-            Scalar.root_of_unity(n, e1),
-            Scalar.root_of_unity(n, e),
-            Scalar.root_of_unity(n, e2),
-        )
+        return _triple(n, (e1, e, e2, 0, 0, 0))
 
     def swap(self) -> "Triple":
         """Exchange the outer labels."""
@@ -258,9 +248,8 @@ def _reflect(n: int, s: _State, left: bool) -> Optional[tuple[_State, int]]:
 def _walk(n: int, start: _State, max_steps: int) -> CharSeqReport:
     """The walk of ``walk`` on integer states at level n; the report's
     ``orbit`` lists walk states, not ``Triple``s, and its ``period`` is
-    left empty: a caller that reads it takes ``minimal_period`` of the
-    window of a resolved walk.  A root-of-unity walk has at most 2n^3
-    (state, side) pairs, so ``max_steps`` = 2n^3 always resolves it.
+    left empty.  A root-of-unity walk has at most 2n^3 (state, side)
+    pairs, so ``max_steps`` = 2n^3 always resolves it.
 
     The walk stops when it is back at (start, left), for each reflection
     is an involution that records the same m-value at a state and at its
@@ -440,12 +429,6 @@ class SolveMatch(_Frozen):
     the ``triple``, the ``offset`` and the ``end_offsets``."""
 
     __slots__ = ("triple", "offset", "end_offsets")
-
-    def __init__(self, triple: Triple, offset: int, end_offsets: tuple[int, ...]):
-        set_triple, set_offset, set_end_offsets = self._setters
-        set_triple(self, triple)
-        set_offset(self, offset)
-        set_end_offsets(self, end_offsets)
 
 
 class SolveReport(_Result):

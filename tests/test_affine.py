@@ -403,6 +403,18 @@ def test_classify_lists_broken_instance_as_missing(monkeypatch, capsys):
     assert "MISSING expected instances:" in capsys.readouterr().out
 
 
+def test_classify_counts_each_swept_orbit_once():
+    # every orbit of the sweep is broken, not affine or listed
+    for n_max in range(2, 25):
+        report = classify_mu(n_max)
+        swept = sum(
+            sweep.broken + sum(orbits for _, orbits, _, _ in sweep.periodic())
+            for sweep in charseq._swept(n_max)
+        )
+        assert report.triples_checked == report.broken + report.non_affine + len(report.orbits)
+        assert report.triples_checked == swept
+
+
 def test_classify_rejects_tiny_bound():
     with pytest.raises(ValueError):
         classify_mu(1)

@@ -331,17 +331,19 @@ def test_json_round_trip():
     assert zeta(9, 6).to_json() == {"zeta": [2, 3], "qexp": 0}
 
 
-def loaded_by_the_library(module):
-    # a fresh interpreter that imports the package under test, nothing else
+def in_a_fresh_interpreter(code):
+    # the stdout of ``code`` run where the package under test is importable
     root = str(Path(quiddity.__file__).resolve().parent.parent)
-    code = (
-        f"import sys; sys.path.insert(0, {root!r}); import quiddity, quiddity.cli; "
-        f"print({module!r} in sys.modules)"
-    )
+    code = f"import sys; sys.path.insert(0, {root!r}); {code}"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
     )
-    return proc.stdout.strip() == "True"
+    return proc.stdout.strip()
+
+
+def loaded_by_the_library(module):
+    code = f"import quiddity, quiddity.cli; print({module!r} in sys.modules)"
+    return in_a_fresh_interpreter(code) == "True"
 
 
 def test_library_does_not_load_fractions():
@@ -352,3 +354,15 @@ def test_library_does_not_load_dataclasses():
     # the records are slotted classes: importing dataclasses (and the
     # inspect, ast and dis it loads) would cost every process its start-up
     assert not loaded_by_the_library("dataclasses")
+
+
+def test_library_loads_only_the_standard_library():
+    # no dependencies: every module the import adds is the package's or
+    # the standard library's
+    added = in_a_fresh_interpreter(
+        "before = set(sys.modules); import quiddity, quiddity.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    ).split()
+    assert "quiddity.cli" in added
+    allowed = sys.stdlib_module_names | {"quiddity"}
+    assert [name for name in added if name.split(".")[0] not in allowed] == []
