@@ -432,10 +432,10 @@ def check_generic_rows(max_order: int = 48) -> GenericRowsReport:
             violations.append(f"row {rowno}: generic period not affine")
         for k in range(1, max_order + 1):
             n, *x = _specialized(level, state, k, 1)
-            srep = _walk(n, (*x, 0, 0, 0), 2 * n**3)  # resolves unless broken
-            if srep.shape == SHAPE_BROKEN:
+            shape, window, *_ = _walk(n, (*x, 0, 0, 0), 2 * n**3)  # resolves unless broken
+            if shape == SHAPE_BROKEN:
                 status = "broken"
-            elif canonical_period_key(srep.window) == target:
+            elif canonical_period_key(window) == target:
                 status = "match"
             else:
                 status = "degenerate"

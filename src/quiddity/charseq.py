@@ -153,25 +153,8 @@ class CharSeqReport(_Result):
     )
     _json_fields = ("shape", "period", "ends", "orbit", "window", "window_origin")
 
-    def __init__(
-        self,
-        shape: str,
-        period: Pattern,
-        ends: list[int],
-        orbit: list[Triple],
-        window: list[int],
-        window_origin: int = 0,
-        state_period: Optional[int] = None,
-        steps: int = 0,
-    ):
-        self.shape = shape
-        self.period = period
-        self.ends = ends
-        self.orbit = orbit
-        self.window = window
-        self.window_origin = window_origin
-        self.state_period = state_period
-        self.steps = steps
+    def __init__(self, shape, period, ends, orbit, window, window_origin=0, state_period=None, steps=0):
+        _Result.__init__(self, shape, period, ends, orbit, window, window_origin, state_period, steps)
 
     @property
     def ok(self) -> bool:
@@ -245,11 +228,11 @@ def _reflect(n: int, s: _State, left: bool) -> Optional[tuple[_State, int]]:
     return _reflected(n, s, left, mv[0]), mv[0]
 
 
-def _walk(n: int, start: _State, max_steps: int) -> CharSeqReport:
-    """The walk of ``walk`` on integer states at level n; the report's
-    ``orbit`` lists walk states, not ``Triple``s, and its ``period`` is
-    left empty.  A root-of-unity walk has at most 2n^3 (state, side)
-    pairs, so ``max_steps`` = 2n^3 always resolves it.
+def _walk(n: int, start: _State, max_steps: int) -> tuple:
+    """The walk of ``walk`` on integer states at level n, as the plain
+    values (shape, window, window_origin, ends, orbit) of its report, the
+    orbit as walk states in visit order.  A root-of-unity walk has at most
+    2n^3 (state, side) pairs, so ``max_steps`` = 2n^3 always resolves it.
 
     The walk stops when it is back at (start, left), for each reflection
     is an involution that records the same m-value at a state and at its
@@ -267,6 +250,11 @@ def _walk(n: int, start: _State, max_steps: int) -> CharSeqReport:
     matrix of determinant -1, so every state of the orbit has a
     q-exponent exactly when ``start`` has, and a resolved walk with ends
     is then a chain.
+
+    The backward walk of a broken start has its own loop and never stops
+    at the start: it passes through (start, left) when the right
+    reflection fixes the start, and the values before that belong to the
+    sequence too.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -298,11 +286,7 @@ def _walk(n: int, start: _State, max_steps: int) -> CharSeqReport:
                 ends.insert(0, -step - 1)
             orbit[prev] = None
             s, left = prev, not left
-    steps = len(window)
-    return CharSeqReport(
-        shape, (), ends, list(orbit), back[::-1] + window, window_origin=-len(back),
-        state_period=steps if shape in (SHAPE_CYCLE, SHAPE_CHAIN) else None, steps=steps,
-    )
+    return shape, back[::-1] + window, -len(back), ends, list(orbit)
 
 
 def walk(start: Triple, max_steps: int = 10000) -> CharSeqReport:
@@ -321,11 +305,12 @@ def walk(start: Triple, max_steps: int = 10000) -> CharSeqReport:
     The walk runs on integer exponents at the level of ``start``.
     """
     n = start.level()
-    report = _walk(n, _exponents(start, n), max_steps)
-    report.orbit = [_triple(n, s) for s in report.orbit]
-    if report.state_period:
-        report.period = minimal_period(report.window)
-    return report
+    shape, window, origin, ends, orbit = _walk(n, _exponents(start, n), max_steps)
+    periodic = shape in (SHAPE_CYCLE, SHAPE_CHAIN)
+    return CharSeqReport(
+        shape, minimal_period(window) if periodic else (), ends, [_triple(n, s) for s in orbit],
+        window, origin, len(window) if periodic else None, len(window) + origin,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +367,16 @@ def _sweep(n: int) -> _Sweep:
     for key in _galois_keys(n, table):
         if key in decided:
             continue
-        report = _walk(n, key + (0, 0, 0), 2 * n**3)
-        met = [_galois_nf(n, table, s) for s in report.orbit]  # one key per member
+        shape, window, _, at, orbit = _walk(n, key + (0, 0, 0), 2 * n**3)
+        met = [_galois_nf(n, table, s) for s in orbit]  # one key per member
         decided.update(met)
         orbits = phi // met.count(key)
-        if report.shape == SHAPE_BROKEN:
+        if shape == SHAPE_BROKEN:
             broken += orbits
         else:
             classes += bytes((*key, orbits))
-            windows.append(bytes(report.window))
-            at = tuple(report.ends)
+            windows.append(bytes(window))
+            at = tuple(at)
             ends.append(shared.setdefault(at, at))
     return _Sweep(broken, bytes(classes), tuple(windows), tuple(ends))
 

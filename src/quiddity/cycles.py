@@ -55,13 +55,13 @@ class _Result:
     any other value that is not a plain int, string or None uses its own
     ``to_json``.
 
-    Four records write their own constructor.  ``Scalar`` checks and
-    reduces its fields.  ``CharSeqReport``, ``SpecializationResult`` and
-    ``MValue`` assign theirs directly: one ``walks`` round of ``perfbench``
-    builds them 2,962, 2,136 and about 1,900 times, and this generic one
-    costs about 0.7 us more per build (some 5 ms a round).  ``Triple``,
-    ``SolveMatch`` and ``ClassifiedOrbit``, built about 550, 232 and 390
-    times a round, use this one."""
+    Three records assign their own fields.  ``Scalar`` checks and reduces
+    them.  ``SpecializationResult`` and ``MValue`` set theirs directly: one
+    ``walks`` round of ``perfbench`` builds them 2,136 and about 1,900
+    times, and this generic constructor costs about 0.7 us more per build.
+    ``CharSeqReport`` (3 builds a round) only supplies three defaults to
+    it; ``Triple``, ``SolveMatch`` and ``ClassifiedOrbit``, built about
+    550, 232 and 390 times a round, use it as it is."""
 
     __slots__ = ()
     _json_fields: tuple[str, ...] = ()

@@ -455,13 +455,19 @@ def verify_cover(pair: CoverPair, max_length: int) -> CoverReport:
 
 
 class SubseqReport(_Result):
-    """Outcome of the interior-subsequence check over all representatives."""
+    """Outcome of the interior-subsequence check over all representatives;
+    ``all_witnesses_hit``: each pattern and exceptional one was met too."""
 
     __slots__ = ("checked", "violations", "bound", "pattern_hits", "exceptional_hits")
+    _json_fields = __slots__ + ("all_witnesses_hit",)
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def all_witnesses_hit(self) -> bool:
+        return all(self.pattern_hits.values()) and all(self.exceptional_hits.values())
 
 
 def verify_thm_subseqs(max_length: int) -> SubseqReport:

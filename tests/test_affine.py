@@ -146,7 +146,14 @@ def test_affine_periods_have_parabolic_monodromy():
         if decompose_affine(p) is not None
     ]
     assert len(affine_periods) > 100
-    assert all(abs(_trace(p)) == 2 for p in affine_periods)
+    orbit_periods = sorted({o.period for o in classify_mu(48).orbits})
+    assert len(orbit_periods) == 5
+    for p in affine_periods + orbit_periods:
+        # a transvection: trace 2, not the identity, and M - I has the
+        # content 3 len(p) - sum(p) that ``_decompose`` bounds first
+        m = eta_product(p)
+        assert m.a + m.d == 2 and (m.a, m.b, m.c, m.d) != (1, 0, 0, 1), p
+        assert gcd(m.a - 1, m.b, m.c, m.d - 1) == 3 * len(p) - sum(p), p
 
 
 def test_decompose_long_periods_without_recursion():
@@ -314,20 +321,20 @@ def reference_classify_mu(n_max, max_steps=100000):
             continue
         checked += 1
         n = key[0]
-        report = _walk(n, key[1:] + (0, 0, 0), max_steps)
+        shape, window, _, _, states = _walk(n, key[1:] + (0, 0, 0), max_steps)
         index = None
-        if report.shape == SHAPE_BROKEN:
+        if shape == SHAPE_BROKEN:
             broken += 1
-        elif report.shape != SHAPE_CYCLE:
+        elif shape != SHAPE_CYCLE:
             raise RuntimeError(f"unresolved walk from {key}")
-        elif decompose_affine(period := minimal_period(report.window)) is None:
+        elif decompose_affine(period := minimal_period(window)) is None:
             non_affine += 1
         else:
             assert cor15_check(period)
             index = len(found)
-            orbit = sorted((mu(n, *s[:3]) for s in report.orbit), key=Triple.sort_key)
+            orbit = sorted((mu(n, *s[:3]) for s in states), key=Triple.sort_key)
             found.append((orbit, period, n))
-        decided.update(((n, *s[:3]), index) for s in report.orbit)
+        decided.update(((n, *s[:3]), index) for s in states)
     expected, missing = {}, []
     for label, match, keys in _instance_orbits(n_max):
         indices = [decided[k] for k in keys if decided[k] is not None]
@@ -373,6 +380,16 @@ def test_classify_matches_walking_every_orbit_with_an_unmatched_orbit(monkeypatc
     monkeypatch.setattr(affine, "KNOWN_ROWS", tuple(r for r in KNOWN_ROWS if r.row != 9))
     report = _assert_classify_matches_reference(12)
     assert len(report.unmatched) > 1 and report.missing == []
+
+
+def test_classify_leaves_an_orbit_unmatched_when_its_row_prints_another_period(monkeypatch):
+    rows = tuple(
+        TableRow(r.row, r.n, r.diagrams, r.parameter, (3,)) if r.row == 1 else r for r in KNOWN_ROWS
+    )
+    monkeypatch.setattr(affine, "KNOWN_ROWS", rows)
+    report = _assert_classify_matches_reference(6)
+    assert report.missing == []
+    assert [(o.level, o.period) for o in report.unmatched] == [(3, (2,)), (3, (2,))]
 
 
 def _with_extra_row(monkeypatch, n, exponents, period):
@@ -614,6 +631,35 @@ def test_generic_rows_match_walking_every_specialization_with_wrong_exclusions(m
     monkeypatch.setattr(affine, "GENERIC_ROWS", rows)
     doc = _assert_generic_rows_match_reference(12)
     assert len(doc["violations"]) == 2 + 4
+
+
+def _with_row12(monkeypatch, state, period):
+    rows = tuple(
+        (12, r[1], r[2], state, period, r[5]) if r[0] == 12 else r for r in affine.GENERIC_ROWS
+    )
+    monkeypatch.setattr(affine, "GENERIC_ROWS", rows)
+
+
+def test_generic_rows_report_a_broken_generic_walk(monkeypatch):
+    # (1, q, 1) breaks at once: its shape, its empty period and its
+    # affine-ness are each a violation
+    _with_row12(monkeypatch, (0, 0, 0, 0, 1, 0), (2,))
+    report = check_generic_rows(6)
+    assert report.rows[12]["shape"] == SHAPE_BROKEN and not report.ok
+    assert {
+        "row 12: generic walk gave shape broken",
+        "row 12: generic period () != expected (2,)",
+        "row 12: generic period not affine",
+    } <= set(report.violations)
+
+
+def test_generic_rows_report_a_wrong_printed_period(monkeypatch, capsys):
+    _with_row12(monkeypatch, (0, 0, 0, 1, -2, 1), (3,))
+    report = check_generic_rows(6)
+    assert [v for v in report.violations if "generic" in v] == [
+        "row 12: generic period (2,) != expected (3,)"
+    ]
+    assert cli.main(["generic"]) == 1
 
 
 def test_generic_row14_exclusions():

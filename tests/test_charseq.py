@@ -149,6 +149,8 @@ def test_walk_budget_counts_reflections():
     assert (short.shape, short.steps, short.state_period) == (SHAPE_UNRESOLVED, 5, None)
     assert short.window == [2, 5, 2, 2, 5]
     assert short.orbit == [mu(9, 6, 8, 6), mu(9, 6, 4, 1), mu(9, 1, 4, 6)]
+    with pytest.raises(ValueError):
+        walk(mu(9, 6, 8, 6), max_steps=0)
 
 
 def test_walk_generic_row_is_chain_with_two_ends():
@@ -291,10 +293,10 @@ def reference_solve_triples(window, modulus_bound, max_steps=10000):
     target = tuple(window)
     matches = []
     for n, e1, e, e2 in _root_of_unity_triples(modulus_bound):
-        report = _walk(n, (e1, e, e2, 0, 0, 0), max_steps)
+        t = mu(n, e1, e, e2)
+        report = walk(t, max_steps)
         if report.shape != SHAPE_CYCLE:
             continue
-        t = mu(n, e1, e, e2)
         matches += [SolveMatch(t, off, ends) for off, ends in _window_matches(report, target)]
     matches.sort(key=lambda m: (m.triple.sort_key(), m.offset))
     return SolveReport(
@@ -416,7 +418,7 @@ def test_first_steps_replay_the_walk():
     for n in range(1, 11):
         for key, _, window, _ in charseq._swept(n)[-1].periodic():
             steps = _first_steps(n, key, window)
-            assert list(steps) == [s[:3] for s in _walk(n, key + (0, 0, 0), 2 * n**3).orbit]
+            assert list(steps) == [s[:3] for s in _walk(n, key + (0, 0, 0), 2 * n**3)[4]]
             sides = _sides(n, key)
             assert all(j % 2 in sides[s] for s, j in steps.items())
 
@@ -474,16 +476,13 @@ def test_conjugate_walk_is_the_walk_times_the_unit():
     # the lemma the sweep rests on, for every triple with n <= 12
     shapes = Counter()
     for n, e1, e, e2 in _root_of_unity_triples(12):
-        base = _walk(n, (e1, e, e2, 0, 0, 0), 10000)
-        shapes[base.shape] += 1
+        shape, window, window_origin, ends, orbit = _walk(n, (e1, e, e2, 0, 0, 0), 10000)
+        shapes[shape] += 1
         for u in _units(n)[1:]:
             image = _walk(n, (u * e1 % n, u * e % n, u * e2 % n, 0, 0, 0), 10000)
-            assert image.shape == base.shape
-            assert image.window == base.window
-            assert image.ends == base.ends
-            assert image.window_origin == base.window_origin
-            assert image.orbit == [
-                (u * x1 % n, u * x % n, u * x2 % n, 0, 0, 0) for x1, x, x2, *_ in base.orbit
+            assert image[:4] == (shape, window, window_origin, ends)
+            assert image[4] == [
+                (u * x1 % n, u * x % n, u * x2 % n, 0, 0, 0) for x1, x, x2, *_ in orbit
             ]
     assert set(shapes) == {SHAPE_BROKEN, SHAPE_CYCLE}
 

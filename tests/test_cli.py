@@ -214,8 +214,10 @@ def test_charseq_needs_arguments(capsys):
         ["--triple", "q,q,q", "--zeta", "4", "--q1", "1", "--q", "2", "--q2", "3"],
         ["--triple", "q,q,q", "--zeta", "4"],
         ["--triple", "q,q,q", "--q2", "0"],
+        ["--triple", "q,q"],
+        ["--zeta", "9", "--q1", "6", "--q", "8", "--q2", "6", "--steps", "0"],
     ],
-    ids=["all_exponents", "zeta", "q2"],
+    ids=["all_exponents", "zeta", "q2", "two_scalars", "no_steps"],
 )
 def test_charseq_triple_with_exponents_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, "charseq", *argv)

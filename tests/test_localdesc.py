@@ -541,6 +541,15 @@ def test_verify_thm_subseqs_clean_and_non_vacuous():
     assert all(v > 0 for v in report.exceptional_hits.values())
 
 
+def test_all_witnesses_hit_waits_for_every_pattern():
+    # (3, 1, 5) is first hit at length 8: at 7 the check is clean, not yet
+    # non-vacuous
+    short, full = verify_thm_subseqs(7), verify_thm_subseqs(8)
+    assert short.ok and not short.all_witnesses_hit and short.pattern_hits[(3, 1, 5)] == 0
+    assert full.ok and full.all_witnesses_hit
+    assert list(full.to_json())[-1] == "all_witnesses_hit"
+
+
 def test_thm_subseqs_specific_representatives():
     report = verify_thm_subseqs(5)
     assert report.exceptional_hits[(2, 1, 3, 1, 2)] >= 1
