@@ -2,9 +2,13 @@
 """Time the kernels and the pipelines of one or more source checkouts
 and print one JSON record.
 
-Every row runs the same way: its set-up runs untimed in a fresh
-interpreter, then one call is timed in that interpreter.  A row's figure
-for a checkout is the best of ``--repeat`` such processes: the call's
+Each checkout's ``src`` is byte-compiled first (``compileall``), so that
+every checkout is timed with its bytecode in place: with
+``PYTHONDONTWRITEBYTECODE=1`` set, an uncompiled checkout compiles every
+module again in every process, which the process rows time.  Every row
+runs the same way: its set-up runs untimed in a fresh interpreter, then
+one call is timed in that interpreter.  A row's figure for a checkout is
+the best of ``--repeat`` such processes: the call's
 seconds ``s``, the process's peak RSS ``peak_rss_mib``, and
 ``children_peak_rss_mib``, the peak RSS of the largest child it reaped:
 the processes that ``next_level`` forks to grow a large level, in the
@@ -19,14 +23,17 @@ The rows at the length L of ``--length`` come first:
   enumeration held to one process (``kernels._jobs`` returns 1), which
   separates the kernel's speed from the gain of forking;
 - ``m_value`` on 2,000 seeded pairs of roots of unity;
+- 10,000 single reflection steps, ``charseq._reflect`` on seeded
+  root-of-unity walk states of levels up to 48, each with a seeded side;
 - the enumeration of every length up to L, cold;
 - ``verify_cover`` to L of the 27-pattern ``cor12`` pair and of the
   651-pattern pair of three refinement steps from ``builtin:base``, and
   ``verify_thm_subseqs(L)``, each over levels (and a pair) built in the
   set-up;
-- ``classify_mu(L)`` and ``solve_triples((2,2,5), L)`` cold, that
-  ``solve_triples`` again after ``classify_mu(L)``, and
-  ``check_generic_rows(48)``;
+- ``classify_mu(L)`` cold, the sweep ``charseq._swept(L)`` alone, cold,
+  and ``classify_mu(L)`` after it (the fold over the sweep records),
+  ``solve_triples((2,2,5), L)`` cold, that ``solve_triples`` again after
+  ``classify_mu(L)``, and ``check_generic_rows(48)``;
 - two CLI commands run in process by ``cli.main`` with stdout sent to
   ``os.devnull``: ``enumerate --length L --json`` over the level built in
   the set-up, and the third ``cover-step --json`` from ``builtin:base``,
@@ -59,6 +66,7 @@ gives the same record with one entry.  Run from the repository root:
 """
 
 import argparse
+import compileall
 import json
 import os
 import platform
@@ -100,6 +108,16 @@ def root():
     k = rng.randint(1, 48)
     return Scalar.root_of_unity(k, rng.randrange(k))
 pairs = [(root(), root()) for _ in range(2000)]
+"""
+
+#: 10,000 seeded walk states (n, (e1, e, e2, 0, 0, 0), left) of levels 1-48.
+STATES = """
+from quiddity import charseq
+rng = random.Random(12345)
+states = []
+for _ in range(10000):
+    n = rng.randint(1, 48)
+    states.append((n, tuple(rng.randrange(n) for _ in range(3)) + (0, 0, 0), rng.random() < 0.5))
 """
 
 REFINED = """
@@ -168,6 +186,16 @@ def classify(n):
     return {f"classify_mu({n}) cold": ("", f"classify_mu({n})")}
 
 
+def sweep_and_fold(n):
+    """The two halves of a cold ``classify_mu(n)``: the sweep, then the
+    fold over its records."""
+    swept = f"from quiddity import charseq\ncharseq._swept({n})"
+    return {
+        f"_swept({n}) cold": ("from quiddity import charseq", f"charseq._swept({n})"),
+        f"classify_mu({n}) after _swept({n})": (swept, f"classify_mu({n})"),
+    }
+
+
 def solve(n):
     call = f"solve_triples((2, 2, 5), {n})"
     return {
@@ -188,10 +216,12 @@ def rows(n):
             parents + "\nkernels._jobs = lambda parents: 1", f"cycles._level({n})"
         ),
         "m_value(a, b) x2k": (SEEDED, "deque(starmap(m_value, pairs), 0)"),
+        "_reflect(n, s, left) x10k": (STATES, "deque(starmap(charseq._reflect, states), 0)"),
         f"enumerate_cycles({n}) cold": ("", f"enumerate_cycles({n})"),
         **covers(n),
         **thm(n),
         **classify(n),
+        **sweep_and_fold(n),
         **solve(n),
         "check_generic_rows(48)": ("", "check_generic_rows(48)"),
         f"cli enumerate --length {n} --json": (
@@ -204,6 +234,13 @@ def rows(n):
     fixed = PROCESSES | THIRD_STEP | ALTERNATING | classify(24) | classify(40) | classify(48)
     fixed |= solve(12) | solve(24)
     return at_n | fixed | covers(15) | thm(13)
+
+
+def byte_compile(src: Path) -> None:
+    """Write the bytecode of every module under ``src/src``, as the timed
+    interpreters will read it."""
+    if not compileall.compile_dir(str(src / "src"), quiet=1):
+        sys.exit(f"cannot byte-compile {src / 'src'}")
 
 
 def run_child(src: Path, setup: str, call: str) -> dict:
@@ -239,6 +276,8 @@ def main(argv=None):
         {"src": str(src), "backend": None, "enumeration_cpus": None, "figures": {}}
         for src in srcs
     ]
+    for src in srcs:
+        byte_compile(src)
     for name, (setup, call) in rows(args.length).items():
         runs = [[] for _ in srcs]
         for r in range(args.repeat):

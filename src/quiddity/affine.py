@@ -15,7 +15,11 @@ affine (the conjugates zeta -> zeta^u share a window, so they share the
 verdict), and matches the affine orbits against the built-in
 classification table (eleven root-of-unity rows plus three
 one-parameter families, stored as walk states and checked by
-specialization).  It builds ``Triple``s only for its reports.
+specialization).  What depends only on a period is done once per period:
+the verdict keeps an affine period's canonical key, which the table match
+compares with each row's key, and each call checks the fifteen-pattern
+condition once per distinct affine period.  It builds ``Triple``s only
+for its reports.
 """
 
 from __future__ import annotations
@@ -289,17 +293,22 @@ def _instance_orbits(n_max: int) -> Iterator[tuple[str, tuple[int, str, Pattern]
 
 
 #: The verdict of each sweep window met so far, by its ``bytes``: its
-#: minimal period when that period is affine, else None.  Affine-ness is a
-#: property of the cyclic period up to rotation and reversal, so a window
-#: is decided once, whatever level or class it comes from.
-_verdicts: dict[bytes, Optional[Pattern]] = {}
+#: minimal period and that period's canonical key when the period is
+#: affine, else None.  Affine-ness is a property of the cyclic period up
+#: to rotation and reversal, so a window is decided once, whatever level
+#: or class it comes from.
+_verdicts: dict[bytes, Optional[tuple[Pattern, Pattern]]] = {}
 
 
-def _verdict(window: bytes) -> Optional[Pattern]:
-    """The minimal period of a sweep window when it is affine, else None."""
+def _verdict(window: bytes) -> Optional[tuple[Pattern, Pattern]]:
+    """The minimal period of a sweep window and its canonical key (what
+    ``canonical_period_key`` returns for it) when it is affine, else None.
+    The key is the form ``decompose_affine`` decides, so it costs nothing
+    more to keep it."""
     if window not in _verdicts:
         p = minimal_period(window)
-        _verdicts[window] = p if decompose_affine(kernels.canonical_form(p)) else None
+        key = kernels.canonical_form(p)
+        _verdicts[window] = (p, key) if decompose_affine(key) else None
     return _verdicts[window]
 
 
@@ -314,36 +323,43 @@ def classify_mu(n_max: int) -> ClassificationReport:
     its orbits u * O is listed (see ``charseq._units``), its members
     replayed from the key and window.  Raises if an affine period fails
     the fifteen-pattern condition (that would contradict the necessity
-    direction: a bug or a counterexample).  A table instance whose orbit
-    is broken or not affine is reported missing.
+    direction: a bug or a counterexample), at the first class with such a
+    period; the condition depends on the period up to rotation and
+    reversal, so each call checks it once per canonical key.  A table
+    instance whose orbit is broken or not affine is reported missing.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    # (level, sorted members, period) of each affine orbit, in the order a
-    # sweep that walks every orbit meets them, and the orbit of each member
-    found: list[tuple[int, tuple[tuple[int, int, int], ...], Pattern]] = []
+    # (level, sorted members, period, its canonical key) of each affine
+    # orbit, in the order a sweep that walks every orbit meets them, and
+    # the orbit of each member
+    found: list[tuple[int, tuple[tuple[int, int, int], ...], Pattern, Pattern]] = []
+    passes: set[Pattern] = set()  # the canonical keys that hold a fifteen-pattern
     broken = non_affine = 0
     for n, sweep in enumerate(_swept(n_max), 1):
         broken += sweep.broken
         affine = []
         for key, orbits, window, _ in sweep.periodic():
-            p = _verdict(window)
-            if p is None:
+            verdict = _verdict(window)
+            if verdict is None:
                 non_affine += orbits
                 continue
-            if not cor15_check(p):
-                raise RuntimeError(
-                    "affine period fails the fifteen-pattern condition: "
-                    f"{p} from {Triple.from_exponents(n, *key)}"
-                )
+            p, canonical = verdict
+            if canonical not in passes:
+                if not cor15_check(p):
+                    raise RuntimeError(
+                        "affine period fails the fifteen-pattern condition: "
+                        f"{p} from {Triple.from_exponents(n, *key)}"
+                    )
+                passes.add(canonical)
             members = list(_first_steps(n, key, window))
             conjugates = {
                 tuple(sorted((u * s[0] % n, u * s[1] % n, u * s[2] % n) for s in members))
                 for u in _units(n)
             }
-            affine += ((c, p) for c in conjugates)
+            affine += ((c, *verdict) for c in conjugates)
         found += ((n, *orbit) for orbit in sorted(affine))
-    where = {(n, *m): i for i, (n, members, _) in enumerate(found) for m in members}
+    where = {(n, *m): i for i, (n, members, *_) in enumerate(found) for m in members}
     # the first instance that lands in an orbit names its row
     expected: dict[int, tuple[int, str, Pattern]] = {}
     missing: list[str] = []
@@ -353,11 +369,15 @@ def classify_mu(n_max: int) -> ClassificationReport:
             expected.setdefault(i, match)
         if not indices:
             missing.append(label)
+    printed: dict[Pattern, Pattern] = {}  # the canonical key of each row's printed period
     orbits: list[ClassifiedOrbit] = []
-    for i, (level, members, period) in enumerate(found):
+    for i, (level, members, period, canonical) in enumerate(found):
         match = expected.get(i)
-        if match is not None and canonical_period_key(period) != canonical_period_key(match[2]):
-            match = None
+        if match is not None:
+            if match[2] not in printed:
+                printed[match[2]] = canonical_period_key(match[2])
+            if printed[match[2]] != canonical:
+                match = None
         orbits.append(ClassifiedOrbit(  # by position: the keyword path costs more
             match[0] if match else None,
             sorted((Triple.from_exponents(level, *m) for m in members), key=Triple.sort_key),
@@ -407,8 +427,11 @@ def check_generic_rows(max_order: int = 48) -> GenericRowsReport:
 
     One walk per (row, k), at q = zeta_k: zeta_k -> zeta_k^u fixes -1, so
     each specialization q = zeta_k^u is a Galois conjugate of it and has
-    the same shape and period (see ``charseq._units``).
+    the same shape and period (see ``charseq._units``).  Raises before any
+    walk when ``max_order`` is below 1: such a report would check nothing.
     """
+    if max_order < 1:
+        raise ValueError("max_order must be >= 1")
     rows: dict[int, dict] = {}
     specializations: list[SpecializationResult] = []
     violations: list[str] = []
@@ -468,7 +491,7 @@ def verify_cor15_on_classified(n_max: int) -> Cor15Report:
         raise ValueError("n_max must be >= 2")
     windows = {w for sweep in _swept(n_max) for w in sweep.windows}
     periods = sorted(
-        {kernels.canonical_form(p) for p in map(_verdict, windows) if p is not None},
+        {verdict[1] for verdict in map(_verdict, windows) if verdict is not None},
         key=lambda p: (len(p), p),
     )
     failures = [p for p in periods if not cor15_check(p)]

@@ -10,7 +10,10 @@ purely periodic unless some m-value is undefined (a broken triple).
 
 Every reflection runs on integer exponents (``_reflect``): the walk, the
 sweep over root-of-unity triples and the CLI's arrow diagram all step
-through it, and ``Triple``s are built only for what they return.
+through it, and ``Triple``s are built only for what they return.  The
+sweep reads its m-values from a table built once per level
+(``_m_table``) instead of the m-rule: its walks start with no q-exponent,
+and a reflection maps the q-exponents linearly, so they stay zero.
 
 A unit u mod n acts on the triples of level n by zeta -> zeta^u, i.e. by
 multiplying all three exponents by u.  The walk commutes with this
@@ -217,18 +220,49 @@ def _reflected(n: int, s: _State, left: bool, m: int) -> _State:
     )
 
 
-def _reflect(n: int, s: _State, left: bool) -> Optional[tuple[_State, int]]:
+def _m_table(n: int) -> list[int]:
+    """The m-values of level n without q-exponents: entry ai * n + a is
+    the m of ``_m_rule(n, ai, 0, a, 0)``, or -1 where it is undefined.
+
+    Row ai by the rule itself: qi = z^ai has order d = n / gcd(ai, n), the
+    power branch gives each m < d - 1 (m = 0 when d = 1, qi = 1) to the one
+    a = -ai*m (mod n), and every other a gets the geometric d - 1, or none
+    when d = 1.
+    """
+    table = []
+    for ai in range(n):
+        d = n // gcd(ai, n)
+        row = [d - 1 if d > 1 else -1] * n
+        for m in range(max(d - 1, 1)):
+            row[-ai * m % n] = m
+        table += row
+    return table
+
+
+def _reflect(
+    n: int, s: _State, left: bool, table: Optional[list[int]] = None
+) -> Optional[tuple[_State, int]]:
     """The left (``left``) or right reflection of a walk state at level n,
     with its m-value; None when the m-value is undefined (broken).  When
     the power condition fires at the minimum, the image is the state
-    itself (an end of the sequence)."""
-    mv = _m_rule(n, s[0], s[3], s[1], s[4]) if left else _m_rule(n, s[2], s[5], s[1], s[4])
-    if mv is None:
-        return None
-    return _reflected(n, s, left, mv[0]), mv[0]
+    itself (an end of the sequence).
+
+    With ``table``, the ``_m_table`` of level n, the m-value is read from
+    it instead of ``_m_rule``; that is right only for a state without
+    q-exponents, where ``_m_rule`` reads (ai, a) alone."""
+    if table is None:
+        mv = _m_rule(n, s[0], s[3], s[1], s[4]) if left else _m_rule(n, s[2], s[5], s[1], s[4])
+        if mv is None:
+            return None
+        m = mv[0]
+    else:
+        m = table[s[0] * n + s[1]] if left else table[s[2] * n + s[1]]
+        if m < 0:
+            return None
+    return _reflected(n, s, left, m), m
 
 
-def _walk(n: int, start: _State, max_steps: int) -> tuple:
+def _walk(n: int, start: _State, max_steps: int, table: Optional[list[int]] = None) -> tuple:
     """The walk of ``walk`` on integer states at level n, as the plain
     values (shape, window, window_origin, ends, orbit) of its report, the
     orbit as walk states in visit order.  A root-of-unity walk has at most
@@ -255,13 +289,20 @@ def _walk(n: int, start: _State, max_steps: int) -> tuple:
     at the start: it passes through (start, left) when the right
     reflection fixes the start, and the values before that belong to the
     sequence too.
+
+    Both loops read m-values from ``table``, the ``_m_table`` of level n,
+    when one is given and ``start`` has no q-exponent: by the determinant
+    argument above every state of the walk then has none either.  A
+    start with a q-exponent ignores the table and applies the rule.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    if any(start[3:]):
+        table = None
     orbit, window, ends, back = {start: None}, [], [], []  # orbit: an ordered set
     s, left, shape = start, True, SHAPE_UNRESOLVED
     for step in range(max_steps):
-        res = _reflect(n, s, left)
+        res = _reflect(n, s, left, table)
         if res is None:
             shape = SHAPE_BROKEN
             break
@@ -277,7 +318,7 @@ def _walk(n: int, start: _State, max_steps: int) -> tuple:
     if shape == SHAPE_BROKEN:
         s, left = start, False
         for step in range(max_steps):
-            res = _reflect(n, s, left)
+            res = _reflect(n, s, left, table)
             if res is None:
                 break
             prev, c = res
@@ -357,8 +398,12 @@ def _sweep(n: int) -> _Sweep:
     orbit of u * key (see ``_units``), so only the classes of O's own
     members are marked, and the class holds phi(n) / #{members of O in the
     key's class} distinct orbits.
+
+    Every walk starts at a key with no q-exponent, so it reads its
+    m-values from the level's ``_m_table``, built once here, and no walk
+    of the sweep applies ``_m_rule``.
     """
-    table = _galois_table(n)
+    table, m_table = _galois_table(n), _m_table(n)
     phi = len(_units(n))
     decided: set[tuple[int, int, int]] = set()
     broken = 0
@@ -367,7 +412,7 @@ def _sweep(n: int) -> _Sweep:
     for key in _galois_keys(n, table):
         if key in decided:
             continue
-        shape, window, _, at, orbit = _walk(n, key + (0, 0, 0), 2 * n**3)
+        shape, window, _, at, orbit = _walk(n, key + (0, 0, 0), 2 * n**3, m_table)
         met = [_galois_nf(n, table, s) for s in orbit]  # one key per member
         decided.update(met)
         orbits = phi // met.count(key)

@@ -662,6 +662,17 @@ def test_generic_rows_report_a_wrong_printed_period(monkeypatch, capsys):
     assert cli.main(["generic"]) == 1
 
 
+@pytest.mark.parametrize("max_order", [0, -5])
+def test_generic_rows_reject_an_order_bound_below_one(monkeypatch, max_order):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(affine, "walk", no_walk)
+    monkeypatch.setattr(affine, "_walk", no_walk)
+    with pytest.raises(ValueError, match="max_order"):
+        check_generic_rows(max_order)
+
+
 def test_generic_row14_exclusions():
     report = check_generic_rows(max_order=12)
     r14 = [s for s in report.specializations if s.row == 14]
@@ -684,6 +695,29 @@ def test_row14_mu4_walk_directly():
     rep = walk(Triple(q, power(q, -4), power(q, 4)))
     assert canonical_period_key(rep.period) != canonical_period_key((1, 4))
     assert decompose_affine(rep.period) is None
+
+
+def test_classify_decides_each_affine_period_once(monkeypatch):
+    calls = {"cor15_check": [], "canonical_period_key": []}
+    for name, seen in calls.items():
+        original = getattr(affine, name)
+
+        def counted(period, original=original, seen=seen):
+            seen.append(tuple(period))
+            return original(period)
+
+        monkeypatch.setattr(affine, name, counted)
+    report = classify_mu(18)
+    monkeypatch.undo()
+    periods = {canonical_period_key(o.period) for o in report.orbits}
+    assert len(report.orbits) == 390 and len(periods) == 5
+    checked = [canonical_period_key(p) for p in calls["cor15_check"]]
+    assert sorted(checked) == sorted(periods)  # once per distinct affine period
+    printed = calls["canonical_period_key"]
+    assert len(printed) == len(set(printed)) <= len(KNOWN_ROWS) + len(affine.GENERIC_ROWS)
+    assert set(printed) <= {row.period for row in KNOWN_ROWS} | {
+        row[4] for row in affine.GENERIC_ROWS
+    }
 
 
 def test_verify_cor15_on_classified_small():

@@ -66,11 +66,14 @@ def assert_figures(figures):
         "_level(8) after _level(7)",
         "_level(8) after _level(7), one process",
         "m_value(a, b) x2k",
+        "_reflect(n, s, left) x10k",
         "enumerate_cycles(8) cold",
         "verify_cover(cor12, 8)",
         "verify_cover(depth-3 refined, 8)",
         "verify_thm_subseqs(8)",
         "classify_mu(8) cold",
+        "_swept(8) cold",
+        "classify_mu(8) after _swept(8)",
         "solve_triples((2,2,5), 8) cold",
         "solve_triples((2,2,5), 8) after classify_mu(8)",
         "check_generic_rows(48)",
@@ -117,14 +120,16 @@ def load_script():
 
 def test_checkouts_alternate_process_by_process(monkeypatch, capsys):
     script = load_script()
-    calls = []
+    calls, compiled = [], []
 
     def child(src, setup, call):
+        assert compiled == [Path("a"), Path("b")]  # every checkout, before any row
         calls.append((str(src), call))
         s = len(calls) / 1000  # the first process of each checkout is its best
         figure = {"s": s, "peak_rss_mib": 1.0, "children_peak_rss_mib": 0.0}
         return {"figure": figure, "backend": "python", "enumeration_cpus": 1}
 
+    monkeypatch.setattr(script, "byte_compile", compiled.append)
     monkeypatch.setattr(script, "run_child", child)
     assert script.main(["--src", "a", "--src", "b", "--length", "8", "--repeat", "3"]) == 0
     record = json.loads(capsys.readouterr().out)
@@ -141,11 +146,11 @@ def test_checkouts_alternate_process_by_process(monkeypatch, capsys):
 
 def test_rows_of_both_kinds_run_once():
     script = load_script()
-    assert len(script.rows(8)) == 28
-    assert len(script.rows(15)) == 26  # both covers to 15
-    assert len(script.rows(24)) == 25  # classify_mu(24) and both solve_triples at 24
+    assert len(script.rows(8)) == 31
+    assert len(script.rows(15)) == 29  # both covers to 15
+    assert len(script.rows(24)) == 28  # classify_mu(24) and both solve_triples at 24
     # a row of both kinds keeps its place among the length rows
-    assert list(script.rows(13)).index("verify_thm_subseqs(13)") == 7
+    assert list(script.rows(13)).index("verify_thm_subseqs(13)") == 8
     # the step rows call only what every commit has: _level and _jobs
     assert script.rows(13)["_level(13) after _level(12)"] == (
         "cycles._level(12)", "cycles._level(13)"
@@ -153,3 +158,19 @@ def test_rows_of_both_kinds_run_once():
     assert script.rows(13)["_level(13) after _level(12), one process"] == (
         "cycles._level(12)\nkernels._jobs = lambda parents: 1", "cycles._level(13)"
     )
+    # the sweep and the fold of classify_mu(13) apart, the fold over a
+    # sweep left by the set-up
+    assert script.rows(13)["_swept(13) cold"] == (
+        "from quiddity import charseq", "charseq._swept(13)"
+    )
+    assert script.rows(13)["classify_mu(13) after _swept(13)"] == (
+        "from quiddity import charseq\ncharseq._swept(13)", "classify_mu(13)"
+    )
+
+
+def test_checkouts_are_byte_compiled(tmp_path):
+    copy = tmp_path / "checkout"
+    (copy / "src" / "pkg").mkdir(parents=True)
+    (copy / "src" / "pkg" / "mod.py").write_text("X = 1\n")
+    load_script().byte_compile(copy)
+    assert list((copy / "src" / "pkg" / "__pycache__").glob("mod.*.pyc"))

@@ -27,10 +27,13 @@ from quiddity.charseq import (
     _galois_keys,
     _galois_nf,
     _galois_table,
+    _m_table,
     _reflect,
     _units,
     _walk,
 )
+
+from quiddity.scalars import _m_rule
 
 from brute_triples import level_triples
 from brute_triples import root_of_unity_triples as _root_of_unity_triples
@@ -370,6 +373,39 @@ def test_sweeps_walk_one_orbit_per_galois_class_of_orbits(monkeypatch):
     charseq._sweeps.clear()
     solve_triples((2, 2, 5), 24)
     assert len(calls) == 2815 + 6364
+
+
+def test_m_table_holds_the_m_rule_without_q_exponents():
+    for n in range(1, 65):
+        table = _m_table(n)
+        assert len(table) == n * n
+        for ai, a in product(range(n), repeat=2):
+            mv = _m_rule(n, ai, 0, a, 0)
+            assert table[ai * n + a] == (-1 if mv is None else mv[0]), (n, ai, a)
+
+
+def test_sweep_records_from_the_table_equal_those_of_the_rule(monkeypatch):
+    rules = []
+
+    def counted(*args):
+        rules.append(args)
+        return _m_rule(*args)
+
+    monkeypatch.setattr(charseq, "_m_rule", counted)
+    charseq._sweeps.clear()
+    from_table = charseq._swept(48)
+    assert rules == []  # every m-value of the sweep came from a table
+    monkeypatch.setattr(charseq, "_m_table", lambda n: None)
+    charseq._sweeps.clear()
+    assert charseq._swept(48) == from_table
+    assert rules  # the rule path was walked
+
+
+def test_walk_reads_no_table_for_a_start_with_q_exponents():
+    # row 12's generic state over mu_1; the level-1 table would break it
+    state = (0, 0, 0, 1, -2, 1)
+    assert _walk(1, state, 100, _m_table(1)) == _walk(1, state, 100)
+    assert _walk(1, state, 100)[0] == SHAPE_CHAIN
 
 
 def test_solve_triples_rejects_negative_or_non_integer_entries(monkeypatch):
