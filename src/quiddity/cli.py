@@ -2,11 +2,14 @@
 
 Every pipeline is exposed as a batch subcommand with deterministic output
 and, under --json, a single JSON document on stdout: the text that
-``json.dumps(doc, indent=2)`` writes, byte for byte, produced by
-``_json_text``.
+``json.dumps(doc, indent=2)`` writes, byte for byte.  ``_json_text``
+produces all of it but the class list of ``enumerate``, the only list
+that grows with the level, which ``_rows_text`` renders from the level
+blob in bounded chunks.
 
 Exit codes: 0 = success / verified, 1 = verification found violations or
-a negative answer, 2 = usage error.
+a negative answer, 2 = usage error.  A reader that closes stdout early
+(``| head``) ends the output quietly, with exit 0.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import json
 import os
 import sys
 from contextlib import suppress
-from itertools import chain, count
+from itertools import count
 from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
@@ -28,7 +31,7 @@ from .affine import (
     verify_cor15_on_classified,
 )
 from .charseq import Triple, _exponents, _reflect, _triple, solve_triples, walk
-from .cycles import _level_tuples, canonicalize, is_quiddity
+from .cycles import _level, canonicalize, is_quiddity
 from .localdesc import (
     BUILTIN_PAIRS,
     CoverPair,
@@ -179,16 +182,77 @@ def _triple_from_args(args) -> tuple[Triple, int | None]:
     return Triple(*(parse_scalar(p) for p in parts)), None
 
 
+#: Classes rendered per chunk by ``cmd_enumerate``, so that the memory
+#: the command adds to its level does not grow with the level.
+_ENUMERATE_CHUNK = 32768
+
+#: The marker byte that opens each row of ``_rows_text``.
+_MARK = 255
+
+#: The byte translation that adds 128 to every byte below 128.
+_PLUS_128 = bytes(range(128, 256)) + bytes(128)
+
+
+def _pieces(mark: str, entry: str, last: str) -> list[str]:
+    """A ``str.translate`` table for ``_rows_text``: the marker to
+    ``mark``, a code e < 128 to ``entry`` and a code e + 128 to
+    ``last``, each formatted with e."""
+    return [entry.format(e) for e in range(128)] + [last.format(e) for e in range(127)] + [mark]
+
+
+#: The rows of ``_rows_text`` as the items of the "cycles" list of
+#: ``json.dumps(..., indent=2)``, each led by its separator, and as text
+#: lines ``<a,b,...>``.
+_JSON_PIECES = _pieces(",\n    [", "\n      {},", "\n      {}\n    ]")
+_TEXT_PIECES = _pieces("<", "{},", "{}>\n")
+
+
+def _rows_text(words: bytes, n: int, pieces: list[str]) -> str:
+    """The words of length ``n`` laid end to end in ``words``, rendered
+    by ``pieces`` (``_JSON_PIECES`` or ``_TEXT_PIECES``) in C.
+
+    Each word becomes a row ``(_MARK, e_1, ..., e_(n-1), e_n + 128)`` of
+    a ``bytearray``, filled by n + 1 strided slice assignments, and one
+    ``str.translate`` maps each code to its piece.  The codes cannot
+    collide: every entry of a class of length n <= 24 is at most
+    n - 2 <= 22, so e_n + 128 <= 150 < ``_MARK``."""
+    rows = len(words) // n
+    width = n + 1
+    buf = bytearray(rows * width)
+    buf[0::width] = bytes((_MARK,)) * rows
+    for j in range(n - 1):
+        buf[j + 1 :: width] = words[j::n]
+    buf[n::width] = words[n - 1 :: n].translate(_PLUS_128)
+    return buf.decode("latin-1").translate(pieces)
+
+
 def cmd_enumerate(args) -> int:
-    words = list(_level_tuples(args.length))
-    _emit(
-        args,
-        {"length": args.length, "count": len(words), "cycles": words},
-        chain(
-            [f"{len(words)} quiddity classes of length {args.length}:"],
-            (f"<{','.join(map(str, w))}>" for w in words),
-        ),
-    )
+    """Write the classes of ``_level(args.length)`` in ``_ENUMERATE_CHUNK``
+    blocks, each rendered by ``_rows_text`` and written as soon as it is
+    ready, so no tuple per class and no whole document is built.  Under
+    --json the text is ``json.dumps(doc, indent=2) + "\n"``, byte for
+    byte, as for every other command.
+
+    ``_level`` checks the length and builds the level before the first
+    write, so a bad length exits 2 with an empty stdout."""
+    n = args.length
+    blob = _level(n)
+    classes = len(blob) // n
+    if args.json:
+        # the head stops after the "[" of "cycles": [], the first row drops
+        # the comma that leads its separator, and the tail closes the list
+        head = _json_text({"length": n, "count": classes, "cycles": []})[:-4]
+        pieces, skip, tail = _JSON_PIECES, 1, "\n  ]\n}\n"
+    else:
+        head = f"{classes} quiddity classes of length {n}:\n"
+        pieces, skip, tail = _TEXT_PIECES, 0, ""
+    write = sys.stdout.write
+    write(head)
+    step = _ENUMERATE_CHUNK * n
+    for start in range(0, len(blob), step):
+        write(_rows_text(blob[start : start + step], n, pieces)[skip:])
+        skip = 0
+    write(tail)
     return 0
 
 
@@ -440,6 +504,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        # the reader stopped early; send what is left, and the flush at
+        # exit, to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

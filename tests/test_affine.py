@@ -8,6 +8,7 @@ import pytest
 
 from quiddity import (
     KNOWN_ROWS,
+    AffineDecomposition,
     CoverPair,
     Scalar,
     Triple,
@@ -86,6 +87,22 @@ def test_decompose_soundness_reassembly():
     assert dec is not None
     assert dec.blocks == ((2, 1, 3, 1, 2),)
     assert dec.reassemble() == (6, 1, 3, 1)
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        (((3, 1, 3, 1, 2),), "blocks do not meet their junction splits"),
+        (((2, 1, 3, 1, 3),), "blocks do not meet their junction splits"),
+        (((2, 1, 2),), "gaps between blocks"),
+    ],
+    ids=["first-entry", "last-entry", "gap"],
+)
+def test_reassembly_rejects_blocks_that_do_not_glue(blocks, message):
+    dec = decompose_affine((6, 1, 3, 1))
+    broken = AffineDecomposition(dec.period, dec.period_multiple, dec.junctions, blocks)
+    with pytest.raises(ValueError, match=message):
+        broken.reassemble()
 
 
 def test_decompose_takes_a_list():

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from quiddity import BUILTIN_PAIRS, Triple, parse_scalar, theorem_step
 from quiddity.cli import _diagram_lines, _json_text, build_parser, main
+from quiddity.cycles import _level_tuples
 
 from scalar_reflections import sigma1, sigma2
 
@@ -42,6 +43,26 @@ def test_enumerate_json(capsys):
     data = json.loads(out)
     assert data["count"] == 3
     assert [1, 3, 1, 3, 1, 3] in data["cycles"]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_enumerate_writes_every_chunk_of_the_level(capsys, monkeypatch, chunk):
+    # a chunk of 1 to 7 classes splits every level from 2 to 10 at many
+    # places; the text must not depend on where
+    import quiddity.cli as cli
+
+    monkeypatch.setattr(cli, "_ENUMERATE_CHUNK", chunk)
+    for n in range(2, 11):
+        words = [list(w) for w in _level_tuples(n)]
+        doc = {"length": n, "count": len(words), "cycles": words}
+        assert run(capsys, "enumerate", "--length", str(n), "--json") == (
+            0, json.dumps(doc, indent=2) + "\n", ""
+        )
+        lines = [f"{len(words)} quiddity classes of length {n}:"]
+        lines += [f"<{','.join(map(str, w))}>" for w in words]
+        assert run(capsys, "enumerate", "--length", str(n)) == (
+            0, "".join(f"{line}\n" for line in lines), ""
+        )
 
 
 def test_check_member_and_non_member(capsys):
@@ -494,6 +515,22 @@ def test_forked_enumeration_prints_one_json_document():
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
         "0daf33461f294bc2dd4af2e644d4fc557a44b0f1677b68b5021996ce54b868d2"
     )
+
+
+def test_enumerate_stops_quietly_when_the_reader_does():
+    # level 16 is written in three chunks, far more than a pipe holds, so
+    # a write after the reader closes fails with a broken pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quiddity.cli", "enumerate", "--length", "16"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+    )
+    assert proc.stdout.readline() == b"83898 quiddity classes of length 16:\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=300) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 @pytest.mark.parametrize(

@@ -52,6 +52,12 @@ def test_canonicalize_examples():
     assert canonicalize((3, 2, 1, 3, 2, 1)).canon == (1, 2, 3, 1, 2, 3)
 
 
+def test_iterating_a_class_reads_its_canonical_word():
+    cyc = canonicalize((2, 1, 3, 1, 2))
+    assert list(cyc) == [1, 2, 2, 1, 3]
+    assert tuple(cyc) == cyc.canon
+
+
 def test_canonicalize_rejects_short_and_negative():
     with pytest.raises(ValueError):
         DihedralCycle((1,))

@@ -62,6 +62,12 @@ def test_psi_bar_inv_examples():
     assert psi_bar_inv((4, 1, 3, 1, 4, 1, 3, 1)) == DihedralCycle((1, 2, 1, 2))
 
 
+def test_psi_bar_inv_rejects_a_class_outside_the_image():
+    # a quiddity cycle whose 1s do not alternate with its other entries
+    with pytest.raises(ValueError, match="not in the ear-doubled image"):
+        psi_bar_inv((1, 2, 2, 1, 3))
+
+
 def test_psi_bar_round_trip():
     for n in range(2, 9):
         for cyc in enumerate_cycles(n):
@@ -512,6 +518,49 @@ def test_verify_cover_counts_no_pattern_as_long_as_the_class():
     pair = CoverPair.of(SHORT_CLASSES, [(1, 2, 2, 1, 3, 1), (2, 1, 3, 1, 2), (9, 9)])
     report = verify_cover(pair, 5)
     assert [v.canon for v in report.violations] == [(1, 2, 2, 1, 3)]
+
+
+def naive_violations(pair, max_length):
+    """The classes up to ``max_length`` outside E that strictly contain no
+    pattern of F, each checked by ``contains_cyclic``."""
+    e = {c.canon for c in pair.E}
+    return [
+        cyc.canon
+        for n in range(2, max_length + 1)
+        for cyc in sorted(enumerate_cycles(n), key=lambda c: c.canon)
+        if cyc.canon not in e and not any(len(f) < n and contains_cyclic(cyc, f) for f in pair.F)
+    ]
+
+
+def test_verify_cover_finds_a_pattern_that_starts_at_the_last_entry():
+    # the only (4, 1, 2) of (1, 2, 2, 3, 1, 2, 4) starts at its last entry
+    # and wraps around, so a search that skips that start reports the class
+    pair = CoverPair.of(BUILTIN_PAIRS["cor12"].E, [(4, 1, 2)])
+    violations = [v.canon for v in verify_cover(pair, 7).violations]
+    assert violations == [
+        (1, 2, 2, 1, 3),
+        (1, 2, 3, 1, 2, 3),
+        (1, 3, 1, 3, 1, 3),
+        (1, 2, 2, 2, 2, 1, 5),
+        (1, 2, 3, 2, 1, 3, 3),
+    ]
+    assert violations == naive_violations(pair, 7)
+    assert (1, 2, 2, 3, 1, 2, 4) not in violations
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=1, max_value=6), min_size=2, max_size=6).map(tuple),
+        min_size=1,
+        max_size=4,
+    ),
+    st.integers(min_value=2, max_value=10),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_verify_cover_matches_a_naive_check(patterns, max_length):
+    pair = CoverPair.of(BUILTIN_PAIRS["base"].E, patterns)
+    report = verify_cover(pair, max_length)
+    assert [v.canon for v in report.violations] == naive_violations(pair, max_length)
 
 
 def test_verify_cover_skips_an_exceptional_class_past_a_byte():

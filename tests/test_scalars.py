@@ -314,6 +314,12 @@ def test_render():
     assert Scalar.q_power(2, negate=True).render() == "-q^2"
 
 
+def test_str_is_the_rendering_without_an_order():
+    for s in [Scalar.one(), zeta(9, 6), Scalar.q_power(-4), Scalar.q_power(2, negate=True)]:
+        assert str(s) == s.render()
+    assert str(zeta(9, 6)) == "z3^2"
+
+
 def test_parse_scalar():
     assert parse_scalar("q") == Scalar.q_power(1)
     assert parse_scalar("-q") == Scalar.q_power(1, negate=True)
