@@ -60,13 +60,13 @@ def canonical_form(seq: tuple) -> tuple:
 
 
 def cyclic_contains(word: tuple, pat: tuple) -> bool:
-    """True iff ``pat`` occurs as a consecutive run in the cyclic word
-    ``word``, read in either direction.  A pattern longer than the word
-    never matches; one of equal length matches iff it is a rotation or
-    reflected rotation."""
+    """True iff the nonempty pattern ``pat`` occurs as a consecutive run
+    in the cyclic word ``word``, read in either direction.  A pattern
+    longer than the word never matches; one of equal length matches iff
+    it is a rotation or reflected rotation."""
     n, m = len(word), len(pat)
-    if m > n or m == 0:
-        return m == 0
+    if m > n:
+        return False
     for rep in (word, word[::-1]):
         d = rep + rep
         for i in range(n):
@@ -76,11 +76,9 @@ def cyclic_contains(word: tuple, pat: tuple) -> bool:
 
 
 def linear_contains(seq: tuple, pat: tuple) -> bool:
-    """Plain consecutive-subsequence test, no wraparound, given
-    orientation only."""
+    """Plain consecutive-subsequence test of the nonempty pattern
+    ``pat``, no wraparound, given orientation only."""
     n, m = len(seq), len(pat)
-    if m == 0:
-        return True
     first = pat[0]
     for i in range(n - m + 1):
         if seq[i] == first and seq[i : i + m] == pat:

@@ -135,7 +135,7 @@ def test_case_formula_consistency_sample():
 
 def test_walk_mu9_cycle():
     report = walk(mu(9, 6, 8, 6))
-    assert report.shape == SHAPE_CYCLE
+    assert report.shape == SHAPE_CYCLE and report.ok
     assert report.period == (2, 2, 5)
     assert report.window == [2, 5, 2, 2, 5, 2]
     assert report.state_period == 6
@@ -173,9 +173,12 @@ def test_walk_mu3_diagonal():
 
 def test_walk_broken_collects_backward_window():
     report = walk(mu(5, 0, 1, 1))
-    assert report.shape == SHAPE_BROKEN
+    assert report.shape == SHAPE_BROKEN and not report.ok
     assert report.period == ()
     assert report.window_origin <= 0
+    # no state period: the ends are not reduced
+    assert report.state_period is None
+    assert report.end_offsets() == frozenset(report.ends)
 
 
 def test_walk_values_non_negative_and_mirror_at_ends():

@@ -24,6 +24,8 @@ from quiddity.cycles import _level_tuples
 
 from scalar_reflections import sigma1, sigma2
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -337,23 +339,6 @@ def test_verify_cor15(capsys):
     assert code == 0
 
 
-def test_json_outputs_single_document(capsys):
-    for argv in [
-        ["enumerate", "--length", "5", "--json"],
-        ["check", "--cycle", "0,0", "--json"],
-        ["verify-cover", "--pair", "builtin:ends", "--max", "8", "--json"],
-        ["verify-thm16", "--max", "7", "--json"],
-        ["charseq", "--zeta", "3", "--q1", "1", "--q", "1", "--q2", "1", "--json"],
-        ["solve", "--window", "2,2,2", "--bound", "3", "--json"],
-        ["decompose", "--period", "2", "--json"],
-        ["generic", "--json"],
-    ]:
-        code = main(argv)
-        out = capsys.readouterr().out
-        json.loads(out)
-        assert code in (0, 1)
-
-
 #: The subcommands of the parser, each with its options other than -h.
 SUBCOMMANDS = {
     name: [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
@@ -453,68 +438,205 @@ def test_verify_cover_malformed_pair_file(tmp_path, capsys, text):
     assert out == "" and err.startswith("error:") and "Traceback" not in err
 
 
-def test_verify_cover_drops_a_pattern_as_long_as_the_bound(tmp_path, capsys):
-    # a pattern of 3,000 entries is inside no class up to the bound, and
-    # its trie branch once recursed once per entry
-    pair = BUILTIN_PAIRS["cor12"].to_json()
-    pair["F"].append([1] * 3000)
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps(pair))
-    code, out, err = run(capsys, "verify-cover", "--pair", str(path), "--max", "10", "--json")
-    assert (code, err) == (0, "")
-    assert out == run(capsys, "verify-cover", "--pair", "builtin:cor12", "--max", "10", "--json")[1]
+LONG_PATTERN_PAIR = BUILTIN_PAIRS["cor12"].to_json()
+LONG_PATTERN_PAIR["F"].append([1] * 3000)
+
+#: The files the cases start from, by name.  A case's directory holds
+#: those its argv names.
+FIXTURES = {
+    "alternating.json": json.dumps({"E": [[0, 0], [1, 1, 1]], "F": [[1, 2] * 8 + [1]]}),
+    "long_pattern.json": json.dumps(LONG_PATTERN_PAIR),
+    "nested.json": "[" * 100000 + "]" * 100000,
+}
+
+#: The CLI's expected behaviour.  A case is one argv per line, run in
+#: order in one fresh directory, and for each argv the exit code, the
+#: sha256 of stdout (None for exit 2, whose stdout must be empty) and the
+#: sha256 of each file it writes.  A refactor must not change a byte; a
+#: digest is changed by hand, and CHANGES.md gives the reason.
+CASES = {
+    "enumerate --length 5 --json": [
+        (0, "f7f9e5dea6fecfed461ec5a62ec1818129b6bce424caf7f5a09ab9c9e928e1e8", {})
+    ],
+    "enumerate --length 10": [
+        (0, "290ab14a8148522d60eb890e71910b5a0ac84f8c51de0744fd55cc1c340a84fe", {})
+    ],
+    # 7,528 classes, grown in forked workers where two CPUs are usable; a
+    # worker that flushed the inherited stdout would print a second document
+    "enumerate --length 14 --json": [
+        (0, "0daf33461f294bc2dd4af2e644d4fc557a44b0f1677b68b5021996ce54b868d2", {})
+    ],
+    # 83,898 classes, written in three chunks; the text is 83,899 lines
+    "enumerate --length 16 --json": [
+        (0, "7a59e9b4e758c35f9cbbfec54cb75e170201e86dab834f225b1e1066660de8d4", {})
+    ],
+    "enumerate --length 16": [
+        (0, "4a8ffdfd0d56384afed21bf5670b7dd24d642d9d761fdd66631778fdf888fbed", {})
+    ],
+    "check --cycle 0,0 --json": [
+        (0, "4fb09f362690df92f8d66e79adf5d9ec89d77bc48137d29ef167f2fbb2b02d74", {})
+    ],
+    "check --cycle 1,2,1,2 --json": [
+        (0, "74266f77943198aee16d37261f36562d37873b3680b0bc15f8f7d647c708092e", {})
+    ],
+    # relative --out paths keep the "out" field the same in any directory
+    "cover-step --in builtin:base --out p1.json --json\n"
+    "cover-step --in p1.json --out p2.json --json\n"
+    "cover-step --in p2.json --out p3.json --json": [
+        (
+            0,
+            "1db9694ada9bd60f895f7cde0aecc683b7126ed1084394f4b515a14d216eb548",
+            {"p1.json": "80a002bde6337be6bc7a324e06460ff0bb80ace1e10222c745b9d6a2ed6bf305"},
+        ),
+        (
+            0,
+            "0bf1c867a8361dd46cf94804e27f54a0670cfb850e7d6c8ff8be97514ff018f8",
+            {"p2.json": "8c27fa62089d162595d7746bef5c65b59b0b43d80a235b6f4a1fc8419a120755"},
+        ),
+        (
+            0,
+            "11f6b83337e85154b2018546bd3c3572319bbff1f0f43683f2df301629d5856d",
+            {"p3.json": "c333f9f9006bd064f59378c888ced15168226b762291221ff9546bb8d158870a"},
+        ),
+    ],
+    # the 17-entry alternating pattern refines to an F of 3**9 patterns
+    "cover-step --in alternating.json --out refined.json --json": [
+        (
+            0,
+            "bf15dc5ebdf6c7699abd508e220ef36614f0b6e2c451e2915ee3a9ed1ad58ae1",
+            {"refined.json": "1cebc714952867ae2334fea3c86a77680aee39666c70ffeb8aa5226aa98526b1"},
+        ),
+    ],
+    "verify-cover --pair builtin:ends --max 8 --json": [
+        (0, "fd87abd82e567a2fec8a2c36a33ea4d0a6ee1b9da76736990c8b0691030420fc", {})
+    ],
+    "verify-cover --pair builtin:cor12 --max 10 --json": [
+        (0, "c4978c2df73ae95dbdac7522d5020c231a2a61d9c0ee73fe94fa9cb403fa58b2", {})
+    ],
+    "verify-cover --pair builtin:cor12 --max 14 --json": [
+        (0, "7b10fe7decbba7c0d208debc2905f07cced5b50f20b6aeeae6aec6f4bf32b1f2", {})
+    ],
+    # a pattern of 3,000 entries, inside no class up to the bound, leaves
+    # cor12's document as it is; its trie branch once recursed once per entry
+    "verify-cover --pair long_pattern.json --max 10\n"
+    "verify-cover --pair long_pattern.json --max 10 --json": [
+        (0, "bfcf530910a8ee5335e93395c16b9ba13c5abed1f902f07735fa6f95eb6a36d8", {}),
+        (0, "c4978c2df73ae95dbdac7522d5020c231a2a61d9c0ee73fe94fa9cb403fa58b2", {}),
+    ],
+    "verify-cover --pair nested.json": [(2, None, {})],
+    "verify-thm16 --max 7 --json": [
+        (1, "23491868f9180f4f0aa4a1e8511c4d4ff8e4008a2041ccb048279f595565804c", {})
+    ],
+    "verify-thm16 --max 10": [
+        (0, "4cd9af53eb230651fcf32a2c424f76402934e2404b4b843d73f8ae147a458aa2", {})
+    ],
+    "verify-thm16 --max 10 --json": [
+        (0, "e85e6f7a353e773dbf68185f2dc208b246b0e747b0a89fd4f7a6c8d8d262a57e", {})
+    ],
+    "verify-thm16 --max 12 --json": [
+        (0, "d94b7a2d257dd6fb469ccc0e16fcf0b269ad84a160335341771cd1f3f20796ca", {})
+    ],
+    "charseq --zeta 3 --q1 1 --q 1 --q2 1 --json": [
+        (0, "c1e9fd65ff5daf6251e1458f54fecac41e750ca19a90c910c984663e49656002", {})
+    ],
+    "charseq --zeta 5 --q1 0 --q 1 --q2 1": [
+        (0, "0d8692dedb0f653f7fd14492c44d8907b03bef3cc5001bbe1c8105dae08b8b54", {})
+    ],
+    "charseq --zeta 5 --q1 0 --q 1 --q2 1 --json": [
+        (0, "0d520e118dbdbd5836c995893eedfa0d12ae194d9b565a3690f69d5bf376ac17", {})
+    ],
+    "charseq --zeta 9 --q1 6 --q 8 --q2 6": [
+        (0, "ccc5b03dfe2920d02915904fdfc459b1fbd16827a93e5c794302e61b064ac1b5", {})
+    ],
+    "charseq --zeta 9 --q1 6 --q 8 --q2 6 --json": [
+        (0, "5c5eae9c22719b2873818cd95b135d55226e9b9ce94f070aac73cc8dca83a8fb", {})
+    ],
+    "charseq --zeta 9 --q1 6 --q 8 --q2 6 --steps 3 --json": [
+        (0, "6f6902de0c0d9e1338cafce7cd5f9e2397b7335ed9db91302c8d93c43cab1acc", {})
+    ],
+    "charseq --triple q^1,q^-4,q^4 --json": [
+        (0, "ee25999eb32391b676b5ac83529e1098edf7c2622ef56d9701320f07c2ef0853", {})
+    ],
+    "solve --window 2,2,2 --bound 3 --json": [
+        (0, "1db3e5c4d536311e8f141b07b601c47c62b165201729e8a946768e5b2cec79c6", {})
+    ],
+    "solve --window 2,2,5 --bound 11 --json": [
+        (0, "fa4ebd27f84df72ac73d386fbb8394fdf5f8d6dfcce4e0a297e16bbc8a6673c5", {})
+    ],
+    "solve --window 2,2,5 --bound 12 --json": [
+        (0, "481703d5a39681114556fa60071da02bfdb42834809b9f25659b5e33cde62092", {})
+    ],
+    # past level 256, the largest the sweep records hold
+    "solve --window 300,1,1 --bound 300": [(2, None, {})],
+    "classify --nmax 8": [
+        (0, "d696e8838ad601555fe9b76526d0e62502acbc7987b3164882b7104387b54f6f", {})
+    ],
+    "classify --nmax 8 --json": [
+        (0, "cde1f28dffad02880e46c793bf0da69612d1c4f12f3ea17b5915a735350fb406", {})
+    ],
+    "classify --nmax 24": [
+        (0, "361da9ad3f68f07f883bcb4224b0e04733e76d4f765f3d856eb0e10206d48886", {})
+    ],
+    "classify --nmax 24 --json": [
+        (0, "815f163ebbd3cec9297b7a9ae8b9ca67f04e0e29b9d40da5a0f75d323be719fb", {})
+    ],
+    "classify --nmax 48 --json": [
+        (0, "86041693d06908d56d105b45c89dbe24b83003014b3cea4654e78f88068f2e31", {})
+    ],
+    "classify --nmax 257": [(2, None, {})],
+    "generic": [(0, "eee9443790466fbfad95eb381fbb40f4207be3875f3746c157a258c05de315f9", {})],
+    "generic --json": [(0, "a56d29539dbdcb1daeb2fa0ca973ae178211b799b2a58d7040e8d8cf8f2b4db5", {})],
+    "decompose --period 2 --json": [
+        (0, "e4695c0bc084de7d36178bec542a1b95704a8b1a5ca42331043a8de6dd58ebe4", {})
+    ],
+    "decompose --period 6,1,3,1 --json": [
+        (0, "e11349a0ffcb112766fb0ccaf11866d6f996ae3260bb38a34e66767b51903d72", {})
+    ],
+    "decompose --period 1,2,3,1,3,2,1,5": [
+        (1, "b650a7a375005c823d9d23341806dbd8b342db00c411807cf2d6ebcd2475987f", {})
+    ],
+    "verify-cor15 --nmax 24 --json": [
+        (0, "9007e80ce0f3213c06cf150a650819198c6eaa787d6c98f812228715a60eeaef", {})
+    ],
+    "verify-cor15 --nmax 48 --json": [
+        (0, "a8e937c3560aa56a59fbea6ba1adee23c27c48b6127e40403052302a24fd2749", {})
+    ],
+}
 
 
 @pytest.mark.parametrize(
-    "argv, digest",
-    [
-        (
-            ["classify", "--nmax", "24", "--json"],
-            "815f163ebbd3cec9297b7a9ae8b9ca67f04e0e29b9d40da5a0f75d323be719fb",
-        ),
-        (
-            ["verify-cor15", "--nmax", "24", "--json"],
-            "9007e80ce0f3213c06cf150a650819198c6eaa787d6c98f812228715a60eeaef",
-        ),
-        (
-            ["solve", "--window", "2,2,5", "--bound", "12", "--json"],
-            "481703d5a39681114556fa60071da02bfdb42834809b9f25659b5e33cde62092",
-        ),
-        (["generic", "--json"], "a56d29539dbdcb1daeb2fa0ca973ae178211b799b2a58d7040e8d8cf8f2b4db5"),
-        (
-            ["enumerate", "--length", "14", "--json"],
-            "0daf33461f294bc2dd4af2e644d4fc557a44b0f1677b68b5021996ce54b868d2",
-        ),
-        (
-            ["verify-cover", "--pair", "builtin:cor12", "--max", "14", "--json"],
-            "7b10fe7decbba7c0d208debc2905f07cced5b50f20b6aeeae6aec6f4bf32b1f2",
-        ),
-    ],
-    ids=["classify", "verify-cor15", "solve", "generic", "enumerate", "verify-cover"],
+    "argvs, expected",
+    CASES.items(),
+    ids=["-".join(word.lstrip("-") for word in key.splitlines()[0].split()) for key in CASES],
 )
-def test_json_output_is_pinned(capsys, argv, digest):
-    # the sha256 of stdout: a refactor of the sweeps or of the enumeration
-    # must not change a byte
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-def test_forked_enumeration_prints_one_json_document():
-    # level 14 grows in forked workers where two CPUs are usable; a worker
-    # that flushed the inherited stdout would print a second document
-    proc = subprocess.run(
-        [sys.executable, "-m", "quiddity.cli", "enumerate", "--length", "14", "--json"],
-        capture_output=True,
-        text=True,
-        timeout=300,
-        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["count"] == 7528
-    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
-        "0daf33461f294bc2dd4af2e644d4fc557a44b0f1677b68b5021996ce54b868d2"
-    )
+def test_cli_case(tmp_path, argvs, expected):
+    # each argv is its own process, so a warning under -W error fails it
+    present = set(argvs.split()) & FIXTURES.keys()
+    for name in present:
+        (tmp_path / name).write_text(FIXTURES[name])
+    for argv, (code, stdout, files) in zip(argvs.splitlines(), expected, strict=True):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "quiddity.cli", *argv.split()],
+            cwd=tmp_path,
+            capture_output=True,
+            timeout=300,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        err = proc.stderr.decode()
+        assert proc.returncode == code, err
+        texts = [(tmp_path / name).read_bytes() for name in files]
+        assert [hashlib.sha256(text).hexdigest() for text in texts] == list(files.values())
+        if code == 2:
+            assert proc.stdout == b"" and err.count("error:") == 1 and "Traceback" not in err
+        else:
+            assert err == ""
+            assert hashlib.sha256(proc.stdout).hexdigest() == stdout
+            if "--json" in argv.split():
+                texts.append(proc.stdout)
+        for text in texts:
+            assert text.decode() == json.dumps(json.loads(text), indent=2) + "\n"
+        present |= files.keys()
+        assert sorted(os.listdir(tmp_path)) == sorted(present)
 
 
 def test_enumerate_stops_quietly_when_the_reader_does():
@@ -524,96 +646,13 @@ def test_enumerate_stops_quietly_when_the_reader_does():
         [sys.executable, "-m", "quiddity.cli", "enumerate", "--length", "16"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+        env=dict(os.environ, PYTHONPATH=SRC),
     )
     assert proc.stdout.readline() == b"83898 quiddity classes of length 16:\n"
     proc.stdout.close()
     assert proc.wait(timeout=300) == 0
     assert proc.stderr.read() == b""
     proc.stderr.close()
-
-
-@pytest.mark.parametrize(
-    "argv, digest",
-    [
-        (
-            ["verify-thm16", "--max", "12", "--json"],
-            "d94b7a2d257dd6fb469ccc0e16fcf0b269ad84a160335341771cd1f3f20796ca",
-        ),
-        (
-            ["charseq", "--zeta", "9", "--q1", "6", "--q", "8", "--q2", "6", "--json"],
-            "5c5eae9c22719b2873818cd95b135d55226e9b9ce94f070aac73cc8dca83a8fb",
-        ),
-        (
-            ["charseq", "--triple", "q^1,q^-4,q^4", "--json"],
-            "ee25999eb32391b676b5ac83529e1098edf7c2622ef56d9701320f07c2ef0853",
-        ),
-        (
-            ["charseq", "--zeta", "5", "--q1", "0", "--q", "1", "--q2", "1", "--json"],
-            "0d520e118dbdbd5836c995893eedfa0d12ae194d9b565a3690f69d5bf376ac17",
-        ),
-        (
-            ["charseq", "--zeta", "9", "--q1", "6", "--q", "8", "--q2", "6", "--steps", "3", "--json"],
-            "6f6902de0c0d9e1338cafce7cd5f9e2397b7335ed9db91302c8d93c43cab1acc",
-        ),
-        (
-            ["decompose", "--period", "6,1,3,1", "--json"],
-            "e11349a0ffcb112766fb0ccaf11866d6f996ae3260bb38a34e66767b51903d72",
-        ),
-        (
-            ["check", "--cycle", "1,2,1,2", "--json"],
-            "74266f77943198aee16d37261f36562d37873b3680b0bc15f8f7d647c708092e",
-        ),
-        (
-            ["enumerate", "--length", "10"],
-            "290ab14a8148522d60eb890e71910b5a0ac84f8c51de0744fd55cc1c340a84fe",
-        ),
-        (
-            ["generic"],
-            "eee9443790466fbfad95eb381fbb40f4207be3875f3746c157a258c05de315f9",
-        ),
-        (
-            ["classify", "--nmax", "24"],
-            "361da9ad3f68f07f883bcb4224b0e04733e76d4f765f3d856eb0e10206d48886",
-        ),
-    ],
-    ids=[
-        "verify-thm16", "charseq", "charseq-chain", "charseq-broken", "charseq-unresolved",
-        "decompose", "check", "enumerate-text", "generic-text", "classify-text",
-    ],
-)
-def test_more_output_is_pinned(capsys, argv, digest):
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-def test_cover_step_output_and_files_are_pinned(tmp_path, monkeypatch, capsys):
-    # three steps from builtin:base: stdout and the pair file of each step;
-    # relative --out paths keep the "out" field of stdout the same anywhere
-    monkeypatch.chdir(tmp_path)
-    pinned = [
-        (
-            "1db9694ada9bd60f895f7cde0aecc683b7126ed1084394f4b515a14d216eb548",
-            "80a002bde6337be6bc7a324e06460ff0bb80ace1e10222c745b9d6a2ed6bf305",
-        ),
-        (
-            "0bf1c867a8361dd46cf94804e27f54a0670cfb850e7d6c8ff8be97514ff018f8",
-            "8c27fa62089d162595d7746bef5c65b59b0b43d80a235b6f4a1fc8419a120755",
-        ),
-        (
-            "11f6b83337e85154b2018546bd3c3572319bbff1f0f43683f2df301629d5856d",
-            "c333f9f9006bd064f59378c888ced15168226b762291221ff9546bb8d158870a",
-        ),
-    ]
-    source = "builtin:base"
-    for k, (stdout_digest, file_digest) in enumerate(pinned, 1):
-        code, out, _ = run(capsys, "cover-step", "--in", source, "--out", f"p{k}.json", "--json")
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest, k
-        assert hashlib.sha256(Path(f"p{k}.json").read_bytes()).hexdigest() == file_digest, k
-        source = f"p{k}.json"
-    assert sorted(os.listdir(tmp_path)) == ["p1.json", "p2.json", "p3.json"]
 
 
 def full_disk_open(*args, **kwargs):
