@@ -461,8 +461,6 @@ CASES = {
     "enumerate --length 10": [
         (0, "290ab14a8148522d60eb890e71910b5a0ac84f8c51de0744fd55cc1c340a84fe", {})
     ],
-    # 7,528 classes, grown in forked workers where two CPUs are usable; a
-    # worker that flushed the inherited stdout would print a second document
     "enumerate --length 14 --json": [
         (0, "0daf33461f294bc2dd4af2e644d4fc557a44b0f1677b68b5021996ce54b868d2", {})
     ],
@@ -604,6 +602,17 @@ CASES = {
 }
 
 
+def python(*argv, cwd=None):
+    """``python -W error`` run on ``argv``, with ``src`` on the path."""
+    return subprocess.run(
+        [sys.executable, "-W", "error", *argv],
+        cwd=cwd,
+        capture_output=True,
+        timeout=300,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+
+
 @pytest.mark.parametrize(
     "argvs, expected",
     CASES.items(),
@@ -615,13 +624,7 @@ def test_cli_case(tmp_path, argvs, expected):
     for name in present:
         (tmp_path / name).write_text(FIXTURES[name])
     for argv, (code, stdout, files) in zip(argvs.splitlines(), expected, strict=True):
-        proc = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "quiddity.cli", *argv.split()],
-            cwd=tmp_path,
-            capture_output=True,
-            timeout=300,
-            env=dict(os.environ, PYTHONPATH=SRC),
-        )
+        proc = python("-m", "quiddity.cli", *argv.split(), cwd=tmp_path)
         err = proc.stderr.decode()
         assert proc.returncode == code, err
         texts = [(tmp_path / name).read_bytes() for name in files]
@@ -637,6 +640,22 @@ def test_cli_case(tmp_path, argvs, expected):
             assert text.decode() == json.dumps(json.loads(text), indent=2) + "\n"
         present |= files.keys()
         assert sorted(os.listdir(tmp_path)) == sorted(present)
+
+
+def test_forked_enumeration_prints_one_json_document():
+    # two usable CPUs make level 14 grow in a forked child on any machine;
+    # a child that flushed the inherited stdout would print a second document
+    code = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from quiddity import cli, kernels
+assert kernels._jobs(2282) == 2
+sys.exit(cli.main())
+"""
+    argv = "enumerate --length 14 --json"
+    proc = python("-c", code, *argv.split())
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == CASES[argv][0][1]
 
 
 def test_enumerate_stops_quietly_when_the_reader_does():
